@@ -7,6 +7,7 @@ sweeps here are exact and exhaustive, vectorized over Cayley tables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -240,11 +241,11 @@ def odd_matrix_entries(idx: int) -> tuple[int, int, int, int]:
     return 2 * ia + 1, 2 * ib, 2 * ic, 2 * id_ + 1
 
 
-def odd_matrix_brace() -> SkewBrace:
-    """2x2 matrices over Z/8Z with odd diagonal and even off-diagonal.
+def odd_matrix_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form addition and multiplication tables of the odd-matrix brace.
 
-    Order 256.  Addition is A + B - I entrywise mod 8, multiplication is
-    the matrix product mod 8.
+    Indices follow ``odd_matrix_entries``; addition is A + B - I entrywise
+    mod 8, multiplication is the matrix product mod 8.
     """
     idx = np.arange(256)
     a = 2 * ((idx >> 6) & 3) + 1
@@ -277,6 +278,16 @@ def odd_matrix_brace() -> SkewBrace:
         (c1 * a2 + d1 * c2) % _OM_MOD,
         (c1 * b2 + d1 * d2) % _OM_MOD,
     )
+    return add_table, mul_table
+
+
+def odd_matrix_brace() -> SkewBrace:
+    """2x2 matrices over Z/8Z with odd diagonal and even off-diagonal.
+
+    Order 256.  Addition is A + B - I entrywise mod 8, multiplication is
+    the matrix product mod 8.
+    """
+    add_table, mul_table = odd_matrix_tables()
     labels = []
     for i in range(256):
         ea, eb, ec, ed = odd_matrix_entries(i)
@@ -286,20 +297,41 @@ def odd_matrix_brace() -> SkewBrace:
     return make_skew_brace(add, mul, name="oddmatrix")
 
 
+def is_odd_matrix_brace(b: SkewBrace) -> bool:
+    """True iff both tables of ``b`` equal the odd-matrix closed forms, index for index.
+
+    Decides from content, not from the name, whether the odd-matrix pair
+    criterion applies: the criterion decodes element indices as matrices.
+    """
+    if b.order != 256:
+        return False
+    add_table, mul_table = odd_matrix_tables()
+    return bool(np.array_equal(b.add.table, add_table) and np.array_equal(b.mul.table, mul_table))
+
+
 def odd_matrix_pair_criterion(z1: int, z2: int) -> bool:
     """Published equality test for two odd-matrix shifts: (D-I)(B-A) = 0 mod 8 for all D.
 
-    Evaluated by brute force over all 256 choices of D; reported next to
-    (never merged with) exact table comparison.
+    The statement depends on the shifts only through their difference
+    matrix mod 8 (even entries, so at most 256 values).  The verdict is
+    memoised on that difference; each new difference is still decided by
+    brute force over all 256 choices of D, never by a derived closed form.
+    Reported next to (never merged with) exact table comparison.
     """
-    a1, b1, c1, d1 = odd_matrix_entries(z1)
-    a2, b2, c2, d2 = odd_matrix_entries(z2)
-    diff = np.array([[a2 - a1, b2 - b1], [c2 - c1, d2 - d1]], dtype=np.int64) % _OM_MOD
+    e1 = odd_matrix_entries(z1)
+    e2 = odd_matrix_entries(z2)
+    return _published_criterion_holds(tuple((v2 - v1) % _OM_MOD for v1, v2 in zip(e1, e2)))
+
+
+@functools.lru_cache(maxsize=256)
+def _published_criterion_holds(diff: tuple[int, int, int, int]) -> bool:
+    """(D-I) @ diff = 0 mod 8 for every odd matrix D; diff holds entries (a, b, c, d) mod 8."""
+    dm = np.array([[diff[0], diff[1]], [diff[2], diff[3]]], dtype=np.int64)
     eye = np.eye(2, dtype=np.int64)
     for idx in range(256):
         ea, eb, ec, ed = odd_matrix_entries(idx)
         dmat = np.array([[ea, eb], [ec, ed]], dtype=np.int64)
-        if ((dmat - eye) @ diff % _OM_MOD).any():
+        if ((dmat - eye) @ dm % _OM_MOD).any():
             return False
     return True
 

@@ -17,7 +17,9 @@ from .braces import (
     BraceError,
     SkewBrace,
     cyclic_unit_brace,
+    is_odd_matrix_brace,
     odd_matrix_brace,
+    odd_matrix_pair_criterion,
     product_brace,
     radical_even_brace,
     socle,
@@ -90,11 +92,12 @@ def _make_brace(args: argparse.Namespace) -> tuple[SkewBrace, str]:
 
 
 def _group_by_name(name: str):
-    name = name.lower()
-    if name.startswith("s") and name[1:].isdigit():
-        return symmetric_group(int(name[1:]))
-    if name[0] in "zc" and name[1:].isdigit():
-        return cyclic_group(int(name[1:]))
+    key = name.lower()
+    if key[1:].isdigit():
+        if key[0] == "s":
+            return symmetric_group(int(key[1:]))
+        if key[0] in "zc":
+            return cyclic_group(int(key[1:]))
     raise ValueError(f"unknown group {name!r} (use sN or zN)")
 
 
@@ -142,21 +145,24 @@ def cmd_socle(args) -> int:
 def cmd_solve(args) -> int:
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
-    for z in zs:
-        s = build_solution(b, z)
-        print(f"z={z} (label {b.labels[z]}): involutive={is_involutive(s)}")
-    if args.dedup:
-        family = _family_of(b)
-        from .braces import odd_matrix_pair_criterion
 
-        partition = dedup_solutions(
-            b, zs, pair_criterion=odd_matrix_pair_criterion if family == "oddmatrix" else None
-        )
-        for cls in partition.classes:
-            print("class {" + ",".join(b.labels[z] for z in cls) + "}")
-        if partition.criterion_pairs:
-            agree = all(crit == eq for _, _, crit, eq in partition.criterion_pairs)
-            print(f"pair criterion agrees with table equality: {agree}")
+    def solved():
+        for z in zs:
+            s = build_solution(b, z)
+            print(f"z={z} (label {b.labels[z]}): involutive={is_involutive(s)}")
+            yield s
+
+    if not args.dedup:
+        for _ in solved():
+            pass
+        return 0
+    criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
+    partition = dedup_solutions(solved(), pair_criterion=criterion)
+    for cls in partition.classes:
+        print("class {" + ",".join(b.labels[z] for z in cls) + "}")
+    if partition.criterion_pairs:
+        agree = all(crit == eq for _, _, crit, eq in partition.criterion_pairs)
+        print(f"pair criterion agrees with table equality: {agree}")
     return 0
 
 

@@ -8,7 +8,8 @@ per executed check, run in a fixed documented order:
      constraints, product identity, transpose identity, involutivity with
      its socle-criterion cross-check, the sigma-shift criterion, inverse
      composition)
-  3. dedup partition (with the published pair criterion where available)
+  3. dedup partition (with the published pair criterion when the tables
+     are those of the odd-matrix brace)
   4. correspondence with the undeformed map
   5. per-shift matrix-level suite (braid/YBE, commutations, cocycle,
      twisted forms, group-likeness, coassociativity defects)
@@ -29,7 +30,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .braces import SkewBrace, admissible_z, odd_matrix_pair_criterion, socle
+from .braces import SkewBrace, admissible_z, is_odd_matrix_brace, odd_matrix_pair_criterion, socle
 from .solutions import (
     InverseCheckFailedError,
     build_solution,
@@ -266,8 +267,8 @@ def tensor_suite(
 
 
 def dedup_section(b: SkewBrace, zs: Sequence[int], family: str | None) -> dict:
-    criterion = odd_matrix_pair_criterion if family == "oddmatrix" else None
-    partition = dedup_solutions(b, zs, pair_criterion=criterion)
+    criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
+    partition = dedup_solutions((build_solution(b, z) for z in zs), pair_criterion=criterion)
     notes: list[str] = []
     if family == "cyclic2n" and b.order == 4:
         classes = {tuple(sorted(b.labels[i] for i in cls)) for cls in partition.classes}

@@ -14,7 +14,7 @@ correspondence with the undeformed map, all by exact exhaustive scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -289,49 +289,51 @@ def sigma_shift_criterion(b: SkewBrace, z: int) -> tuple[bool, bool]:
 
 
 def dedup_solutions(
-    b: SkewBrace,
-    zs: Sequence[int],
+    solutions: Iterable[DeformedSolution],
     pair_criterion: Callable[[int, int], bool] | None = None,
 ) -> DedupPartition:
-    """Partition shifts by exact equality of their sigma tables.
+    """Partition solutions of one brace by exact equality of their sigma tables.
 
-    Tau tables are compared as well; a sigma match with a tau mismatch
-    would mean the construction is broken and raises.  When
-    ``pair_criterion`` is given (odd-matrix family), every pair of shifts
-    is also scored by the published criterion and reported alongside the
-    ground-truth table comparison.
+    ``solutions`` is consumed once, so it may be a generator that builds
+    each shift on demand; only the tau table of one representative per
+    class is kept.  Classes are keyed by ``sigma.tobytes()``: all tables
+    of one brace share shape and dtype, so equal bytes mean equal tables,
+    and a dict hit compares the full bytes, never just the hash.  Each
+    later member's tau table is compared with its representative's; a
+    sigma match with a tau mismatch would mean the construction is broken
+    and raises ``TableMismatchError``.  A shift given twice is counted once.
+
+    When ``pair_criterion`` is given (odd-matrix family), every pair of
+    shifts z1 < z2 is also scored by the published criterion and reported
+    next to the ground truth, whose table equality is read off the classes
+    (equality is transitive, so this is exact).
     """
-    sols = {z: build_solution(b, z) for z in zs}
-    classes: list[list[int]] = []
-    reps: list[int] = []
-    for z in sorted(set(int(v) for v in zs)):
-        placed = False
-        for rep, cls in zip(reps, classes):
-            if np.array_equal(sols[rep].sigma, sols[z].sigma):
-                if not np.array_equal(sols[rep].tau, sols[z].tau):
-                    raise TableMismatchError(
-                        f"sigma tables equal but tau tables differ for z={rep}, z={z}"
-                    )
-                cls.append(z)
-                placed = True
-                break
-        if not placed:
-            classes.append([z])
-            reps.append(z)
-    classes.sort(key=lambda cls: cls[0])
+    class_index: dict[int, int] = {}
+    by_sigma: dict[bytes, tuple[int, np.ndarray]] = {}
+    members: list[list[int]] = []
+    for s in solutions:
+        z = int(s.z)
+        if z in class_index:
+            continue
+        cls, rep_tau = by_sigma.setdefault(s.sigma.tobytes(), (len(members), s.tau))
+        if cls == len(members):
+            members.append([])
+        elif not np.array_equal(rep_tau, s.tau):
+            raise TableMismatchError(
+                f"sigma tables equal but tau tables differ for z={members[cls][0]}, z={z}"
+            )
+        class_index[z] = cls
+        members[cls].append(z)
+    classes = sorted(tuple(sorted(cls)) for cls in members)
 
     pairs: list[tuple[int, int, bool, bool]] = []
     if pair_criterion is not None:
-        zs_sorted = sorted(set(int(v) for v in zs))
+        zs_sorted = sorted(class_index)
         for i, z1 in enumerate(zs_sorted):
             for z2 in zs_sorted[i + 1 :]:
                 crit = bool(pair_criterion(z1, z2))
-                equal = bool(np.array_equal(sols[z1].sigma, sols[z2].sigma))
-                pairs.append((z1, z2, crit, equal))
-    return DedupPartition(
-        classes=tuple(tuple(cls) for cls in classes),
-        criterion_pairs=tuple(pairs),
-    )
+                pairs.append((z1, z2, crit, class_index[z1] == class_index[z2]))
+    return DedupPartition(classes=tuple(classes), criterion_pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)

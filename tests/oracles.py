@@ -2,12 +2,19 @@
 
 Everything here is deliberately written as plain Python triple loops over
 small carriers so the vectorized library code can be checked against an
-implementation that shares none of its machinery.
+implementation that shares none of its machinery.  Others are former
+library loops, kept as the reference for the faster paths that replaced
+them.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
+
+from zbrace.braces import odd_matrix_entries
+from zbrace.solutions import build_solution
 
 
 def brute_group_facts(table):
@@ -199,3 +206,43 @@ def brute_lazy_constraints(lb, z, samples, seed):
         if prod is None and not lb.equal(lb.circle(sig(x, y), tau(y, x)), lb.circle(x, y)):
             prod = (x, y)
     return {"constraint-c1": c1, "constraint-c2": c2, "constraint-c3": c3, "product-identity": prod}
+
+
+def brute_dedup(b, zs, pair_criterion=None):
+    """(classes, criterion_pairs) by pairwise comparison of freshly built tables.
+
+    The former dedup loop: every shift is built, each is compared with the
+    representative of every earlier class, and every pair z1 < z2 gets its
+    own full sigma-table comparison next to the criterion's verdict.
+    """
+    zs_sorted = sorted(set(int(v) for v in zs))
+    sols = {z: build_solution(b, z) for z in zs_sorted}
+    classes = []
+    for z in zs_sorted:
+        for cls in classes:
+            if np.array_equal(sols[cls[0]].sigma, sols[z].sigma):
+                cls.append(z)
+                break
+        else:
+            classes.append([z])
+    pairs = []
+    if pair_criterion is not None:
+        for i, z1 in enumerate(zs_sorted):
+            for z2 in zs_sorted[i + 1 :]:
+                equal = bool(np.array_equal(sols[z1].sigma, sols[z2].sigma))
+                pairs.append((z1, z2, bool(pair_criterion(z1, z2)), equal))
+    return tuple(tuple(cls) for cls in classes), tuple(pairs)
+
+
+def brute_odd_matrix_pair_criterion(z1, z2):
+    """(D - I)(B - A) = 0 mod 8 for all 256 odd matrices D, looped with no memo."""
+    a1, b1, c1, d1 = odd_matrix_entries(z1)
+    a2, b2, c2, d2 = odd_matrix_entries(z2)
+    diff = np.array([[a2 - a1, b2 - b1], [c2 - c1, d2 - d1]], dtype=np.int64) % 8
+    eye = np.eye(2, dtype=np.int64)
+    for idx in range(256):
+        ea, eb, ec, ed = odd_matrix_entries(idx)
+        dmat = np.array([[ea, eb], [ec, ed]], dtype=np.int64)
+        if ((dmat - eye) @ diff % 8).any():
+            return False
+    return True

@@ -15,7 +15,13 @@ from zbrace.fileio import (
     write_matrix,
 )
 from zbrace.groups import cyclic_group
-from zbrace.reporting import build_report, report_failed, select_shifts, serialize_report
+from zbrace.reporting import (
+    build_report,
+    dedup_section,
+    report_failed,
+    select_shifts,
+    serialize_report,
+)
 from zbrace.solutions import build_solution
 from zbrace.tensor import build_twists, permutation_p
 
@@ -251,3 +257,54 @@ def test_budget_env_switches_matrix_checks_to_sampled(tmp_path, capsys, monkeypa
     printed = capsys.readouterr().out
     assert code == 0
     assert "[sampled] tensor:matrix-braid" in printed
+
+
+def test_cli_solve_dedup_builds_each_shift_once(tmp_path, capsys, monkeypatch):
+    import zbrace.cli
+    import zbrace.reporting
+    import zbrace.solutions
+
+    out = tmp_path / "c4.brace"
+    main(["make", "--family", "cyclic2n", "--n", "4", "-o", str(out)])
+    calls = []
+
+    def counted(b, z):
+        calls.append(z)
+        return build_solution(b, z)
+
+    for module in (zbrace.cli, zbrace.reporting, zbrace.solutions):
+        monkeypatch.setattr(module, "build_solution", counted)
+    assert main(["solve", str(out), "--z", "all", "--dedup"]) == 0
+    assert sorted(calls) == list(range(8))
+    assert "class {1,9}" in capsys.readouterr().out
+
+
+def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
+    renamed = tmp_path / "renamed.brace"
+    doc = brace_to_dict(cyclic_unit_brace(6))
+    doc["name"] = "oddmatrix-x"
+    renamed.write_text(json.dumps(doc))
+    assert main(["solve", str(renamed), "--z", "all", "--dedup"]) == 0
+    printed = capsys.readouterr().out
+    assert "class {1,33}" in printed
+    assert "pair criterion" not in printed
+    b = parse_brace(renamed)
+    assert "criterion_pairs" not in dedup_section(b, select_shifts(b, "all", seed=0), "oddmatrix")
+
+    genuine = tmp_path / "om.brace"
+    assert main(["make", "--family", "oddmatrix", "-o", str(genuine)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(genuine), "--z", "0,64,128,192", "--dedup"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("pair criterion agrees with table equality: True\n")
+    assert printed.count("class {") == 2
+
+
+def test_cli_empty_group_name_is_an_input_error(tmp_path, capsys):
+    assert main(["make", "--family", "trivial", "--group", "", "-o", str(tmp_path / "t.brace")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown group ''")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "trivial", "group": ""}}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown group ''") and err.count("\n") == 1
