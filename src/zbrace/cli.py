@@ -218,7 +218,7 @@ def cmd_twist(args) -> int:
             if alt is not None:
                 probes.append(alt)
             for eta in probes:
-                c, _ = coproduct_defect(bundle, eta, budget=budget, seed=args.seed)
+                c = coproduct_defect(bundle, eta, budget=budget, seed=args.seed)
                 nz = c.status == "fail"
                 print(f"[   info] z={z} {c.name}:eta={eta} defect_nonzero={nz}"
                       + (f" witness={c.witness}" if nz else ""))

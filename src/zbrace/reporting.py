@@ -257,7 +257,7 @@ def tensor_suite(
     if alt is not None:
         probes.append(alt)
     for eta in probes:
-        check, _ = coproduct_defect(
+        check = coproduct_defect(
             bundle, eta, budget=budget, sample_points=sample_points, seed=seed
         )
         add_probe(check, suffix=f":eta={eta}")
@@ -364,7 +364,6 @@ def build_report(
     if level not in ("maps", "matrices", "all"):
         raise ValueError(f"unknown level {level!r}")
     budget = default_full_budget() if budget is None else budget
-    threads = default_thread_count() if threads is None else max(1, threads)
     t_start = time.perf_counter()
 
     soc = socle(b).tolist()
@@ -385,9 +384,11 @@ def build_report(
     ]
 
     zs = [int(z) for z in zs]
+    threads = default_thread_count() if threads is None else threads
+    threads = max(1, min(threads, len(zs), os.cpu_count() or 1))
 
     def run_z(fn: Callable[[SkewBrace, int], list[dict]]) -> list[dict]:
-        if threads > 1 and len(zs) > 1:
+        if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(lambda z: fn(b, z), zs))
             merged: list[dict] = []

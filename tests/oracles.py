@@ -15,6 +15,7 @@ import numpy as np
 
 from zbrace.braces import odd_matrix_entries
 from zbrace.solutions import build_solution
+from zbrace.tensor import PermMatrix, SparseIntMatrix, TensorCheck, _decode3, _encode3
 
 
 def brute_group_facts(table):
@@ -246,3 +247,81 @@ def brute_odd_matrix_pair_criterion(z1, z2):
         if ((dmat - eye) @ diff % 8).any():
             return False
     return True
+
+
+def _scatter_pair_map(rows, cols, n):
+    """PermMatrix sum E[rows, cols] on the pair space; RuntimeError unless rows are a bijection."""
+    r = rows.ravel()
+    perm = np.full(n * n, -1, dtype=np.int64)
+    perm[r] = cols.ravel()
+    if (perm < 0).any() or np.bincount(r, minlength=n * n).max() != 1:
+        raise RuntimeError("operator rows do not form a bijection")
+    return PermMatrix(n, 2, perm)
+
+
+def brute_delta_v(bundle, eta):
+    """Coproduct of V_eta scattered from its rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
+    n, grid = bundle.n, np.arange(bundle.n)
+    rows = bundle.sigma[eta][:, None] * n + bundle.sigma[bundle.taut[eta]]
+    return _scatter_pair_map(rows, grid[:, None] * n + grid[None, :], n)
+
+
+def brute_delta_w(bundle, y):
+    """Coproduct of W_y scattered from its rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
+    n, grid = bundle.n, np.arange(bundle.n)
+    rows = bundle.taut[:, bundle.sigma[:, y]] * n + bundle.taut[:, y][None, :]
+    return _scatter_pair_map(rows, grid[:, None] * n + grid[None, :], n)
+
+
+def brute_coproduct_commutation(bundle):
+    """The former per-element loop: compose Delta(V_x), Delta(W_x) with rcheck both ways."""
+    rc = bundle.rcheck()
+    n = bundle.n
+    for x in range(n):
+        for tag, op in (("V", brute_delta_v(bundle, x)), ("W", brute_delta_w(bundle, x))):
+            left = (op @ rc).perm
+            right = (rc @ op).perm
+            if not np.array_equal(left, right):
+                i = int(np.flatnonzero(left != right)[0])
+                return TensorCheck(
+                    "coproduct-commutation", "fail", 2 * n * n * n, {"family": tag, "element": x, "point": i}
+                )
+    return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n)
+
+
+def brute_twisted_coproduct(bundle):
+    """The former per-element loops: conjugate each coproduct and compare full permutations."""
+    n = bundle.n
+    f = bundle.f_twist()
+    fh = bundle.fhat_twist()
+    f_inv = f.inverse()
+    fh_inv = fh.inverse()
+    families = (
+        ("group-like:V", "V", lambda x: (f @ brute_delta_v(bundle, x) @ f_inv,
+                                         bundle.v_op(x).tensor(bundle.v_op(x)))),
+        ("group-like:W", "W", lambda y: (fh @ brute_delta_w(bundle, y) @ fh_inv,
+                                         bundle.w_op(y).tensor(bundle.w_op(y)))),
+        ("mixed-coproduct:F-on-W", "W", lambda y: (f @ brute_delta_w(bundle, y) @ f_inv,
+                                                   bundle.delta_f_w_closed(y))),
+        ("mixed-coproduct:Fhat-on-V", "V", lambda eta: (fh @ brute_delta_v(bundle, eta) @ fh_inv,
+                                                        bundle.delta_fhat_v_closed(eta))),
+    )
+    out = []
+    for name, tag, pair in families:
+        bad = None
+        for x in range(n):
+            got, want = pair(x)
+            if not got.equals(want):
+                bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
+                break
+        out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad))
+    return out
+
+
+def iterated_coproduct_difference(bundle, eta):
+    """Sparse difference of the right- and left-bracketed coproducts of V_eta, materialized."""
+    n = bundle.n
+    pts = _decode3(np.arange(n**3, dtype=np.int64), n)
+    right = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "right")(*pts), n))
+    left = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "left")(*pts), n))
+    return SparseIntMatrix.from_perm_difference(right, left)

@@ -126,6 +126,37 @@ def test_report_threads_do_not_change_output():
     assert serialize_report(seq) == serialize_report(par)
 
 
+def test_report_threads_clamped_to_shifts_and_cpus(monkeypatch):
+    from zbrace import reporting
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(reporting, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(reporting.os, "cpu_count", lambda: 3)
+    b = cyclic_unit_brace(3)
+    zs = select_shifts(b, "all", seed=0)
+    assert len(zs) == 4
+    build_report(b, zs, level="maps", family="cyclic2n", threads=10**6)
+    assert seen == [3]
+    build_report(b, zs[:2], level="maps", family="cyclic2n", threads=10**6)
+    assert seen == [3, 2]
+    build_report(b, zs, level="maps", family="cyclic2n", threads=2)
+    assert seen == [3, 2, 2]
+
+
 def test_select_shifts_modes():
     b = cyclic_unit_brace(3)
     assert select_shifts(b, "all", seed=0) == [0, 1, 2, 3]

@@ -15,6 +15,8 @@ from zbrace.reporting import build_report, select_shifts, serialize_report
 CYCLIC3_REPORT = "7a13681e28f950ca32263ba8be574663c5545c5ca3961b1cfe0aa318247d9607"
 TRIVIAL_S3_REPORT = "f50aa8e40cb78941e3b61da838676b9b863c2609901a27ee12056ac3b0324350"
 CYCLIC4_SOLVE_DEDUP = "c58809211a92eb0e46f449ebdcd2550cddb6dbf3704dc86a44b134c8be91c138"
+# budget 256 < 8^3 sends every arity-3 check of cyclic2n n=4 down the sampled path
+CYCLIC4_SAMPLED_REPORT = "219ee3fe9cd82989e2a675b526cd8bde6578a2f8cc1f612af4976d4fc863089f"
 
 
 def _sha(text: str) -> str:
@@ -33,6 +35,14 @@ def test_cyclic3_report_bytes():
 def test_trivial_s3_report_bytes():
     b = trivial_skew_brace(symmetric_group(3), name="trivial-S3")
     assert _report_digest(b, "trivial") == TRIVIAL_S3_REPORT
+
+
+def test_cyclic4_sampled_report_bytes():
+    b = cyclic_unit_brace(4)
+    zs = select_shifts(b, "all", seed=0)
+    report = build_report(b, zs, level="all", family="cyclic2n", seed=0, budget=256, sample_points=300)
+    assert report["summary"]["sampled"] == 104
+    assert _sha(serialize_report(report)) == CYCLIC4_SAMPLED_REPORT
 
 
 def test_cyclic4_solve_dedup_stdout(tmp_path, capsys):

@@ -1,13 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import dense_kron, dense_matrix, dense_mult, matrix_unit, dense_add
+from oracles import (
+    brute_coproduct_commutation,
+    brute_delta_v,
+    brute_delta_w,
+    brute_twisted_coproduct,
+    dense_add,
+    dense_kron,
+    dense_matrix,
+    dense_mult,
+    iterated_coproduct_difference,
+    matrix_unit,
+)
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.groups import cyclic_group, symmetric_group
 from zbrace.solutions import build_solution
 from zbrace.tensor import (
     PermMatrix,
     SparseIntMatrix,
+    TwistBundle,
     UnknownObjectError,
     braid_matrix_check,
     build_twists,
@@ -182,6 +196,87 @@ def test_coproduct_commutation_fails_for_mismatched_shift():
     assert mismatch is not None
 
 
+def _forged_bundles():
+    """sigma from one shift, tau from another: every ordered pair of shifts."""
+    for b in (S3_TRIVIAL, cyclic_unit_brace(4)):
+        sols = [build_solution(b, z) for z in range(b.order)]
+        for s0 in sols:
+            for s1 in sols:
+                yield TwistBundle(dataclasses.replace(s0, tau=s1.tau))
+
+
+def _failing_families(checks):
+    return {(c.name, c.witness["family"]) for c in checks if c.status == "fail"}
+
+
+def test_delta_v_and_w_match_their_scattered_definitions():
+    for b, z in ((CYCLIC3, 1), (S3_TRIVIAL, 4), (cyclic_unit_brace(4), 3)):
+        tb = bundle_for(b, z)
+        for x in range(b.order):
+            assert tb.delta_v(x).equals(brute_delta_v(tb, x))
+            assert tb.delta_w(x).equals(brute_delta_w(tb, x))
+
+
+def test_twisted_coproduct_witnesses_match_oracle_on_forged_bundles():
+    seen = []
+    for tb in _forged_bundles():
+        got = twisted_coproduct_check(tb)
+        assert got == brute_twisted_coproduct(tb)
+        seen.extend(got)
+    # every family fails somewhere, so the witnesses above are exercised
+    assert {name for name, _ in _failing_families(seen)} == {
+        "group-like:V", "group-like:W", "mixed-coproduct:F-on-W", "mixed-coproduct:Fhat-on-V",
+    }
+
+
+def test_coproduct_commutation_witnesses_match_oracle_on_forged_bundles():
+    seen = []
+    for tb in _forged_bundles():
+        got = coproduct_commutation_check(tb)
+        assert got == brute_coproduct_commutation(tb)
+        seen.append(got)
+    assert _failing_families(seen) == {("coproduct-commutation", "V"), ("coproduct-commutation", "W")}
+
+
+def _outcome(check, tb):
+    try:
+        return check(tb)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_fused_checks_match_oracle_on_random_permutation_tables():
+    # random sigma/tau rows: the mixed closed forms often stop being
+    # bijections, which both paths must report as the same error
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for b in (CYCLIC3, S3_TRIVIAL):
+        base = build_solution(b, 0)
+        n = b.order
+        for _ in range(40):
+            sigma = np.array([rng.permutation(n) for _ in range(n)])
+            tau = np.array([rng.permutation(n) for _ in range(n)])
+            tb = TwistBundle(dataclasses.replace(base, sigma=sigma, tau=tau))
+            got = _outcome(twisted_coproduct_check, tb)
+            assert got == _outcome(brute_twisted_coproduct, tb)
+            assert _outcome(coproduct_commutation_check, tb) == _outcome(brute_coproduct_commutation, tb)
+            outcomes.add("raise" if isinstance(got, str) else tuple(c.status for c in got))
+    assert "raise" in outcomes and ("fail", "fail", "fail", "fail") in outcomes
+
+
+def test_bundle_rejects_rows_that_are_not_permutations():
+    s = build_solution(CYCLIC3, 1)
+    sigma = s.sigma.copy()
+    sigma[2, 0] = sigma[2, 1]
+    tau = s.tau.copy()
+    tau[1, 3] = tau[1, 2]
+    for forged in (dataclasses.replace(s, sigma=sigma), dataclasses.replace(s, tau=tau)):
+        with pytest.raises(RuntimeError, match="not a permutation"):
+            twisted_coproduct_check(TwistBundle(forged))
+        with pytest.raises(RuntimeError, match="not a permutation"):
+            coproduct_commutation_check(TwistBundle(forged))
+
+
 def test_lift_commutation_and_cocycle():
     # shift index 1 is the element labelled 3 in the modulus-16 family
     for b, z in ((CYCLIC3, 1), (S3_TRIVIAL, 3), (cyclic_unit_brace(4), 1)):
@@ -242,7 +337,8 @@ def test_group_likeness_and_mixed_coproducts():
 def test_coassociativity_defect_zero_for_trivial_involutive():
     tb = bundle_for(TRIV_INV, 0)
     for eta in range(2):
-        check, sparse = coproduct_defect(tb, eta)
+        check = coproduct_defect(tb, eta)
+        sparse = iterated_coproduct_difference(tb, eta)
         assert check.status == "pass"
         assert sparse is not None and sparse.nnz == 0
     assert all(c.status == "pass" for c in r_lift_defects(tb))
@@ -260,7 +356,8 @@ def test_coassociativity_v_side_nonzero_somewhere_on_s3():
     tb = bundle_for(S3_TRIVIAL, 1)
     nonzero = []
     for eta in range(6):
-        check, sparse = coproduct_defect(tb, eta)
+        check = coproduct_defect(tb, eta)
+        sparse = iterated_coproduct_difference(tb, eta)
         if check.status == "fail":
             nonzero.append(eta)
             assert sparse is not None and sparse.nnz > 0
