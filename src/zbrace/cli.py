@@ -27,20 +27,21 @@ from .braces import (
 )
 from .fileio import SchemaError, parse_brace, write_brace, write_matrix
 from .groups import GroupValidationError, cyclic_group, symmetric_group
-from .reporting import build_report, report_failed, select_shifts, serialize_report
+from .reporting import (
+    TENSOR_FAMILIES,
+    build_report,
+    report_failed,
+    select_shifts,
+    serialize_report,
+    tensor_checks,
+)
 from .solutions import InadmissibleZError, build_solution, dedup_solutions, is_involutive
 from .tensor import (
+    DEFAULT_SAMPLE_POINTS,
     TwistBundle,
     UnknownObjectError,
-    cocycle_check,
-    coproduct_commutation_check,
-    coproduct_defect,
     default_full_budget,
     export_object,
-    lift_commutation_check,
-    r_lift_defects,
-    twisted_coproduct_check,
-    twisted_solution_check,
 )
 
 _INPUT_ERRORS = (
@@ -74,21 +75,27 @@ def _parse_z(b: SkewBrace, selection: str):
     return [_resolve_element(b, tok) for tok in selection.split(",") if tok.strip()]
 
 
-def _make_brace(args: argparse.Namespace) -> tuple[SkewBrace, str]:
-    family = args.family
+FAMILIES = ("cyclic2n", "oddmatrix", "radical", "trivial", "product")
+# Parameters of the built-in families; a missing or None value takes its default.
+_FAMILY_DEFAULTS = {"n": 3, "modulus": 8, "group": "s3"}
+
+
+def _make_brace(family: str | None, params: dict) -> SkewBrace:
+    """Construct a built-in family from ``make`` options or a report config's brace object."""
+    p = {**_FAMILY_DEFAULTS, **{k: v for k, v in params.items() if v is not None}}
     if family == "cyclic2n":
-        return cyclic_unit_brace(args.n), family
+        return cyclic_unit_brace(int(p["n"]))
     if family == "oddmatrix":
-        return odd_matrix_brace(), family
+        return odd_matrix_brace()
     if family == "radical":
-        return radical_even_brace(args.modulus), family
+        return radical_even_brace(int(p["modulus"]))
     if family == "trivial":
-        return trivial_skew_brace(_group_by_name(args.group), name=f"trivial-{args.group}"), family
+        return trivial_skew_brace(_group_by_name(str(p["group"])), name=f"trivial-{p['group']}")
     if family == "product":
-        left = parse_brace(args.left)
-        right = parse_brace(args.right)
-        return product_brace(left, right), family
-    raise ValueError(f"unknown family {family!r}")
+        if "left" not in p or "right" not in p:
+            raise ValueError("family 'product' needs both 'left' and 'right' brace files")
+        return product_brace(parse_brace(p["left"]), parse_brace(p["right"]))
+    raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILIES)})")
 
 
 def _group_by_name(name: str):
@@ -111,14 +118,15 @@ def _print_checks(checks: list[dict]) -> None:
 
 
 def _family_of(b: SkewBrace) -> str | None:
-    for fam in ("cyclic2n", "oddmatrix", "radical", "trivial", "product"):
+    """The family label a report shows for a brace file: its name prefix, or None."""
+    for fam in FAMILIES:
         if b.name.startswith(fam):
             return fam
     return None
 
 
 def cmd_make(args) -> int:
-    b, _ = _make_brace(args)
+    b = _make_brace(args.family, vars(args))
     write_brace(b, args.output)
     print(f"wrote {b.name} (order {b.order}) to {args.output}")
     return 0
@@ -184,7 +192,7 @@ def cmd_verify(args) -> int:
     return 1 if report_failed(report) else 0
 
 
-_TWIST_CHECKS = ("commute", "cocycle", "twisted", "grouplike", "defect")
+_TWIST_CHECKS = tuple(f for f in TENSOR_FAMILIES if f != "braid")
 
 
 def cmd_twist(args) -> int:
@@ -198,34 +206,15 @@ def cmd_twist(args) -> int:
     failed = False
     for z in zs:
         bundle = TwistBundle(build_solution(b, z))
-        checks = []
-        if "commute" in wanted:
-            checks.append(coproduct_commutation_check(bundle))
-            checks.extend(lift_commutation_check(bundle, budget=budget, seed=args.seed))
-        if "cocycle" in wanted:
-            checks.extend(cocycle_check(bundle, budget=budget, seed=args.seed))
-        if "twisted" in wanted:
-            checks.extend(twisted_solution_check(bundle, budget=budget, seed=args.seed))
-        if "grouplike" in wanted:
-            checks.extend(twisted_coproduct_check(bundle))
-        for c in checks:
-            failed |= c.status == "fail"
-            print(f"[{c.status:>7}] z={z} {c.name} ({c.points} points)"
-                  + (f" witness={c.witness}" if c.witness else ""))
-        if "defect" in wanted:
-            probes = [b.identity]
-            alt = next((i for i in range(b.order) if i != b.identity), None)
-            if alt is not None:
-                probes.append(alt)
-            for eta in probes:
-                c = coproduct_defect(bundle, eta, budget=budget, seed=args.seed)
-                nz = c.status == "fail"
-                print(f"[   info] z={z} {c.name}:eta={eta} defect_nonzero={nz}"
-                      + (f" witness={c.witness}" if nz else ""))
-            for c in r_lift_defects(bundle, budget=budget, seed=args.seed):
+        for family, c in tensor_checks(bundle, wanted, budget, DEFAULT_SAMPLE_POINTS, args.seed):
+            if family == "defect":
                 nz = c.status == "fail"
                 print(f"[   info] z={z} {c.name} defect_nonzero={nz}"
                       + (f" witness={c.witness}" if nz else ""))
+                continue
+            failed |= c.status == "fail"
+            print(f"[{c.status:>7}] z={z} {c.name} ({c.points} points)"
+                  + (f" witness={c.witness}" if c.witness else ""))
     return 1 if failed else 0
 
 
@@ -251,19 +240,8 @@ def cmd_report(args) -> int:
     if "file" in src_doc:
         b = parse_brace(src_doc["file"])
         family = family or _family_of(b)
-    elif family == "cyclic2n":
-        b = cyclic_unit_brace(int(src_doc.get("n", 3)))
-    elif family == "oddmatrix":
-        b = odd_matrix_brace()
-    elif family == "radical":
-        b = radical_even_brace(int(src_doc.get("modulus", 8)))
-    elif family == "trivial":
-        b = trivial_skew_brace(_group_by_name(str(src_doc.get("group", "s3"))),
-                               name=f"trivial-{src_doc.get('group', 's3')}")
-    elif family == "product":
-        b = product_brace(parse_brace(src_doc["left"]), parse_brace(src_doc["right"]))
     else:
-        raise SchemaError("$.brace.family", f"unknown family {family!r}")
+        b = _make_brace(family, src_doc)
 
     seed = int(cfg.get("seed", 0))
     zs = select_shifts(b, cfg.get("z", "all"), seed=seed)
@@ -296,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", help="construct a built-in brace family and write it to a file")
-    p.add_argument("--family", required=True,
-                   choices=["cyclic2n", "oddmatrix", "radical", "trivial", "product"])
-    p.add_argument("--n", type=int, default=3, help="modulus exponent for cyclic2n")
-    p.add_argument("--modulus", type=int, default=8, help="ring modulus for radical")
-    p.add_argument("--group", default="s3", help="group for trivial (sN or zN)")
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--n", type=int, help=f"modulus exponent for cyclic2n (default {_FAMILY_DEFAULTS['n']})")
+    p.add_argument("--modulus", type=int, help=f"ring modulus for radical (default {_FAMILY_DEFAULTS['modulus']})")
+    p.add_argument("--group", help=f"group for trivial, sN or zN (default {_FAMILY_DEFAULTS['group']})")
     p.add_argument("--left", help="left factor brace file for product")
     p.add_argument("--right", help="right factor brace file for product")
     p.add_argument("-o", "--output", required=True)

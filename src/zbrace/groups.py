@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 # Row block size for chunked O(n^3) scans; keeps peak memory near
-# _BLOCK * n^2 intermediate entries.
+# _BLOCK_ELEMS intermediate entries per array.
 _BLOCK_ELEMS = 1 << 22
 
 
@@ -66,7 +66,8 @@ def _first_bad_entry(table: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Half-open row ranges [lo, hi) of 0..n-1 holding at most _BLOCK_ELEMS // n^2 rows each."""
     step = max(1, _BLOCK_ELEMS // max(1, n * n))
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
@@ -112,18 +113,6 @@ class FiniteGroup:
         return hash((self.order, self.table.tobytes()))
 
 
-def is_abelian(g: FiniteGroup) -> bool:
-    return g.is_abelian
-
-
-def group_op(g: FiniteGroup, a: int, b: int) -> int:
-    return g.op(a, b)
-
-
-def group_inv(g: FiniteGroup, a: int) -> int:
-    return g.inv(a)
-
-
 def validate_group(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
@@ -155,7 +144,7 @@ def validate_group(
         raise NoIdentityError("no two-sided identity element")
 
     # table[table[a,b], c] == table[a, table[b,c]], row blocks over a.
-    for lo, hi in _row_blocks(n):
+    for lo, hi in row_blocks(n):
         lhs = t[t[lo:hi], :]
         rhs = t[np.arange(lo, hi)[:, None, None], t[None, :, :]]
         if not np.array_equal(lhs, rhs):

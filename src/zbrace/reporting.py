@@ -14,6 +14,12 @@ per executed check, run in a fixed documented order:
   5. per-shift matrix-level suite (braid/YBE, commutations, cocycle,
      twisted forms, group-likeness, coassociativity defects)
 
+Each shift is built once: its solution feeds the map-level suite, one
+twist bundle for the matrix-level suite, and then the dedup pass, which
+keeps only class representatives.  The identity shift, which the
+sigma-shift criterion and the correspondence section compare against, is
+built once per report.
+
 Reports are byte-stable for fixed inputs and seed: timings are recorded
 as 0.0 unless explicitly requested, and no other nondeterministic data
 is emitted.  Any entry with status "fail" makes the run exit nonzero.
@@ -21,17 +27,28 @@ is emitted.  Any entry with status "fail" makes the run exit nonzero.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .braces import SkewBrace, admissible_z, is_odd_matrix_brace, odd_matrix_pair_criterion, socle
+from .braces import (
+    SkewBrace,
+    admissible_z,
+    cyclic_unit_brace,
+    is_odd_matrix_brace,
+    odd_matrix_pair_criterion,
+    socle,
+)
 from .solutions import (
+    DeformedSolution,
+    InadmissibleZError,
     InverseCheckFailedError,
     build_solution,
     dedup_solutions,
@@ -106,18 +123,16 @@ def _entry(
     }
 
 
-def _perm_rows_ok(table: np.ndarray) -> bool:
-    n = table.shape[0]
-    return bool(
-        np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(n), table.shape))
-    )
+def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> list[dict]:
+    """Map-level checks for one built shift, in fixed order.
 
-
-def solution_suite(b: SkewBrace, z: int) -> list[dict]:
-    """Map-level checks for one shift, in fixed order."""
+    ``identity_shift`` is the same brace's solution at the identity.  The
+    two non-degeneracy entries always pass: ``build_solution`` raises
+    before it returns a solution with a sigma or tau row that is not a
+    permutation.
+    """
+    b, z, n = s.brace, s.z, s.order
     out: list[dict] = []
-    s = build_solution(b, z)
-    n = b.order
 
     out.append(
         _entry(
@@ -133,24 +148,8 @@ def solution_suite(b: SkewBrace, z: int) -> list[dict]:
             ),
         )
     )
-    out.append(
-        _entry(
-            "solution",
-            "nondegenerate-sigma",
-            "pass" if _perm_rows_ok(s.sigma) else "fail",
-            n * n,
-            z=z,
-        )
-    )
-    out.append(
-        _entry(
-            "solution",
-            "nondegenerate-tau",
-            "pass" if _perm_rows_ok(s.tau) else "fail",
-            n * n,
-            z=z,
-        )
-    )
+    out.append(_entry("solution", "nondegenerate-sigma", "pass", n * n, z=z))
+    out.append(_entry("solution", "nondegenerate-tau", "pass", n * n, z=z))
     for rep in verify_braid_constraints(s):
         out.append(
             _entry(
@@ -184,7 +183,7 @@ def solution_suite(b: SkewBrace, z: int) -> list[dict]:
         _entry("solution", "involutivity-criterion", "pass", n * n, z=z, witness=payload,
                note="direct double-application test agrees with the socle criterion")
     )
-    tables_equal, commutes = sigma_shift_criterion(b, z)
+    tables_equal, commutes = sigma_shift_criterion(s, identity_shift)
     out.append(
         _entry(
             "solution",
@@ -196,7 +195,7 @@ def solution_suite(b: SkewBrace, z: int) -> list[dict]:
         )
     )
     try:
-        inverse_solution(b, z)
+        inverse_solution(s)
         out.append(_entry("solution", "inverse-composition", "pass", 2 * n * n, z=z))
     except InverseCheckFailedError as exc:
         out.append(
@@ -205,83 +204,91 @@ def solution_suite(b: SkewBrace, z: int) -> list[dict]:
     return out
 
 
-def tensor_suite(
-    b: SkewBrace,
-    z: int,
+def _defect_probes(bundle: TwistBundle, **kw: Any) -> list[TensorCheck]:
+    """Coassociativity defects of V_eta at the identity and the next element, then the r lifts."""
+    b = bundle.solution.brace
+    etas = [b.identity] + [i for i in range(b.order) if i != b.identity][:1]
+    probes = []
+    for eta in etas:
+        check = coproduct_defect(bundle, eta, **kw)
+        probes.append(dataclasses.replace(check, name=f"{check.name}:eta={eta}"))
+    return probes + r_lift_defects(bundle, **kw)
+
+
+# Matrix-level check families, in report order.  Each entry looks its
+# check functions up when called, so a wrapper installed on the module
+# sees every call.  "braid" (the braid relation and the YBE) runs only in
+# reports; ``twist --check`` chooses among the others.  "defect" holds the
+# informational probes, whose "fail" means a nonzero defect.
+_TENSOR_FAMILIES: dict[str, Callable[..., list[TensorCheck]]] = {
+    "braid": lambda bundle, **kw: [braid_matrix_check(bundle, **kw), ybe_matrix_check(bundle, **kw)],
+    "commute": lambda bundle, **kw: [coproduct_commutation_check(bundle), *lift_commutation_check(bundle, **kw)],
+    "cocycle": lambda bundle, **kw: cocycle_check(bundle, **kw),
+    "twisted": lambda bundle, **kw: twisted_solution_check(bundle, **kw),
+    "grouplike": lambda bundle, **kw: twisted_coproduct_check(bundle),
+    "defect": lambda bundle, **kw: _defect_probes(bundle, **kw),
+}
+TENSOR_FAMILIES = tuple(_TENSOR_FAMILIES)
+
+
+def tensor_checks(
+    bundle: TwistBundle,
+    families: Collection[str],
     budget: int,
     sample_points: int,
     seed: int,
-) -> list[dict]:
-    """Matrix-level checks for one shift, in fixed order."""
-    s = build_solution(b, z)
-    bundle = TwistBundle(s)
+) -> Iterator[tuple[str, TensorCheck]]:
+    """Yield (family, check) for the selected families, in ``TENSOR_FAMILIES`` order."""
+    for family, run in _TENSOR_FAMILIES.items():
+        if family in families:
+            for check in run(bundle, budget=budget, sample_points=sample_points, seed=seed):
+                yield family, check
+
+
+def tensor_suite(bundle: TwistBundle, budget: int, sample_points: int, seed: int) -> list[dict]:
+    """Matrix-level report entries for one shift's bundle, in fixed order.
+
+    Defect probes are informational: a nonzero defect is expected content
+    away from the involutive case, never a failure.
+    """
     out: list[dict] = []
-
-    def add(check: TensorCheck) -> None:
-        out.append(
-            _entry("tensor", check.name, check.status, check.points, z=z,
-                   witness=check.witness, note=check.note)
-        )
-
-    add(braid_matrix_check(bundle, budget=budget, sample_points=sample_points, seed=seed))
-    add(ybe_matrix_check(bundle, budget=budget, sample_points=sample_points, seed=seed))
-    add(coproduct_commutation_check(bundle))
-    for c in lift_commutation_check(bundle, budget=budget, sample_points=sample_points, seed=seed):
-        add(c)
-    for c in cocycle_check(bundle, budget=budget, sample_points=sample_points, seed=seed):
-        add(c)
-    for c in twisted_solution_check(bundle, budget=budget, sample_points=sample_points, seed=seed):
-        add(c)
-    for c in twisted_coproduct_check(bundle):
-        add(c)
-
-    # Defect probes are informational: a nonzero defect is expected content
-    # away from the involutive case, never a failure.
-    def add_probe(check: TensorCheck, suffix: str = "") -> None:
-        nonzero = check.status == "fail"
-        status = "sampled" if check.status == "sampled" else "pass"
-        out.append(
-            _entry(
-                "tensor",
-                check.name + suffix,
-                status,
-                check.points,
-                z=z,
-                witness={"defect_nonzero": nonzero, "witness": check.witness},
-                note="informational defect probe",
-            )
-        )
-
-    probes = [b.identity]
-    alt = next((i for i in range(b.order) if i != b.identity), None)
-    if alt is not None:
-        probes.append(alt)
-    for eta in probes:
-        check = coproduct_defect(
-            bundle, eta, budget=budget, sample_points=sample_points, seed=seed
-        )
-        add_probe(check, suffix=f":eta={eta}")
-    for check in r_lift_defects(bundle, budget=budget, sample_points=sample_points, seed=seed):
-        add_probe(check)
+    for family, check in tensor_checks(bundle, TENSOR_FAMILIES, budget, sample_points, seed):
+        status, witness, note = check.status, check.witness, check.note
+        if family == "defect":
+            status = "sampled" if check.status == "sampled" else "pass"
+            witness = {"defect_nonzero": check.status == "fail", "witness": check.witness}
+            note = "informational defect probe"
+        out.append(_entry("tensor", check.name, status, check.points, z=bundle.solution.z, witness=witness, note=note))
     return out
 
 
-def dedup_section(b: SkewBrace, zs: Sequence[int], family: str | None) -> dict:
+_CYCLIC3_NOTE = (
+    "known-discrepancy: exhaustive table comparison gives classes {1,5} and {3,7}; "
+    "the published example for this family asserts r_3, r_5, r_7 are pairwise "
+    "distinct, which direct computation contradicts (the socle is {1,5}, forcing "
+    "r_1 = r_5). The computed partition is authoritative here."
+)
+
+
+def dedup_section(b: SkewBrace, solutions: Iterable[DeformedSolution]) -> dict:
+    """Equality classes of the given solutions of ``b``, consumed once.
+
+    The pair criterion and the cyclic2n n=3 discrepancy note are chosen
+    from the tables and labels, never from the brace's name.
+    """
     criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
-    partition = dedup_solutions((build_solution(b, z) for z in zs), pair_criterion=criterion)
+    partition = dedup_solutions(solutions, pair_criterion=criterion)
+    class_labels = [[b.labels[z] for z in cls] for cls in partition.classes]
     notes: list[str] = []
-    if family == "cyclic2n" and b.order == 4:
-        classes = {tuple(sorted(b.labels[i] for i in cls)) for cls in partition.classes}
-        if classes == {("1", "5"), ("3", "7")}:
-            notes.append(
-                "known-discrepancy: exhaustive table comparison gives classes {1,5} and {3,7}; "
-                "the published example for this family asserts r_3, r_5, r_7 are pairwise "
-                "distinct, which direct computation contradicts (the socle is {1,5}, forcing "
-                "r_1 = r_5). The computed partition is authoritative here."
-            )
+    # The note names labels, so it also needs them: the radical brace mod 8
+    # has the same tables as cyclic2n n=3 under the labels 0, 2, 4, 6.
+    if class_labels == [["1", "5"], ["3", "7"]]:
+        ref = cyclic_unit_brace(3)
+        if np.array_equal(b.add.table, ref.add.table) and np.array_equal(b.mul.table, ref.mul.table):
+            notes.append(_CYCLIC3_NOTE)
     section = {
         "classes": [[int(z) for z in cls] for cls in partition.classes],
-        "class_labels": [[b.labels[z] for z in cls] for cls in partition.classes],
+        "class_labels": class_labels,
         "notes": notes,
     }
     if criterion is not None:
@@ -294,9 +301,9 @@ def dedup_section(b: SkewBrace, zs: Sequence[int], family: str | None) -> dict:
     return section
 
 
-def gv_section(b: SkewBrace) -> list[dict]:
-    rep = gv_correspondence_check(b)
-    n2 = b.order * b.order
+def gv_section(identity_shift: DeformedSolution) -> list[dict]:
+    rep = gv_correspondence_check(identity_shift)
+    n2 = identity_shift.order ** 2
     out = [
         _entry(
             "gv",
@@ -328,7 +335,10 @@ def gv_section(b: SkewBrace) -> list[dict]:
 
 
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
-    """Resolve a shift selection: "all", an explicit list, or {"sample": k}."""
+    """Resolve a shift selection: "all" (or None), a list of element indices, or {"sample": k}.
+
+    Any other form raises ValueError.
+    """
     admissible = admissible_z(b).tolist()
     if selection == "all" or selection is None:
         return [int(z) for z in admissible]
@@ -339,11 +349,11 @@ def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
             return [int(z) for z in admissible]
         picked = rng.choice(np.asarray(admissible), size=k, replace=False)
         return sorted(int(z) for z in picked)
+    if not isinstance(selection, (list, tuple)):
+        raise ValueError(f'shift selection must be "all", a list or {{"sample": k}}, got {selection!r}')
     zs = [int(z) for z in selection]
     bad = [z for z in zs if z not in set(admissible)]
     if bad:
-        from .solutions import InadmissibleZError
-
         raise InadmissibleZError(f"requested shifts not admissible: {bad}")
     return sorted(set(zs))
 
@@ -386,36 +396,44 @@ def build_report(
     zs = [int(z) for z in zs]
     threads = default_thread_count() if threads is None else threads
     threads = max(1, min(threads, len(zs), os.cpu_count() or 1))
+    maps = level in ("maps", "all")
+    matrices = level in ("matrices", "all")
+    identity_shift = build_solution(b, b.identity) if maps else None
 
-    def run_z(fn: Callable[[SkewBrace, int], list[dict]]) -> list[dict]:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda z: fn(b, z), zs))
-            merged: list[dict] = []
-            for res in results:
-                merged.extend(res)
-            return merged
-        merged = []
-        for z in zs:
-            merged.extend(fn(b, z))
-        return merged
+    def run_shift(z: int) -> tuple[DeformedSolution, list[dict], list[dict], float, float]:
+        start = time.perf_counter()
+        s = build_solution(b, z)
+        maps_out = solution_suite(s, identity_shift) if maps else []
+        mid = time.perf_counter() if maps else start
+        tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed) if matrices else []
+        return s, maps_out, tensors_out, mid - start, time.perf_counter() - mid
 
-    timer = time.perf_counter()
-    if level in ("maps", "all"):
-        checks.extend(run_z(solution_suite))
-    maps_ms = (time.perf_counter() - timer) * 1000
+    # Section timings are sums over shifts (wall time at one thread).
+    map_entries: list[dict] = []
+    tensor_entries: list[dict] = []
+    spent = [0.0, 0.0]
 
-    dedup = None
-    if level in ("maps", "all"):
-        dedup = dedup_section(b, zs, family)
-        checks.extend(gv_section(b))
+    def solutions(results: Iterable) -> Iterator[DeformedSolution]:
+        for s, maps_out, tensors_out, maps_s, matrices_s in results:
+            map_entries.extend(maps_out)
+            tensor_entries.extend(tensors_out)
+            spent[0] += maps_s
+            spent[1] += matrices_s
+            yield s
 
-    timer = time.perf_counter()
-    if level in ("matrices", "all"):
-        checks.extend(
-            run_z(lambda bb, z: tensor_suite(bb, z, budget, sample_points, seed))
-        )
-    matrices_ms = (time.perf_counter() - timer) * 1000
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+        shifts = solutions(map(run_shift, zs) if pool is None else pool.map(run_shift, zs))
+        if maps:
+            dedup = dedup_section(b, shifts)
+        else:
+            dedup = None
+            for _ in shifts:
+                pass
+    checks.extend(map_entries)
+    if maps:
+        checks.extend(gv_section(identity_shift))
+    checks.extend(tensor_entries)
+    maps_ms, matrices_ms = spent[0] * 1000, spent[1] * 1000
 
     counts = {"pass": 0, "fail": 0, "sampled": 0}
     for c in checks:

@@ -19,8 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .braces import SkewBrace, right_distributes_at, socle
-
-_BLOCK_ELEMS = 1 << 22
+from .groups import row_blocks
 
 
 class InadmissibleZError(ValueError):
@@ -85,11 +84,6 @@ class DedupPartition:
         raise KeyError(z)
 
 
-def _eta_blocks(n: int) -> list[tuple[int, int]]:
-    step = max(1, _BLOCK_ELEMS // max(1, n * n))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def sigma_table(b: SkewBrace, z: int) -> np.ndarray:
     A, M, neg = b.add.table, b.mul.table, b.add.inverses
     mz = M[:, z]
@@ -134,14 +128,14 @@ def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
     return DeformedSolution(brace=b, z=z, sigma=sigma, tau=tau, combined=combined)
 
 
-def inverse_solution(b: SkewBrace, z: int) -> DeformedSolution:
-    """The two-sided inverse of the deformed solution, from its closed form.
+def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
+    """The two-sided inverse of a built deformed solution, from its closed form.
 
     sigma-hat_x(y) = -(x o z^{-1}) + x o y o z^{-1}, tau-hat analogous;
     composition with the forward solution is verified to be the identity
     on the pair space in both orders.
     """
-    forward = build_solution(b, z)
+    b, z = forward.brace, forward.z
     A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
     zi = minv[z]
     u = M[:, zi]
@@ -178,7 +172,7 @@ def verify_braid_constraints(s: DeformedSolution) -> list[ConstraintReport]:
     state: dict[str, tuple[tuple[int, int, int], int] | None] = {"c1": None, "c2": None, "c3": None}
     done: set[str] = set()
 
-    for lo, hi in _eta_blocks(n):
+    for lo, hi in row_blocks(n):
         blk = np.arange(lo, hi)
         tt_blk = TT[blk]                      # [e, x] = tau_x(e)
         s_blk = S[blk]                        # [e, x] = sigma_e(x)
@@ -278,12 +272,15 @@ def involutivity_witness(s: DeformedSolution) -> tuple[tuple[int, int], tuple[in
     return ((p // n, p % n), (q // n, q % n), (r // n, r % n))
 
 
-def sigma_shift_criterion(b: SkewBrace, z: int) -> tuple[bool, bool]:
+def sigma_shift_criterion(s: DeformedSolution, identity_shift: DeformedSolution) -> tuple[bool, bool]:
     """Evaluate both sides of: sigma^z = sigma^1  iff  a o z = z + a for all a.
 
-    Returns (tables_equal, commutation_holds); the two must agree.
+    ``s`` is the solution at shift z and ``identity_shift`` the one at the
+    identity, both built from the same brace.  Returns (tables_equal,
+    commutation_holds); the two must agree.
     """
-    tables_equal = bool(np.array_equal(sigma_table(b, z), sigma_table(b, b.identity)))
+    b, z = s.brace, s.z
+    tables_equal = bool(np.array_equal(s.sigma, identity_shift.sigma))
     commutation = bool(np.array_equal(b.mul.table[:, z], b.add.table[z, :]))
     return tables_equal, commutation
 
@@ -356,8 +353,8 @@ def gv_tables(b: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     return sgv, tgv
 
 
-def gv_correspondence_check(b: SkewBrace) -> GvReport:
-    """Compare the undeformed map against the identity-shift deformation.
+def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
+    """Compare the undeformed map against the identity-shift deformation ``s1``.
 
     Three independent comparisons:
       * the substitution identity r_1(a, -a^{-1} + b + a^{-1}) = r_gv(a, b)
@@ -375,9 +372,11 @@ def gv_correspondence_check(b: SkewBrace) -> GvReport:
     both S3-based instances); the full-pair verdict is the same for
     either form.
     """
+    b = s1.brace
+    if s1.z != b.identity:
+        raise ValueError(f"gv correspondence needs the identity shift, got z={s1.z}")
     n = b.order
     A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
-    s1 = build_solution(b, b.identity)
     sgv, tgv = gv_tables(b)
     tt1 = s1.tau.T
 
@@ -462,7 +461,7 @@ def sigma_property_witnesses(b: SkewBrace, z: int, skip_quartic: bool = False) -
     out[3] = None
     out[6] = None
     mz = M[:, z]
-    for lo, hi in _eta_blocks(n):
+    for lo, hi in row_blocks(n):
         blk = idx[lo:hi]
         comp = S[M[blk]]                       # [a,b,c] = sigma_{a o b}(c)
         if out[2] is None:
@@ -487,7 +486,7 @@ def sigma_property_witnesses(b: SkewBrace, z: int, skip_quartic: bool = False) -
 
     out[4] = None
     u = M[:, minv[z]]
-    for lo, hi in _eta_blocks(n):
+    for lo, hi in row_blocks(n):
         blk = idx[lo:hi]
         t1 = A[A[blk[:, None], neg[None, :]]]  # [a,b,c] = (a - b) + c
         lhs = A[A[u[blk][:, None], neg[u][None, :]][:, :, None], u[None, None, :]]

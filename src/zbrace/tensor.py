@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .solutions import DeformedSolution
+from .solutions import DeformedSolution, is_involutive
 
 DEFAULT_SAMPLE_POINTS = 100_000
 _SPARSE_ENTRY_LIMIT = 4096
@@ -659,8 +659,6 @@ def twisted_solution_check(
             )
         )
 
-    from .solutions import is_involutive  # local import to avoid cycle at module load
-
     if is_involutive(bundle.solution):
         flip = bundle.p()
         for tag, closed in (("F", bundle.rcheck_f_closed()), ("Fhat", bundle.rcheck_fhat_closed())):
@@ -806,11 +804,6 @@ def r_lift_defects(
             seed,
         ),
     ]
-
-
-def build_twists(s: DeformedSolution) -> TwistBundle:
-    """Assemble the twist bundle for a built solution."""
-    return TwistBundle(s)
 
 
 _EXPORT_PARAMETRIC = {"V", "W", "DeltaV", "DeltaW"}

@@ -37,8 +37,8 @@ from zbrace.solutions import (
     verify_braid_constraints,
 )
 from zbrace.tensor import (
+    TwistBundle,
     braid_matrix_check,
-    build_twists,
     cocycle_check,
     coproduct_defect,
     lift_commutation_check,
@@ -158,13 +158,13 @@ def test_criterion_05_inverse_solutions(instances):
         pairs = np.arange(b.order**2)
         for z in admissible_z(b).tolist():
             s = build_solution(b, z)
-            inv = inverse_solution(b, z)  # raises on composition failure
+            inv = inverse_solution(s)  # raises on composition failure
             ok &= bool(np.array_equal(inv.combined[s.combined], pairs))
             ok &= bool(np.array_equal(s.combined[inv.combined], pairs))
     pairs = np.arange(256 * 256)
     for z in range(256):
         s = build_solution(om, z)
-        inv = inverse_solution(om, z)
+        inv = inverse_solution(s)
         ok &= bool(np.array_equal(inv.combined[s.combined], pairs))
         ok &= bool(np.array_equal(s.combined[inv.combined], pairs))
     _report(5, "inverse-solutions", ok)
@@ -181,7 +181,7 @@ def test_criterion_06_gv_correspondence(instances):
     verdicts = []
     ok = True
     for name, b in list(small) + [("oddmatrix", om)]:
-        rep = gv_correspondence_check(b)
+        rep = gv_correspondence_check(build_solution(b, b.identity))
         verdicts.append((name, rep.conjugation_ok, rep.conjugation_witness))
         ok &= rep.conjugation_ok is b.is_left_brace
         ok &= rep.conjugation_witness == brute_gv_conjugation_witness(b)
@@ -211,7 +211,7 @@ def test_criterion_07_product_identity(instances):
 def test_criterion_08_tensor_suite_cyclic3_z3():
     start = time.perf_counter()
     b = cyclic_unit_brace(3)
-    tb = build_twists(build_solution(b, 1))
+    tb = TwistBundle(build_solution(b, 1))
     checks = [braid_matrix_check(tb), ybe_matrix_check(tb)]
     checks.extend(lift_commutation_check(tb))
     checks.extend(cocycle_check(tb))
@@ -233,7 +233,7 @@ def test_criterion_09_involutive_collapse(instances):
         probe = soc if b.order <= 16 else soc[:2]
         flip = permutation_p(b.order)
         for z in probe:
-            tb = build_twists(build_solution(b, z))
+            tb = TwistBundle(build_solution(b, z))
             ok &= tb.rcheck_f_closed().equals(flip)
             ok &= tb.rcheck_fhat_closed().equals(flip)
             f = tb.f_twist()
@@ -247,7 +247,7 @@ def test_criterion_09_involutive_collapse(instances):
 
 def test_criterion_10_non_coassociativity():
     b = cyclic_unit_brace(3)
-    tb = build_twists(build_solution(b, 1))
+    tb = TwistBundle(build_solution(b, 1))
     nonzero = []
     for eta in range(4):
         check = coproduct_defect(tb, eta)
@@ -259,7 +259,7 @@ def test_criterion_10_non_coassociativity():
     ok = bool(nonzero) and all(w is not None for _, _, w in nonzero)
 
     triv = trivial_skew_brace(cyclic_group(2), name="trivial-Z2")
-    tb0 = build_twists(build_solution(triv, 0))
+    tb0 = TwistBundle(build_solution(triv, 0))
     zero_ok = True
     for eta in range(2):
         check = coproduct_defect(tb0, eta)

@@ -12,9 +12,6 @@ from zbrace.groups import (
     NotClosedError,
     cyclic_group,
     direct_product,
-    group_inv,
-    group_op,
-    is_abelian,
     symmetric_group,
     validate_group,
 )
@@ -42,21 +39,21 @@ def test_odd_residues_mod8_is_abelian_group_of_self_inverses():
     assert g.order == 4
     assert g.identity == identity == 0
     assert g.inverses.tolist() == inverses == [0, 1, 2, 3]
-    assert is_abelian(g)
+    assert g.is_abelian
 
 
 def test_odd_residue_ops():
     g = validate_group(ODD_MOD8_MUL, labels=["1", "3", "5", "7"])
-    assert g.labels[group_op(g, 1, 2)] == "7"  # 3*5 = 15 = 7 mod 8
-    assert g.labels[group_inv(g, 1)] == "3"  # 3*3 = 9 = 1 mod 8
+    assert g.labels[g.op(1, 2)] == "7"  # 3*5 = 15 = 7 mod 8
+    assert g.labels[g.inv(1)] == "3"  # 3*3 = 9 = 1 mod 8
 
 
 def test_op_rejects_out_of_range():
     g = cyclic_group(3)
     with pytest.raises(IndexOutOfRangeError):
-        group_op(g, 0, 3)
+        g.op(0, 3)
     with pytest.raises(IndexOutOfRangeError):
-        group_inv(g, -1)
+        g.inv(-1)
 
 
 def test_not_closed_first_witness():
@@ -82,7 +79,7 @@ def test_missing_inverse_witness():
 def test_s3_is_smallest_nonabelian():
     g = symmetric_group(3)
     assert g.order == 6
-    assert not is_abelian(g)
+    assert not g.is_abelian
     assert g.labels[g.identity] == "012"
     facts = brute_group_facts(g.table.tolist())
     assert facts == (g.identity, g.inverses.tolist())
@@ -104,10 +101,10 @@ def test_inverse_map_is_involution():
 def test_direct_product_orders_and_commutativity():
     g = direct_product(cyclic_group(2), cyclic_group(2))
     assert g.order == 4
-    assert is_abelian(g)
+    assert g.is_abelian
     h = direct_product(cyclic_group(2), symmetric_group(3))
     assert h.order == 12
-    assert not is_abelian(h)
+    assert not h.is_abelian
 
 
 _POOL = [cyclic_group(4), cyclic_group(6), symmetric_group(3)]
@@ -125,7 +122,7 @@ def test_relabeled_groups_still_validate(pick, rnd):
     relabeled = [[perm[g.table[inv[a], inv[b]]] for b in range(g.order)] for a in range(g.order)]
     h = validate_group(relabeled)
     assert h.order == g.order
-    assert is_abelian(h) == is_abelian(g)
+    assert h.is_abelian == g.is_abelian
 
 
 @settings(max_examples=40, deadline=None)

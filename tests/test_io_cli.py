@@ -23,7 +23,7 @@ from zbrace.reporting import (
     serialize_report,
 )
 from zbrace.solutions import build_solution
-from zbrace.tensor import build_twists, permutation_p
+from zbrace.tensor import TwistBundle, permutation_p
 
 
 @pytest.fixture()
@@ -84,12 +84,12 @@ def test_matrix_export_golden_flip_operator():
 
 def test_matrix_export_one_element_brace():
     one = trivial_skew_brace(cyclic_group(1), name="one")
-    tb = build_twists(build_solution(one, 0))
+    tb = TwistBundle(build_solution(one, 0))
     assert matrix_coo_text(tb.rcheck()) == "1 1 1\n0 0 1\n"
 
 
 def test_matrix_export_rcheck_is_doubly_stochastic_pattern(tmp_path):
-    tb = build_twists(build_solution(cyclic_unit_brace(3), 1))
+    tb = TwistBundle(build_solution(cyclic_unit_brace(3), 1))
     path = tmp_path / "rcheck.coo"
     write_matrix(tb.rcheck(), path)
     lines = path.read_text().splitlines()
@@ -310,6 +310,26 @@ def test_cli_solve_dedup_builds_each_shift_once(tmp_path, capsys, monkeypatch):
     assert "class {1,9}" in capsys.readouterr().out
 
 
+def test_report_builds_each_shift_once_plus_the_identity(monkeypatch):
+    import zbrace.cli
+    import zbrace.reporting
+    import zbrace.solutions
+
+    calls = []
+
+    def counted(b, z):
+        calls.append(z)
+        return build_solution(b, z)
+
+    for module in (zbrace.cli, zbrace.reporting, zbrace.solutions):
+        monkeypatch.setattr(module, "build_solution", counted)
+    b = cyclic_unit_brace(4)
+    zs = select_shifts(b, "all", seed=0)
+    report = build_report(b, zs, level="all", family="cyclic2n")
+    assert not report_failed(report)
+    assert sorted(calls) == sorted(zs + [b.identity])
+
+
 def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     renamed = tmp_path / "renamed.brace"
     doc = brace_to_dict(cyclic_unit_brace(6))
@@ -320,7 +340,8 @@ def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     assert "class {1,33}" in printed
     assert "pair criterion" not in printed
     b = parse_brace(renamed)
-    assert "criterion_pairs" not in dedup_section(b, select_shifts(b, "all", seed=0), "oddmatrix")
+    solutions = (build_solution(b, z) for z in select_shifts(b, "all", seed=0))
+    assert "criterion_pairs" not in dedup_section(b, solutions)
 
     genuine = tmp_path / "om.brace"
     assert main(["make", "--family", "oddmatrix", "-o", str(genuine)]) == 0
@@ -339,3 +360,45 @@ def test_cli_empty_group_name_is_an_input_error(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown group ''") and err.count("\n") == 1
+
+
+def test_cyclic3_note_follows_table_content_not_name(tmp_path, capsys):
+    renamed = tmp_path / "renamed.brace"
+    doc = brace_to_dict(cyclic_unit_brace(3))
+    doc["name"] = "unit-mod-8"
+    renamed.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"file": str(renamed)}, "level": "maps"}))
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["brace"]["family"] is None
+    assert report["dedup"]["class_labels"] == [["1", "5"], ["3", "7"]]
+    assert any("known-discrepancy" in note for note in report["dedup"]["notes"])
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_report_product_without_factors_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "product"}}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "'left' and 'right'" in _assert_one_error_line(capsys)
+
+
+def test_make_product_without_factors_is_an_input_error(tmp_path, capsys):
+    assert main(["make", "--family", "product", "-o", str(tmp_path / "x.brace")]) == 2
+    assert "'left' and 'right'" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "x.brace").exists()
+
+
+def test_report_scalar_shift_selection_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": 5}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "shift selection" in _assert_one_error_line(capsys)
+    with pytest.raises(ValueError, match="shift selection"):
+        select_shifts(cyclic_unit_brace(3), "13", seed=0)

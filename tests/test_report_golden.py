@@ -17,6 +17,9 @@ TRIVIAL_S3_REPORT = "f50aa8e40cb78941e3b61da838676b9b863c2609901a27ee12056ac3b03
 CYCLIC4_SOLVE_DEDUP = "c58809211a92eb0e46f449ebdcd2550cddb6dbf3704dc86a44b134c8be91c138"
 # budget 256 < 8^3 sends every arity-3 check of cyclic2n n=4 down the sampled path
 CYCLIC4_SAMPLED_REPORT = "219ee3fe9cd82989e2a675b526cd8bde6578a2f8cc1f612af4976d4fc863089f"
+# `twist --z all` with every check family, stdout only
+CYCLIC4_TWIST = "c3070d3c61288ed5958b51cedf9ccd19c61f2ebd311afb476f5063175457259e"
+TRIVIAL_S3_TWIST = "13b6363cdb3c5e159c2554a967fc8c376af8ac0507d16b12ef62256077b9de0a"
 
 
 def _sha(text: str) -> str:
@@ -50,3 +53,15 @@ def test_cyclic4_solve_dedup_stdout(tmp_path, capsys):
     write_brace(cyclic_unit_brace(4), path)
     assert main(["solve", str(path), "--z", "all", "--dedup"]) == 0
     assert _sha(capsys.readouterr().out) == CYCLIC4_SOLVE_DEDUP
+
+
+def test_twist_stdout_and_exit_codes(tmp_path, capsys):
+    cases = [
+        (cyclic_unit_brace(4), CYCLIC4_TWIST),
+        (trivial_skew_brace(symmetric_group(3), name="trivial-S3"), TRIVIAL_S3_TWIST),
+    ]
+    for b, digest in cases:
+        path = tmp_path / f"{b.name}.brace"
+        write_brace(b, path)
+        assert main(["twist", str(path), "--z", "all"]) == 0
+        assert _sha(capsys.readouterr().out) == digest

@@ -158,7 +158,7 @@ def test_inverse_solution_composes_to_identity_both_ways():
         n2 = b.order * b.order
         for z in range(b.order):
             s = build_solution(b, z)
-            inv = inverse_solution(b, z)
+            inv = inverse_solution(s)
             assert np.array_equal(inv.combined[s.combined], np.arange(n2))
             assert np.array_equal(s.combined[inv.combined], np.arange(n2))
 
@@ -167,13 +167,13 @@ def test_inverse_solution_equals_forward_on_socle_shifts():
     for b in (CYCLIC3, RADICAL):
         for z in socle(b).tolist():
             s = build_solution(b, z)
-            inv = inverse_solution(b, z)
+            inv = inverse_solution(s)
             assert np.array_equal(s.sigma, inv.sigma)
             assert np.array_equal(s.tau, inv.tau)
 
 
 def test_inverse_solution_frozen_value():
-    inv = inverse_solution(CYCLIC3, 1)
+    inv = inverse_solution(build_solution(CYCLIC3, 1))
     assert label_pair(CYCLIC3, inv.apply(0, 3)) == ("3", "5")
 
 
@@ -197,7 +197,7 @@ def test_transpose_identity_oddmatrix_sampled_shift():
 
 def test_gv_on_one_element_brace_is_trivially_true():
     one = trivial_skew_brace(cyclic_group(1), name="one")
-    rep = gv_correspondence_check(one)
+    rep = gv_correspondence_check(build_solution(one, one.identity))
     assert rep.conjugation_ok and rep.inverse_ok and rep.tables_equal
 
 
@@ -262,14 +262,14 @@ def test_socle_shifts_share_one_solution():
 
 def test_gv_tables_equal_for_left_braces():
     for b in (CYCLIC3, RADICAL, cyclic_unit_brace(2)):
-        rep = gv_correspondence_check(b)
+        rep = gv_correspondence_check(build_solution(b, b.identity))
         assert rep.tables_equal is True
         assert rep.conjugation_ok
 
 
 def test_gv_inverse_relation_holds_everywhere():
     for b in SMALL_BRACES + [product_brace(cyclic_unit_brace(2), S3_TRIVIAL)]:
-        rep = gv_correspondence_check(b)
+        rep = gv_correspondence_check(build_solution(b, b.identity))
         assert rep.inverse_ok
 
 
@@ -277,7 +277,7 @@ def test_gv_conjugation_fails_for_nonabelian_addition():
     # computed ground truth: the substitution identity cannot hold once the
     # additive group is nonabelian (equal images force the substituted
     # argument to equal b); the checker must report the failure honestly.
-    rep = gv_correspondence_check(S3_TRIVIAL)
+    rep = gv_correspondence_check(build_solution(S3_TRIVIAL, S3_TRIVIAL.identity))
     assert rep.conjugation_ok is False
     assert rep.conjugation_witness is not None
     a, bb = rep.conjugation_witness
@@ -294,8 +294,9 @@ def test_gv_conjugation_fails_for_nonabelian_addition():
 def test_sigma_shift_criterion_agreement_and_socle_equivalence():
     for b in SMALL_BRACES:
         soc = set(socle(b).tolist())
+        s1 = build_solution(b, b.identity)
         for z in range(b.order):
-            tables_equal, commutes = sigma_shift_criterion(b, z)
+            tables_equal, commutes = sigma_shift_criterion(build_solution(b, z), s1)
             assert tables_equal == commutes
             if b.is_left_brace:
                 assert tables_equal == (z in soc)

@@ -24,7 +24,6 @@ from zbrace.tensor import (
     TwistBundle,
     UnknownObjectError,
     braid_matrix_check,
-    build_twists,
     cocycle_check,
     coproduct_commutation_check,
     coproduct_defect,
@@ -47,7 +46,7 @@ TRIV_INV = trivial_skew_brace(cyclic_group(2), name="trivial-Z2")
 
 
 def bundle_for(b, z):
-    return build_twists(build_solution(b, z))
+    return TwistBundle(build_solution(b, z))
 
 
 def random_perm_matrix(rng, n, arity):
@@ -94,7 +93,7 @@ def test_permutation_p_is_swap_with_diagonal_fixed_points():
 
 def test_rcheck_matches_matrix_unit_sum():
     s = build_solution(CYCLIC3, 1)
-    tb = build_twists(s)
+    tb = TwistBundle(s)
     n = 4
     acc = [[0] * 16 for _ in range(16)]
     for x in range(n):
@@ -109,7 +108,7 @@ def test_rcheck_matches_matrix_unit_sum():
 
 def test_f_and_fhat_match_their_matrix_unit_sums():
     s = build_solution(CYCLIC3, 1)
-    tb = build_twists(s)
+    tb = TwistBundle(s)
     n = 4
     f_acc = [[0] * 16 for _ in range(16)]
     fh_acc = [[0] * 16 for _ in range(16)]
@@ -124,7 +123,7 @@ def test_f_and_fhat_match_their_matrix_unit_sums():
 
 def test_v_and_w_are_the_sigma_and_tau_unit_sums():
     s = build_solution(CYCLIC3, 1)
-    tb = build_twists(s)
+    tb = TwistBundle(s)
     n = 4
     for x in range(n):
         acc = [[0] * n for _ in range(n)]
