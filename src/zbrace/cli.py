@@ -30,6 +30,7 @@ from .groups import GroupValidationError, cyclic_group, symmetric_group
 from .reporting import (
     TENSOR_FAMILIES,
     build_report,
+    config_int,
     report_failed,
     select_shifts,
     serialize_report,
@@ -84,11 +85,11 @@ def _make_brace(family: str | None, params: dict) -> SkewBrace:
     """Construct a built-in family from ``make`` options or a report config's brace object."""
     p = {**_FAMILY_DEFAULTS, **{k: v for k, v in params.items() if v is not None}}
     if family == "cyclic2n":
-        return cyclic_unit_brace(int(p["n"]))
+        return cyclic_unit_brace(config_int(p["n"], "n"))
     if family == "oddmatrix":
         return odd_matrix_brace()
     if family == "radical":
-        return radical_even_brace(int(p["modulus"]))
+        return radical_even_brace(config_int(p["modulus"], "modulus"))
     if family == "trivial":
         return trivial_skew_brace(_group_by_name(str(p["group"])), name=f"trivial-{p['group']}")
     if family == "product":
@@ -243,7 +244,7 @@ def cmd_report(args) -> int:
     else:
         b = _make_brace(family, src_doc)
 
-    seed = int(cfg.get("seed", 0))
+    seed = config_int(cfg.get("seed", 0), "seed")
     zs = select_shifts(b, cfg.get("z", "all"), seed=seed)
     report = build_report(
         b,
@@ -251,11 +252,11 @@ def cmd_report(args) -> int:
         level=str(cfg.get("level", "all")),
         family=family,
         params={k: v for k, v in src_doc.items() if k != "family"} or None,
-        budget=int(cfg["budget"]) if "budget" in cfg else None,
-        sample_points=int(cfg.get("sample_points", 100_000)),
+        budget=config_int(cfg["budget"], "budget") if "budget" in cfg else None,
+        sample_points=config_int(cfg.get("sample_points", 100_000), "sample_points"),
         seed=seed,
         timings=bool(cfg.get("timings", False)),
-        threads=int(cfg["threads"]) if "threads" in cfg else None,
+        threads=config_int(cfg["threads"], "threads") if "threads" in cfg else None,
     )
     text = serialize_report(report)
     if args.output:

@@ -44,9 +44,10 @@ def _require(doc: dict, key: str, kind, path: str) -> Any:
 def _table_from_flat(flat: list, order: int, path: str) -> np.ndarray:
     if len(flat) != order * order:
         raise SchemaError(path, f"expected {order * order} entries, got {len(flat)}")
-    for i, v in enumerate(flat):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"{path}[{i}]", "entries must be integers")
+    if not set(map(type, flat)) <= {int}:  # excludes bool, a subclass of int
+        for i, v in enumerate(flat):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise SchemaError(f"{path}[{i}]", "entries must be integers")
     return np.asarray(flat, dtype=np.int64).reshape(order, order)
 
 

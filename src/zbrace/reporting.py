@@ -334,16 +334,24 @@ def gv_section(identity_shift: DeformedSolution) -> list[dict]:
     return out
 
 
+def config_int(value: Any, where: str) -> int:
+    """``int(value)`` for a config field; a value int() rejects raises a one-line ValueError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be an integer, got {value!r}") from None
+
+
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     """Resolve a shift selection: "all" (or None), a list of element indices, or {"sample": k}.
 
-    Any other form raises ValueError.
+    Any other form, or a count or index that is not an integer, raises ValueError.
     """
     admissible = admissible_z(b).tolist()
     if selection == "all" or selection is None:
         return [int(z) for z in admissible]
     if isinstance(selection, dict) and "sample" in selection:
-        k = int(selection["sample"])
+        k = config_int(selection["sample"], "z.sample")
         rng = np.random.default_rng(seed)
         if k >= len(admissible):
             return [int(z) for z in admissible]
@@ -351,7 +359,7 @@ def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
         return sorted(int(z) for z in picked)
     if not isinstance(selection, (list, tuple)):
         raise ValueError(f'shift selection must be "all", a list or {{"sample": k}}, got {selection!r}')
-    zs = [int(z) for z in selection]
+    zs = [config_int(z, f"z[{i}]") for i, z in enumerate(selection)]
     bad = [z for z in zs if z not in set(admissible)]
     if bad:
         raise InadmissibleZError(f"requested shifts not admissible: {bad}")

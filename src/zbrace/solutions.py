@@ -8,7 +8,8 @@ For an admissible shift z the deformed map is
 
 Everything here operates on dense n x n lookup tables and verifies the
 three braid constraints, involutivity, inverses, dedup classes and the
-correspondence with the undeformed map, all by exact exhaustive scans.
+correspondence with the undeformed map, all exactly: by exhaustive scans,
+or by certificates that prove a verdict at every point.
 """
 
 from __future__ import annotations
@@ -154,61 +155,86 @@ def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
     return DeformedSolution(brace=b, z=z, sigma=shat, tau=that, combined=comb, variant="inverse")
 
 
+def sigma_is_left_action(s: DeformedSolution) -> bool:
+    """sigma_a o sigma_b = sigma_{a o b} as maps, for every a and b.
+
+    The a for which this holds for every b form a set closed under o, so
+    it is checked only for the generators of (B, o), at |gens| n^2 lookups.
+    """
+    S, M = s.sigma, s.brace.mul.table
+    return all(np.array_equal(S[g][S], S[M[g]]) for g in s.brace.mul.generators)
+
+
+def _first_failing_row(
+    n: int, row: Callable[[int], tuple[np.ndarray, np.ndarray]]
+) -> tuple[tuple[int, int, int], int] | None:
+    """Smallest (e, x, y) where the n x n sides ``row(e)`` differ, with its points, or None.
+
+    Rows are evaluated one e at a time.  The points are those of the
+    former block sweep: every triple up to the end of the
+    ``row_blocks`` block that holds the witness row.
+    """
+    for lo, hi in row_blocks(n):
+        for e in range(lo, hi):
+            lhs, rhs = row(e)
+            if not np.array_equal(lhs, rhs):
+                x, y = divmod(int(np.flatnonzero((lhs != rhs).ravel())[0]), n)
+                return (e, x, y), hi * n * n
+    return None
+
+
 def verify_braid_constraints(s: DeformedSolution) -> list[ConstraintReport]:
-    """Exhaustively check the three braid constraints over all n^3 triples.
+    """Decide the three braid constraints at all n^3 triples.
 
     Constraint 1: sigma_e(sigma_x(y)) = sigma_{sigma_e(x)}(sigma_{tau_x(e)}(y))
     Constraint 2: tau_y(tau_x(e))     = tau_{tau_y(x)}(tau_{sigma_x(y)}(e))
     Constraint 3: tau_{sigma_{tau_x(e)}(y)}(sigma_e(x))
                                       = sigma_{tau_{sigma_x(y)}(e)}(tau_y(x))
 
-    Failures are reported with the lexicographically smallest witness
-    triple (e, x, y); they are report content, not exceptions.
+    They are the first, third and middle components of r12 r23 r12 =
+    r23 r12 r23.  c1 and c3 are proved by certificates:
+
+      * c1: if sigma is a left action of (B, o) (``sigma_is_left_action``)
+        and sigma_x(y) o tau_y(x) = x o y, the right side of c1 is
+        sigma_{sigma_e(x) o tau_x(e)}(y) = sigma_{e o x}(y), the left side.
+      * c3: each application of r keeps the o-product of its pair, so both
+        sides of the braid relation keep e o x o y; once c1, c2 and the
+        product identity hold everywhere, the middle components agree by
+        cancellation in (B, o).
+
+    c2 is swept row by row, and so is any constraint whose certificate
+    premise fails.  Failures are reported with the lexicographically
+    smallest witness triple (e, x, y); they are report content, not
+    exceptions.
     """
     S = s.sigma
     TT = s.tau.T.copy()  # TT[x, y] = tau_y(x)
+    M = s.brace.mul.table
     n = s.order
+    flat_s, flat_tt = S.ravel(), TT.ravel()
+
+    def c1(e: int) -> tuple[np.ndarray, np.ndarray]:
+        return S[e][S], flat_s.take(S[e][:, None] * n + S[TT[e]])
+
+    def c2(e: int) -> tuple[np.ndarray, np.ndarray]:
+        return TT[TT[e]], flat_tt.take(TT[e][S] * n + TT)
+
+    def c3(e: int) -> tuple[np.ndarray, np.ndarray]:
+        return flat_tt.take(S[e][:, None] * n + S[TT[e]]), flat_s.take(TT[e][S] * n + TT)
+
+    product_ok = bool(np.array_equal(M[S, TT], M))
+    hits = {"c1": None if product_ok and sigma_is_left_action(s) else _first_failing_row(n, c1)}
+    hits["c2"] = _first_failing_row(n, c2)
+    certified_c3 = product_ok and hits["c1"] is None and hits["c2"] is None
+    hits["c3"] = None if certified_c3 else _first_failing_row(n, c3)
+
     total = n * n * n
-    state: dict[str, tuple[tuple[int, int, int], int] | None] = {"c1": None, "c2": None, "c3": None}
-    done: set[str] = set()
-
-    for lo, hi in row_blocks(n):
-        blk = np.arange(lo, hi)
-        tt_blk = TT[blk]                      # [e, x] = tau_x(e)
-        s_blk = S[blk]                        # [e, x] = sigma_e(x)
-        inner = S[tt_blk]                     # [e, x, y] = sigma_{tau_x(e)}(y)
-        v = TT[blk[:, None, None], S[None, :, :]]  # [e, x, y] = tau_{sigma_x(y)}(e)
-
-        if "c1" not in done:
-            lhs = S[blk[:, None, None], S[None, :, :]]
-            rhs = S[s_blk[:, :, None], inner]
-            if not np.array_equal(lhs, rhs):
-                e, x, y = np.argwhere(lhs != rhs)[0]
-                state["c1"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
-                done.add("c1")
-        if "c2" not in done:
-            lhs = TT[tt_blk]
-            rhs = TT[v, TT[None, :, :]]
-            if not np.array_equal(lhs, rhs):
-                e, x, y = np.argwhere(lhs != rhs)[0]
-                state["c2"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
-                done.add("c2")
-        if "c3" not in done:
-            lhs = TT[s_blk[:, :, None], inner]
-            rhs = S[v, TT[None, :, :]]
-            if not np.array_equal(lhs, rhs):
-                e, x, y = np.argwhere(lhs != rhs)[0]
-                state["c3"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
-                done.add("c3")
-
-    reports = []
-    for name in ("c1", "c2", "c3"):
-        hit = state[name]
-        if hit is None:
-            reports.append(ConstraintReport(name=name, ok=True, witness=None, points=total))
-        else:
-            reports.append(ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1]))
-    return reports
+    return [
+        ConstraintReport(name=name, ok=True, witness=None, points=total)
+        if hit is None
+        else ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1])
+        for name, hit in hits.items()
+    ]
 
 
 def product_identity_check(s: DeformedSolution) -> ConstraintReport:
@@ -420,85 +446,3 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
         tables_equal=tables_equal,
         tables_witness=tables_witness,
     )
-
-
-def sigma_property_witnesses(b: SkewBrace, z: int, skip_quartic: bool = False) -> dict[int, tuple | None]:
-    """One sweep over the six structural identities of the deformed maps.
-
-    Properties, for all a, b, c (and d where applicable):
-      1. sigma_a(b - c + d) = sigma_a(b) - sigma_a(c) + sigma_a(d)
-      2. sigma_a(sigma_b(c)) = sigma_{a o b}(c)
-      3. a o sigma_b(c) = sigma_{a o b}(c) - z + a o z
-      4. a o z^{-1} - b o z^{-1} + c o z^{-1} = (a - b + c) o z^{-1}
-      5. sigma_a(b) o tau_b(a) = a o b
-      6. sigma_a(b) o sigma_{tau_b(a)}(c) =
-         sigma_a(sigma_b(c)) o sigma_{tau_{sigma_b(c)}(a)}(tau_c(b))
-
-    Returns the first witness per property (None when it holds).  The
-    quartic property 1 costs O(n^4) and can be skipped for large carriers.
-    """
-    A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
-    n = b.order
-    idx = np.arange(n)
-    S = sigma_table(b, z)
-    tau = tau_table_from_sigma(b, S)
-    TT = tau.T.copy()
-    out: dict[int, tuple | None] = {}
-
-    out[1] = None
-    if not skip_quartic:
-        e3 = A[A[idx[:, None], neg[None, :]]]
-        for a in range(n):
-            lhs = S[a][e3]
-            v = A[S[a][:, None], neg[S[a]][None, :]]
-            rhs = A[v[:, :, None], S[a][None, None, :]]
-            if not np.array_equal(lhs, rhs):
-                x, cq, d = np.argwhere(lhs != rhs)[0]
-                out[1] = (a, int(x), int(cq), int(d))
-                break
-
-    out[2] = None
-    out[3] = None
-    out[6] = None
-    mz = M[:, z]
-    for lo, hi in row_blocks(n):
-        blk = idx[lo:hi]
-        comp = S[M[blk]]                       # [a,b,c] = sigma_{a o b}(c)
-        if out[2] is None:
-            lhs = S[blk[:, None, None], S[None, :, :]]
-            if not np.array_equal(lhs, comp):
-                a, bb, cq = np.argwhere(lhs != comp)[0]
-                out[2] = (int(a) + lo, int(bb), int(cq))
-        if out[3] is None:
-            lhs = M[blk[:, None, None], S[None, :, :]]
-            rhs = A[A[comp, neg[z]], mz[blk][:, None, None]]
-            if not np.array_equal(lhs, rhs):
-                a, bb, cq = np.argwhere(lhs != rhs)[0]
-                out[3] = (int(a) + lo, int(bb), int(cq))
-        if out[6] is None:
-            w1 = S[TT[blk]]                    # [a,b,c] = sigma_{tau_b(a)}(c)
-            lhs = M[S[blk][:, :, None], w1]
-            q = TT[blk[:, None, None], S[None, :, :]]
-            rhs = M[S[blk[:, None, None], S[None, :, :]], S[q, TT[None, :, :]]]
-            if not np.array_equal(lhs, rhs):
-                a, bb, cq = np.argwhere(lhs != rhs)[0]
-                out[6] = (int(a) + lo, int(bb), int(cq))
-
-    out[4] = None
-    u = M[:, minv[z]]
-    for lo, hi in row_blocks(n):
-        blk = idx[lo:hi]
-        t1 = A[A[blk[:, None], neg[None, :]]]  # [a,b,c] = (a - b) + c
-        lhs = A[A[u[blk][:, None], neg[u][None, :]][:, :, None], u[None, None, :]]
-        rhs = u[t1]
-        if not np.array_equal(lhs, rhs):
-            a, bb, cq = np.argwhere(lhs != rhs)[0]
-            out[4] = (int(a) + lo, int(bb), int(cq))
-            break
-
-    lhs5 = M[S, TT]
-    out[5] = None
-    if not np.array_equal(lhs5, M):
-        a, bb = np.argwhere(lhs5 != M)[0]
-        out[5] = (int(a), int(bb))
-    return out

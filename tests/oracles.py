@@ -9,12 +9,26 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 
-from zbrace.braces import odd_matrix_entries
-from zbrace.solutions import build_solution
+from zbrace.braces import NotLeftDistributiveError, odd_matrix_entries
+from zbrace.groups import (
+    MissingInverseError,
+    NoIdentityError,
+    NotAssociativeError,
+    NotClosedError,
+    row_blocks,
+)
+from zbrace.solutions import (
+    ConstraintReport,
+    build_solution,
+    pair_map,
+    sigma_table,
+    tau_table_from_sigma,
+)
 from zbrace.tensor import PermMatrix, SparseIntMatrix, TensorCheck, _decode3, _encode3
 
 
@@ -325,3 +339,240 @@ def iterated_coproduct_difference(bundle, eta):
     right = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "right")(*pts), n))
     left = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "left")(*pts), n))
     return SparseIntMatrix.from_perm_difference(right, left)
+
+
+def swap_sigma_entries(s, x, y1, y2):
+    """``s`` with sigma_x(y1) and sigma_x(y2) swapped and tau kept: a forged solution."""
+    sigma = s.sigma.copy()
+    sigma.setflags(write=True)
+    sigma[x, y1], sigma[x, y2] = sigma[x, y2], sigma[x, y1]
+    return dataclasses.replace(s, sigma=sigma, combined=pair_map(sigma, s.tau), variant="corrupted")
+
+
+def brute_braid_constraints(s):
+    """The former block sweep of the three braid constraints over all n^3 triples.
+
+    Constraint 1: sigma_e(sigma_x(y)) = sigma_{sigma_e(x)}(sigma_{tau_x(e)}(y))
+    Constraint 2: tau_y(tau_x(e))     = tau_{tau_y(x)}(tau_{sigma_x(y)}(e))
+    Constraint 3: tau_{sigma_{tau_x(e)}(y)}(sigma_e(x))
+                                      = sigma_{tau_{sigma_x(y)}(e)}(tau_y(x))
+
+    Each row block of e evaluates all three constraints as n^3-sized
+    arrays.  Failures carry the lexicographically smallest witness triple
+    (e, x, y) and the points up to the end of its block.
+    """
+    S = s.sigma
+    TT = s.tau.T.copy()  # TT[x, y] = tau_y(x)
+    n = s.order
+    total = n * n * n
+    state: dict[str, tuple[tuple[int, int, int], int] | None] = {"c1": None, "c2": None, "c3": None}
+    done: set[str] = set()
+
+    for lo, hi in row_blocks(n):
+        blk = np.arange(lo, hi)
+        tt_blk = TT[blk]                      # [e, x] = tau_x(e)
+        s_blk = S[blk]                        # [e, x] = sigma_e(x)
+        inner = S[tt_blk]                     # [e, x, y] = sigma_{tau_x(e)}(y)
+        v = TT[blk[:, None, None], S[None, :, :]]  # [e, x, y] = tau_{sigma_x(y)}(e)
+
+        if "c1" not in done:
+            lhs = S[blk[:, None, None], S[None, :, :]]
+            rhs = S[s_blk[:, :, None], inner]
+            if not np.array_equal(lhs, rhs):
+                e, x, y = np.argwhere(lhs != rhs)[0]
+                state["c1"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
+                done.add("c1")
+        if "c2" not in done:
+            lhs = TT[tt_blk]
+            rhs = TT[v, TT[None, :, :]]
+            if not np.array_equal(lhs, rhs):
+                e, x, y = np.argwhere(lhs != rhs)[0]
+                state["c2"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
+                done.add("c2")
+        if "c3" not in done:
+            lhs = TT[s_blk[:, :, None], inner]
+            rhs = S[v, TT[None, :, :]]
+            if not np.array_equal(lhs, rhs):
+                e, x, y = np.argwhere(lhs != rhs)[0]
+                state["c3"] = ((int(e) + lo, int(x), int(y)), hi * n * n)
+                done.add("c3")
+
+    reports = []
+    for name in ("c1", "c2", "c3"):
+        hit = state[name]
+        if hit is None:
+            reports.append(ConstraintReport(name=name, ok=True, witness=None, points=total))
+        else:
+            reports.append(ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1]))
+    return reports
+
+
+def sigma_property_witnesses(b, z, skip_quartic=False):
+    """One sweep over the six structural identities of the deformed maps.
+
+    Properties, for all a, b, c (and d where applicable):
+      1. sigma_a(b - c + d) = sigma_a(b) - sigma_a(c) + sigma_a(d)
+      2. sigma_a(sigma_b(c)) = sigma_{a o b}(c)
+      3. a o sigma_b(c) = sigma_{a o b}(c) - z + a o z
+      4. a o z^{-1} - b o z^{-1} + c o z^{-1} = (a - b + c) o z^{-1}
+      5. sigma_a(b) o tau_b(a) = a o b
+      6. sigma_a(b) o sigma_{tau_b(a)}(c) =
+         sigma_a(sigma_b(c)) o sigma_{tau_{sigma_b(c)}(a)}(tau_c(b))
+
+    Returns the first witness per property (None when it holds).  The
+    quartic property 1 costs O(n^4) and can be skipped for large carriers.
+    """
+    A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
+    n = b.order
+    idx = np.arange(n)
+    S = sigma_table(b, z)
+    tau = tau_table_from_sigma(b, S)
+    TT = tau.T.copy()
+    out: dict[int, tuple | None] = {}
+
+    out[1] = None
+    if not skip_quartic:
+        e3 = A[A[idx[:, None], neg[None, :]]]
+        for a in range(n):
+            lhs = S[a][e3]
+            v = A[S[a][:, None], neg[S[a]][None, :]]
+            rhs = A[v[:, :, None], S[a][None, None, :]]
+            if not np.array_equal(lhs, rhs):
+                x, cq, d = np.argwhere(lhs != rhs)[0]
+                out[1] = (a, int(x), int(cq), int(d))
+                break
+
+    out[2] = None
+    out[3] = None
+    out[6] = None
+    mz = M[:, z]
+    for lo, hi in row_blocks(n):
+        blk = idx[lo:hi]
+        comp = S[M[blk]]                       # [a,b,c] = sigma_{a o b}(c)
+        if out[2] is None:
+            lhs = S[blk[:, None, None], S[None, :, :]]
+            if not np.array_equal(lhs, comp):
+                a, bb, cq = np.argwhere(lhs != comp)[0]
+                out[2] = (int(a) + lo, int(bb), int(cq))
+        if out[3] is None:
+            lhs = M[blk[:, None, None], S[None, :, :]]
+            rhs = A[A[comp, neg[z]], mz[blk][:, None, None]]
+            if not np.array_equal(lhs, rhs):
+                a, bb, cq = np.argwhere(lhs != rhs)[0]
+                out[3] = (int(a) + lo, int(bb), int(cq))
+        if out[6] is None:
+            w1 = S[TT[blk]]                    # [a,b,c] = sigma_{tau_b(a)}(c)
+            lhs = M[S[blk][:, :, None], w1]
+            q = TT[blk[:, None, None], S[None, :, :]]
+            rhs = M[S[blk[:, None, None], S[None, :, :]], S[q, TT[None, :, :]]]
+            if not np.array_equal(lhs, rhs):
+                a, bb, cq = np.argwhere(lhs != rhs)[0]
+                out[6] = (int(a) + lo, int(bb), int(cq))
+
+    out[4] = None
+    u = M[:, minv[z]]
+    for lo, hi in row_blocks(n):
+        blk = idx[lo:hi]
+        t1 = A[A[blk[:, None], neg[None, :]]]  # [a,b,c] = (a - b) + c
+        lhs = A[A[u[blk][:, None], neg[u][None, :]][:, :, None], u[None, None, :]]
+        rhs = u[t1]
+        if not np.array_equal(lhs, rhs):
+            a, bb, cq = np.argwhere(lhs != rhs)[0]
+            out[4] = (int(a) + lo, int(bb), int(cq))
+            break
+
+    lhs5 = M[S, TT]
+    out[5] = None
+    if not np.array_equal(lhs5, M):
+        a, bb = np.argwhere(lhs5 != M)[0]
+        out[5] = (int(a), int(bb))
+    return out
+
+
+def right_distributivity_witness_direct(b, z):
+    """Direct triple sweep of the shift law; independent slow path for cross-checks."""
+    A, M, neg = b.add.table, b.mul.table, b.add.inverses
+    n = b.order
+    zc = M[:, z]
+    for a in range(n):
+        t1 = A[A[a, neg], :]  # (a - e) + c over (e, c)
+        lhs = zc[t1]
+        v1 = A[zc[a], neg[zc]]
+        rhs = A[v1[:, None], zc[None, :]]
+        if not np.array_equal(lhs, rhs):
+            e, c = np.argwhere(lhs != rhs)[0]
+            return (a, int(e), int(c))
+    return None
+
+
+def ternary_distributivity_witness(b):
+    """First quadruple violating a o (b - c + d) = a o b - a o c + a o d, or None.
+
+    Exhaustive over all n^4 quadruples; intended for carriers small enough
+    that this is affordable.
+    """
+    A, M, neg = b.add.table, b.mul.table, b.add.inverses
+    n = b.order
+    e3 = A[A[np.arange(n)[:, None], neg[None, :]]]  # [x,c,d] = (x - c) + d
+    for a in range(n):
+        lhs = M[a][e3]
+        v = A[M[a][:, None], neg[M[a]][None, :]]
+        rhs = A[v[:, :, None], M[a][None, None, :]]
+        if not np.array_equal(lhs, rhs):
+            x, c, d = np.argwhere(lhs != rhs)[0]
+            return (a, int(x), int(c), int(d))
+    return None
+
+
+def cubic_validate_group(table):
+    """The former group validation: closure, identity, the cubic associativity sweep, inverses.
+
+    Returns (identity, inverses) or raises the library's exception with
+    the message and witness the library raised before its associativity
+    certificate.
+    """
+    t = np.asarray(table, dtype=np.int64)
+    n = t.shape[0]
+    bad = (t < 0) | (t >= n)
+    if bad.any():
+        a, b = (int(v) for v in np.argwhere(bad)[0])
+        raise NotClosedError(
+            f"entry table[{a}][{b}] = {int(t[a, b])} is not an index in [0, {n})", witness=(a, b)
+        )
+    idx = np.arange(n)
+    e = next((c for c in range(n) if np.array_equal(t[c], idx) and np.array_equal(t[:, c], idx)), None)
+    if e is None:
+        raise NoIdentityError("no two-sided identity element")
+    for lo, hi in row_blocks(n):
+        lhs = t[t[lo:hi], :]
+        rhs = t[np.arange(lo, hi)[:, None, None], t[None, :, :]]
+        if not np.array_equal(lhs, rhs):
+            a, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+            raise NotAssociativeError(
+                f"associativity fails at (a,b,c)=({a + lo},{b},{c})", witness=(a + lo, b, c)
+            )
+    inverses = []
+    for a in range(n):
+        two_sided = [int(b) for b in np.flatnonzero(t[a] == e) if t[b, a] == e]
+        if not two_sided:
+            raise MissingInverseError(f"element {a} has no two-sided inverse", witness=(a,))
+        inverses.append(two_sided[0])
+    return e, inverses
+
+
+def cubic_brace_laws(add, mul):
+    """The former per-a loops: raise the first left-distributivity witness, else return the two-sided flag."""
+    A, M, neg = add.table, mul.table, add.inverses
+    n = add.order
+    for a in range(n):
+        lam = A[neg[a], M[a]]
+        lhs = lam[A]
+        rhs = A[lam[:, None], lam[None, :]]
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            raise NotLeftDistributiveError((a, int(b), int(c)))
+    for a in range(n):
+        rho = A[M[:, a], neg[a]]
+        if not np.array_equal(rho[A], A[rho[:, None], rho[None, :]]):
+            return False
+    return True

@@ -4,6 +4,8 @@ import pytest
 from oracles import (
     brute_left_distributive_witness,
     brute_right_distributes_at,
+    right_distributivity_witness_direct,
+    ternary_distributivity_witness,
 )
 from zbrace.braces import (
     BoundExceededError,
@@ -22,8 +24,6 @@ from zbrace.braces import (
     radical_even_brace,
     socle,
     right_distributes_at,
-    right_distributivity_witness_direct,
-    ternary_distributivity_witness,
     trivial_skew_brace,
 )
 from zbrace.groups import cyclic_group, symmetric_group, validate_group

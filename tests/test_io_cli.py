@@ -402,3 +402,29 @@ def test_report_scalar_shift_selection_is_an_input_error(tmp_path, capsys):
     assert "shift selection" in _assert_one_error_line(capsys)
     with pytest.raises(ValueError, match="shift selection"):
         select_shifts(cyclic_unit_brace(3), "13", seed=0)
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"brace": {"family": "cyclic2n", "n": [3]}}, "n"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "seed": [1]}, "seed"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": [[1]]}, "z[0]"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": [2]}}, "z.sample"),
+    ],
+    ids=["brace-n-list", "seed-list", "z-nested-list", "z-sample-list"],
+)
+def test_report_non_integer_numeric_field_is_an_input_error(tmp_path, capsys, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["report", "--config", str(path)]) == 2
+    assert _assert_one_error_line(capsys).startswith(f"error: {field} must be an integer")
+
+
+@pytest.mark.parametrize("bad, index", [(True, 3), (1.0, 2)], ids=["bool", "float"])
+def test_table_entry_that_is_not_an_integer_names_its_index(bad, index):
+    good = brace_to_dict(cyclic_unit_brace(3))
+    mul = list(good["mul"])
+    mul[index] = bad
+    with pytest.raises(SchemaError, match=rf"^\$\.mul\[{index}\]: entries must be integers$"):
+        brace_from_dict({**good, "mul": mul})

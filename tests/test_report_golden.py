@@ -5,10 +5,13 @@ change and records the new digest here.
 """
 
 import hashlib
+import json
 
-from zbrace.braces import cyclic_unit_brace, trivial_skew_brace
+import pytest
+
+from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.cli import main
-from zbrace.fileio import write_brace
+from zbrace.fileio import brace_to_dict, canonical_json, write_brace
 from zbrace.groups import symmetric_group
 from zbrace.reporting import build_report, select_shifts, serialize_report
 
@@ -20,6 +23,14 @@ CYCLIC4_SAMPLED_REPORT = "219ee3fe9cd82989e2a675b526cd8bde6578a2f8cc1f612af4976d
 # `twist --z all` with every check family, stdout only
 CYCLIC4_TWIST = "c3070d3c61288ed5958b51cedf9ccd19c61f2ebd311afb476f5063175457259e"
 TRIVIAL_S3_TWIST = "13b6363cdb3c5e159c2554a967fc8c376af8ac0507d16b12ef62256077b9de0a"
+# level "maps" on shifts 128 and 237: pins c1-c3 on the n = 256 path
+ODDMATRIX_MAPS_REPORT = "3619ef6aa785ea2845d6185ec1685fb0602d7f51599165adab3372717abc73a6"
+# `validate` stderr on corrupted cyclic2n n=4 files, with exit code 2
+VALIDATE_ERRORS = {
+    "non-associative-add": "0cead6413ab3f224fc3c4a8d68f8a00aefae9d3c1cb424148d609bee797679fd",
+    "broken-left-brace-law": "4cb49de3c215cf229409ac17634ff343b5c9b0a442613ac8eb03cdc92e98c3f3",
+    "non-group-mul": "83c7e0604a8ff2c00c4263165cca6a40680eb7678d9ecde2008ffef023f85915",
+}
 
 
 def _sha(text: str) -> str:
@@ -65,3 +76,41 @@ def test_twist_stdout_and_exit_codes(tmp_path, capsys):
         write_brace(b, path)
         assert main(["twist", str(path), "--z", "all"]) == 0
         assert _sha(capsys.readouterr().out) == digest
+
+
+def test_oddmatrix_maps_report_bytes():
+    b = odd_matrix_brace()
+    zs = select_shifts(b, [128, 237], seed=0)
+    report = build_report(b, zs, level="maps", family="oddmatrix", seed=0)
+    assert _sha(serialize_report(report)) == ODDMATRIX_MAPS_REPORT
+
+
+def _corrupted_cyclic4(kind: str) -> dict:
+    """The cyclic2n n=4 brace document with one table broken in a fixed way."""
+    doc = json.loads(json.dumps(brace_to_dict(cyclic_unit_brace(4))))
+    n = doc["order"]
+    if kind == "non-associative-add":
+        add = doc["add"]  # swap two entries off the identity row and column
+        add[3 * n + 4], add[3 * n + 5] = add[3 * n + 5], add[3 * n + 4]
+    elif kind == "broken-left-brace-law":
+        p = list(range(n))  # relabel (B, o) by a transposition fixing the identity
+        p[2], p[5] = p[5], p[2]
+        mul = doc["mul"]
+        relabelled = [0] * (n * n)
+        for x in range(n):
+            for y in range(n):
+                relabelled[p[x] * n + p[y]] = p[mul[x * n + y]]
+        doc["mul"] = relabelled
+    else:
+        doc["mul"][5 * n + 6] = doc["mul"][5 * n + 7]
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATE_ERRORS))
+def test_validate_error_stderr(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.brace"
+    path.write_text(canonical_json(_corrupted_cyclic4(kind)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _sha(captured.err) == VALIDATE_ERRORS[kind]

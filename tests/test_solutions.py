@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_braid_witness, brute_sigma_tau
+from oracles import brute_braid_witness, brute_sigma_tau, sigma_property_witnesses, swap_sigma_entries
 from zbrace.braces import (
     cyclic_unit_brace,
     make_skew_brace,
@@ -19,7 +19,6 @@ from zbrace.braces import (
 from zbrace.groups import cyclic_group, symmetric_group, validate_group
 from zbrace.solutions import (
     CriterionMismatchError,
-    DeformedSolution,
     InadmissibleZError,
     build_solution,
     dedup_solutions,
@@ -27,9 +26,7 @@ from zbrace.solutions import (
     inverse_solution,
     involutivity_witness,
     is_involutive,
-    pair_map,
     product_identity_check,
-    sigma_property_witnesses,
     sigma_shift_criterion,
     transpose_identity_check,
     verify_braid_constraints,
@@ -95,18 +92,9 @@ def test_braid_constraints_agree_with_stepwise_composition_oracle():
             assert brute_braid_witness(s.sigma.tolist(), s.tau.tolist()) is None
 
 
-def _corrupt(s: DeformedSolution, x: int, y1: int, y2: int) -> DeformedSolution:
-    sigma = s.sigma.copy()
-    sigma.setflags(write=True)
-    sigma[x, y1], sigma[x, y2] = sigma[x, y2], sigma[x, y1]
-    return dataclasses.replace(
-        s, sigma=sigma, combined=pair_map(sigma, s.tau), variant="corrupted"
-    )
-
-
 def test_corrupted_sigma_breaks_constraint_c1_with_witness():
     s = build_solution(CYCLIC3, 1)
-    bad = _corrupt(s, 1, 0, 2)
+    bad = swap_sigma_entries(s, 1, 0, 2)
     reports = {r.name: r for r in verify_braid_constraints(bad)}
     assert not reports["c1"].ok
     assert reports["c1"].witness is not None
