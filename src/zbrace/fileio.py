@@ -48,7 +48,13 @@ def _table_from_flat(flat: list, order: int, path: str) -> np.ndarray:
         for i, v in enumerate(flat):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise SchemaError(f"{path}[{i}]", "entries must be integers")
-    return np.asarray(flat, dtype=np.int64).reshape(order, order)
+    try:
+        table = np.asarray(flat, dtype=np.int64)
+    except OverflowError:
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        i = next(i for i, v in enumerate(flat) if not lo <= v <= hi)
+        raise SchemaError(f"{path}[{i}]", "entries must fit in a signed 64-bit integer") from None
+    return table.reshape(order, order)
 
 
 def brace_to_dict(b: SkewBrace) -> dict:

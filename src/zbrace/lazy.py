@@ -4,16 +4,27 @@ A ``LazyBrace`` bundles the brace operations as callables over exact
 values (rationals here); laws and braid constraints can only be checked
 pointwise on seeded pseudorandom samples, so results are reported as
 "sampled", never as proved.
+
+Each check is one loop over a set of primitives chosen once per call
+(``_primitives``). The canonical odd-fraction brace is evaluated on
+reduced integer pairs (p, q), q > 0, gcd(p, q) = 1: that is the canonical
+form of the rational p/q, so tuple equality is ``Fraction`` equality, and
+the draws, statuses, points and witnesses are those of the ``Fraction``
+operations. Any other brace, including a ``dataclasses.replace`` copy of
+the canonical one with a replaced operation, runs on its own callables.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from math import gcd
+from typing import Any, Callable, NamedTuple
 
 Element = Any
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -44,32 +55,193 @@ class LazyBrace:
         return self.add(self.add(ab, self.neg(self.circle(a, z))), z)
 
 
+# The odd-fraction brace's operations live at module level, so that
+# _primitives recognises an unmodified brace by the identity of its fields.
+
+
+def _odd_add(a: Fraction, b: Fraction) -> Fraction:
+    return a - 1 + b
+
+
+def _odd_neg(a: Fraction) -> Fraction:
+    return 2 - a
+
+
+def _odd_circle(a: Fraction, b: Fraction) -> Fraction:
+    return a * b
+
+
+def _odd_circle_inv(a: Fraction) -> Fraction:
+    return 1 / a
+
+
+def _odd_equal(a: Fraction, b: Fraction) -> bool:
+    return a == b
+
+
+def _is_odd_fraction(x: Element) -> bool:
+    return isinstance(x, Fraction) and x.numerator % 2 == 1 and x.denominator % 2 == 1
+
+
+def _reduced(p: int, q: int) -> Pair:
+    """p/q as its canonical pair: lowest terms, denominator positive."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+@dataclass(frozen=True)
+class _OddFractionSampler:
+    """(2i + 1)/(2j + 1) with i, then j, drawn by ``rng.randint(-magnitude, magnitude)``."""
+
+    magnitude: int
+
+    def pair(self, rng: random.Random) -> Pair:
+        m = self.magnitude
+        num = 2 * rng.randint(-m, m) + 1
+        den = 2 * rng.randint(-m, m) + 1
+        return _reduced(num, den)
+
+    def __call__(self, rng: random.Random) -> Fraction:
+        return Fraction(*self.pair(rng))
+
+
 def odd_fraction_brace(magnitude: int = 25) -> LazyBrace:
     """Rationals with odd numerator and denominator, a +1 b = a - 1 + b, a o b = a*b.
 
     ``magnitude`` bounds the integers drawn by the sampler; arithmetic is
-    exact on the full infinite carrier.
+    exact on the full infinite carrier. The sampled checks evaluate this
+    brace on reduced integer pairs, with the same draws and results as its
+    ``Fraction`` callables; a copy with any operation replaced is evaluated
+    through its callables instead.
     """
-
-    def is_odd_fraction(x: Element) -> bool:
-        return isinstance(x, Fraction) and x.numerator % 2 == 1 and x.denominator % 2 == 1
-
-    def sample(rng: random.Random) -> Fraction:
-        num = 2 * rng.randint(-magnitude, magnitude) + 1
-        den = 2 * rng.randint(-magnitude, magnitude) + 1
-        return Fraction(num, den)
-
-    one = Fraction(1)
     return LazyBrace(
         name="odd-fractions",
-        one=one,
-        add=lambda a, b: a - 1 + b,
-        neg=lambda a: 2 - a,
-        circle=lambda a, b: a * b,
-        circle_inv=lambda a: 1 / a,
-        equal=lambda a, b: a == b,
-        contains=is_odd_fraction,
-        sample=sample,
+        one=Fraction(1),
+        add=_odd_add,
+        neg=_odd_neg,
+        circle=_odd_circle,
+        circle_inv=_odd_circle_inv,
+        equal=_odd_equal,
+        contains=_is_odd_fraction,
+        sample=_OddFractionSampler(magnitude),
+    )
+
+
+# The odd-fraction operations on canonical pairs. Each result is reduced
+# once, so it is again canonical and compares by tuple equality.
+
+
+def _pair_add(a: Pair, b: Pair) -> Pair:
+    (ap, aq), (bp, bq) = a, b
+    return _reduced(ap * bq + bp * aq - aq * bq, aq * bq)
+
+
+def _pair_neg(a: Pair) -> Pair:
+    p, q = a
+    return 2 * q - p, q  # gcd(2q - p, q) = gcd(p, q) = 1
+
+
+def _pair_circle(a: Pair, b: Pair) -> Pair:
+    return _reduced(a[0] * b[0], a[1] * b[1])
+
+
+def _pair_circle_inv(a: Pair) -> Pair:
+    p, q = a
+    return (q, p) if p > 0 else (-q, -p)
+
+
+def _pair_contains(a: Pair) -> bool:
+    return a[0] % 2 == 1 and a[1] % 2 == 1
+
+
+def _pair_apply(z: Pair, a: Pair, b: Pair) -> tuple[Pair, Pair]:
+    """(sigma_a(b), tau_b(a)) from sigma_a(b) = a(b - z) + z and tau_b(a) = ab / sigma_a(b).
+
+    The closed form is exact: (ab +1 (2 - az)) +1 z = ab - az + z. With
+    sigma_a(b) = num / (aq bq zq) unreduced, tau_b(a) = ap bp zq / num.
+    """
+    (zp, zq), (ap, aq), (bp, bq) = z, a, b
+    num = ap * (bp * zq - zp * bq) + zp * aq * bq
+    den = aq * bq * zq
+    g = gcd(num, den)
+    tn = ap * bp * zq
+    h = gcd(tn, num)
+    if num < 0:
+        h = -h
+    return (num // g, den // g), (tn // h, num // h)
+
+
+def _encode(x: Fraction) -> Pair:
+    return x.numerator, x.denominator
+
+
+def _decode(x: Pair) -> Fraction:
+    return Fraction(*x)
+
+
+def _same(x: Element) -> Element:
+    return x
+
+
+class _Primitives(NamedTuple):
+    """What every sampled loop evaluates: elements in, elements out.
+
+    ``encode`` turns a shift into the loop's element form and ``decode``
+    turns a loop element back into a carrier element for a witness.
+    """
+
+    draw: Callable[[random.Random], Element]
+    apply: Callable[[Element, Element, Element], tuple[Element, Element]]
+    circle: Callable[[Element, Element], Element]
+    add: Callable[[Element, Element], Element]
+    neg: Callable[[Element], Element]
+    circle_inv: Callable[[Element], Element]
+    equal: Callable[[Element, Element], bool]
+    contains: Callable[[Element], bool]
+    one: Element
+    encode: Callable[[Element], Element]
+    decode: Callable[[Element], Element]
+
+
+def _primitives(lb: LazyBrace) -> _Primitives:
+    """Integer-pair primitives for the canonical odd-fraction brace, else lb's own callables."""
+    canonical = (
+        lb.add is _odd_add
+        and lb.neg is _odd_neg
+        and lb.circle is _odd_circle
+        and lb.circle_inv is _odd_circle_inv
+        and lb.equal is _odd_equal
+        and lb.contains is _is_odd_fraction
+        and type(lb.sample) is _OddFractionSampler
+    )
+    if canonical:
+        return _Primitives(
+            draw=lb.sample.pair,
+            apply=_pair_apply,
+            circle=_pair_circle,
+            add=_pair_add,
+            neg=_pair_neg,
+            circle_inv=_pair_circle_inv,
+            equal=operator.eq,
+            contains=_pair_contains,
+            one=_encode(lb.one),
+            encode=_encode,
+            decode=_decode,
+        )
+    return _Primitives(
+        draw=lb.sample,
+        apply=lb.apply,
+        circle=lb.circle,
+        add=lb.add,
+        neg=lb.neg,
+        circle_inv=lb.circle_inv,
+        equal=lb.equal,
+        contains=lb.contains,
+        one=lb.one,
+        encode=_same,
+        decode=_same,
     )
 
 
@@ -83,7 +255,17 @@ class SampledCheck:
 
 
 def sampled_brace_laws(lb: LazyBrace, samples: int = 1000, seed: int = 0) -> list[SampledCheck]:
-    """Pointwise group and distributivity laws on seeded random triples."""
+    """Pointwise group and distributivity laws on seeded random triples.
+
+    ``samples`` triples are drawn from ``random.Random(seed)``; each law
+    records its first failing sample as the witness. At least one sample
+    is required.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    ops = _primitives(lb)
+    draw, add, neg, circle, circle_inv = ops.draw, ops.add, ops.neg, ops.circle, ops.circle_inv
+    equal, contains, one, dec = ops.equal, ops.contains, ops.one, ops.decode
     rng = random.Random(seed)
     checks = {
         "closure": None,
@@ -94,37 +276,31 @@ def sampled_brace_laws(lb: LazyBrace, samples: int = 1000, seed: int = 0) -> lis
         "left-distributivity": None,
     }
     for _ in range(samples):
-        a, b, c = lb.sample(rng), lb.sample(rng), lb.sample(rng)
+        a, b, c = draw(rng), draw(rng), draw(rng)
         if checks["closure"] is None:
-            for v in (lb.add(a, b), lb.neg(a), lb.circle(a, b), lb.circle_inv(a)):
-                if not lb.contains(v):
-                    checks["closure"] = (a, b)
+            for v in (add(a, b), neg(a), circle(a, b), circle_inv(a)):
+                if not contains(v):
+                    checks["closure"] = (dec(a), dec(b))
                     break
         if checks["add-associativity"] is None:
-            if not lb.equal(lb.add(lb.add(a, b), c), lb.add(a, lb.add(b, c))):
-                checks["add-associativity"] = (a, b, c)
+            if not equal(add(add(a, b), c), add(a, add(b, c))):
+                checks["add-associativity"] = (dec(a), dec(b), dec(c))
         if checks["add-identity-inverse"] is None:
-            ok = (
-                lb.equal(lb.add(a, lb.one), a)
-                and lb.equal(lb.add(lb.one, a), a)
-                and lb.equal(lb.add(a, lb.neg(a)), lb.one)
-            )
+            ok = equal(add(a, one), a) and equal(add(one, a), a) and equal(add(a, neg(a)), one)
             if not ok:
-                checks["add-identity-inverse"] = (a,)
+                checks["add-identity-inverse"] = (dec(a),)
         if checks["circle-associativity"] is None:
-            if not lb.equal(lb.circle(lb.circle(a, b), c), lb.circle(a, lb.circle(b, c))):
-                checks["circle-associativity"] = (a, b, c)
+            if not equal(circle(circle(a, b), c), circle(a, circle(b, c))):
+                checks["circle-associativity"] = (dec(a), dec(b), dec(c))
         if checks["circle-identity-inverse"] is None:
-            ok = lb.equal(lb.circle(a, lb.one), a) and lb.equal(
-                lb.circle(a, lb.circle_inv(a)), lb.one
-            )
+            ok = equal(circle(a, one), a) and equal(circle(a, circle_inv(a)), one)
             if not ok:
-                checks["circle-identity-inverse"] = (a,)
+                checks["circle-identity-inverse"] = (dec(a),)
         if checks["left-distributivity"] is None:
-            lhs = lb.circle(a, lb.add(b, c))
-            rhs = lb.add(lb.add(lb.circle(a, b), lb.neg(a)), lb.circle(a, c))
-            if not lb.equal(lhs, rhs):
-                checks["left-distributivity"] = (a, b, c)
+            lhs = circle(a, add(b, c))
+            rhs = add(add(circle(a, b), neg(a)), circle(a, c))
+            if not equal(lhs, rhs):
+                checks["left-distributivity"] = (dec(a), dec(b), dec(c))
     return [
         SampledCheck(
             name=name,
@@ -150,34 +326,42 @@ def sampled_verify_lazy(
     sampled pair, z != 1 must produce an explicit two-step witness); and,
     when a second shift w != z is given, searches for an element a with
     -(a o z) + z != -(a o w) + w, separating the two deformations.
+
+    The triples come from ``random.Random(seed)`` and the involutivity and
+    separator draws from ``random.Random(seed + 1)``. On the canonical
+    odd-fraction brace every loop runs on reduced integer pairs, and the
+    witnesses are decoded back to ``Fraction``s.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not lb.contains(z):
         raise ValueError(f"shift {z!r} is not in the carrier of {lb.name}")
+    ops = _primitives(lb)
+    draw, apply, circle, add, neg = ops.draw, ops.apply, ops.circle, ops.add, ops.neg
+    equal, dec = ops.equal, ops.decode
+    z = ops.encode(z)
     rng = random.Random(seed)
-    apply = lb.apply
 
     # Each constraint side is one component of r_z at one of six pairs, so
     # every sigma and tau below is evaluated once per sample.
     c1 = c2 = c3 = prod = None
     for _ in range(samples):
-        e, x, y = lb.sample(rng), lb.sample(rng), lb.sample(rng)
+        e, x, y = draw(rng), draw(rng), draw(rng)
         s_xy, t_yx = apply(z, x, y)  # sigma_x(y), tau_y(x)
-        if prod is None and not lb.equal(lb.circle(s_xy, t_yx), lb.circle(x, y)):
-            prod = (x, y)
+        if prod is None and not equal(circle(s_xy, t_yx), circle(x, y)):
+            prod = (dec(x), dec(y))
         if c1 is None or c2 is None or c3 is None:
             s_ex, t_xe = apply(z, e, x)  # sigma_e(x), tau_x(e)
             s_txe_y, t_y_txe = apply(z, t_xe, y)  # sigma_{tau_x(e)}(y), tau_y(tau_x(e))
             s_e_sxy, t_sxy_e = apply(z, e, s_xy)  # sigma_e(sigma_x(y)), tau_{sigma_x(y)}(e)
             c1_rhs, c3_lhs = apply(z, s_ex, s_txe_y)
             c3_rhs, c2_rhs = apply(z, t_sxy_e, t_yx)
-            if c1 is None and not lb.equal(s_e_sxy, c1_rhs):
-                c1 = (e, x, y)
-            if c2 is None and not lb.equal(t_y_txe, c2_rhs):
-                c2 = (e, x, y)
-            if c3 is None and not lb.equal(c3_lhs, c3_rhs):
-                c3 = (e, x, y)
+            if c1 is None and not equal(s_e_sxy, c1_rhs):
+                c1 = (dec(e), dec(x), dec(y))
+            if c2 is None and not equal(t_y_txe, c2_rhs):
+                c2 = (dec(e), dec(x), dec(y))
+            if c3 is None and not equal(c3_lhs, c3_rhs):
+                c3 = (dec(e), dec(x), dec(y))
 
     out = [
         SampledCheck("constraint-c1", "sampled" if c1 is None else "fail", samples, c1),
@@ -188,13 +372,13 @@ def sampled_verify_lazy(
 
     rng2 = random.Random(seed + 1)
     inv_samples = min(samples, 2000)
-    if lb.equal(z, lb.one):
+    if equal(z, ops.one):
         bad = None
         for _ in range(inv_samples):
-            x, y = lb.sample(rng2), lb.sample(rng2)
+            x, y = draw(rng2), draw(rng2)
             uu, vv = apply(z, *apply(z, x, y))
-            if not (lb.equal(uu, x) and lb.equal(vv, y)):
-                bad = (x, y)
+            if not (equal(uu, x) and equal(vv, y)):
+                bad = (dec(x), dec(y))
                 break
         out.append(
             SampledCheck(
@@ -207,11 +391,11 @@ def sampled_verify_lazy(
     else:
         wit = None
         for _ in range(inv_samples):
-            x, y = lb.sample(rng2), lb.sample(rng2)
+            x, y = draw(rng2), draw(rng2)
             u, v = apply(z, x, y)
             uu, vv = apply(z, u, v)
-            if not (lb.equal(uu, x) and lb.equal(vv, y)):
-                wit = ((x, y), (u, v), (uu, vv))
+            if not (equal(uu, x) and equal(vv, y)):
+                wit = ((dec(x), dec(y)), (dec(u), dec(v)), (dec(uu), dec(vv)))
                 break
         out.append(
             SampledCheck(
@@ -226,15 +410,16 @@ def sampled_verify_lazy(
     if w is not None:
         if not lb.contains(w):
             raise ValueError(f"shift {w!r} is not in the carrier of {lb.name}")
+        w = ops.encode(w)
         sep = None
         for _ in range(inv_samples):
-            a = lb.sample(rng2)
-            lhs = lb.add(lb.neg(lb.circle(a, z)), z)
-            rhs = lb.add(lb.neg(lb.circle(a, w)), w)
-            if not lb.equal(lhs, rhs):
-                sep = (a, lhs, rhs)
+            a = draw(rng2)
+            lhs = add(neg(circle(a, z)), z)
+            rhs = add(neg(circle(a, w)), w)
+            if not equal(lhs, rhs):
+                sep = (dec(a), dec(lhs), dec(rhs))
                 break
-        status = "sampled" if (sep is not None) == (not lb.equal(z, w)) else "fail"
+        status = "sampled" if (sep is not None) == (not equal(z, w)) else "fail"
         out.append(
             SampledCheck(
                 "distinct-shift-witness",

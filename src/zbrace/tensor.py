@@ -23,7 +23,6 @@ import numpy as np
 from .solutions import DeformedSolution, is_involutive
 
 DEFAULT_SAMPLE_POINTS = 100_000
-_SPARSE_ENTRY_LIMIT = 4096
 _BLOCK = 1 << 22
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -81,17 +80,10 @@ class PermMatrix:
             and np.array_equal(self.perm, other.perm)
         )
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.perm, np.arange(self.size)))
-
     def coo_entries(self):
         """Yield (row, col, 1) in ascending row-major order."""
         for i, j in enumerate(self.perm):
             yield i, int(j), 1
-
-
-def identity_matrix(dim: int, arity: int) -> PermMatrix:
-    return PermMatrix(dim, arity, np.arange(dim**arity, dtype=np.int64))
 
 
 def permutation_p(n: int) -> PermMatrix:
@@ -111,28 +103,6 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     return perm
 
 
-def lift12(op: PermMatrix) -> PermMatrix:
-    n = op.dim
-    perm = (op.perm[:, None] * n + np.arange(n)[None, :]).ravel()
-    return PermMatrix(n, 3, perm)
-
-
-def lift23(op: PermMatrix) -> PermMatrix:
-    n = op.dim
-    n2 = n * n
-    perm = (np.arange(n)[:, None] * n2 + op.perm[None, :]).ravel()
-    return PermMatrix(n, 3, perm)
-
-
-def lift13(op: PermMatrix) -> PermMatrix:
-    # row (i, j, k) -> (a, j, c) where the pair map of op sends (i, k) to (a, c)
-    n = op.dim
-    qa, qc = np.divmod(op.perm.reshape(n, n), n)
-    j = np.arange(n)[None, :, None]
-    perm = (qa[:, None, :] * n + j) * n + qc[:, None, :]
-    return PermMatrix(n, 3, perm.reshape(-1).astype(np.int64))
-
-
 @dataclass(frozen=True)
 class SparseIntMatrix:
     """Coordinate-form integer matrix; used for exports and defect witnesses."""
@@ -142,23 +112,6 @@ class SparseIntMatrix:
     entries: tuple[tuple[int, int, int], ...]
     nnz: int
     truncated: bool = False
-
-    @staticmethod
-    def from_perm_difference(a: PermMatrix, b: PermMatrix) -> "SparseIntMatrix":
-        diff = np.flatnonzero(a.perm != b.perm)
-        nnz = 2 * diff.size
-        entries: list[tuple[int, int, int]] = []
-        for i in diff[: _SPARSE_ENTRY_LIMIT // 2]:
-            pair = sorted(((int(a.perm[i]), 1), (int(b.perm[i]), -1)))
-            for col, val in pair:
-                entries.append((int(i), col, val))
-        return SparseIntMatrix(
-            rows=a.size,
-            cols=a.size,
-            entries=tuple(entries),
-            nnz=nnz,
-            truncated=diff.size > _SPARSE_ENTRY_LIMIT // 2,
-        )
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from zbrace.solutions import (
 )
 from zbrace.tensor import PermMatrix, SparseIntMatrix, TensorCheck, _decode3, _encode3
 
+SPARSE_ENTRY_LIMIT = 4096
+
 
 def brute_group_facts(table):
     """(identity, inverses) via exhaustive axiom checks; None on any failure."""
@@ -332,13 +334,60 @@ def brute_twisted_coproduct(bundle):
     return out
 
 
+def identity_matrix(dim, arity):
+    return PermMatrix(dim, arity, np.arange(dim**arity, dtype=np.int64))
+
+
+def is_identity(m):
+    return bool(np.array_equal(m.perm, np.arange(m.size)))
+
+
+def lift12(op):
+    n = op.dim
+    perm = (op.perm[:, None] * n + np.arange(n)[None, :]).ravel()
+    return PermMatrix(n, 3, perm)
+
+
+def lift23(op):
+    n = op.dim
+    n2 = n * n
+    perm = (np.arange(n)[:, None] * n2 + op.perm[None, :]).ravel()
+    return PermMatrix(n, 3, perm)
+
+
+def lift13(op):
+    # row (i, j, k) -> (a, j, c) where the pair map of op sends (i, k) to (a, c)
+    n = op.dim
+    qa, qc = np.divmod(op.perm.reshape(n, n), n)
+    j = np.arange(n)[None, :, None]
+    perm = (qa[:, None, :] * n + j) * n + qc[:, None, :]
+    return PermMatrix(n, 3, perm.reshape(-1).astype(np.int64))
+
+
+def sparse_perm_difference(a, b):
+    """a - b as a SparseIntMatrix, keeping the first SPARSE_ENTRY_LIMIT // 2 differing rows."""
+    diff = np.flatnonzero(a.perm != b.perm)
+    entries = []
+    for i in diff[: SPARSE_ENTRY_LIMIT // 2]:
+        pair = sorted(((int(a.perm[i]), 1), (int(b.perm[i]), -1)))
+        for col, val in pair:
+            entries.append((int(i), col, val))
+    return SparseIntMatrix(
+        rows=a.size,
+        cols=a.size,
+        entries=tuple(entries),
+        nnz=2 * diff.size,
+        truncated=diff.size > SPARSE_ENTRY_LIMIT // 2,
+    )
+
+
 def iterated_coproduct_difference(bundle, eta):
     """Sparse difference of the right- and left-bracketed coproducts of V_eta, materialized."""
     n = bundle.n
     pts = _decode3(np.arange(n**3, dtype=np.int64), n)
     right = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "right")(*pts), n))
     left = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "left")(*pts), n))
-    return SparseIntMatrix.from_perm_difference(right, left)
+    return sparse_perm_difference(right, left)
 
 
 def swap_sigma_entries(s, x, y1, y2):

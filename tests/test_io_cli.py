@@ -428,3 +428,17 @@ def test_table_entry_that_is_not_an_integer_names_its_index(bad, index):
     mul[index] = bad
     with pytest.raises(SchemaError, match=rf"^\$\.mul\[{index}\]: entries must be integers$"):
         brace_from_dict({**good, "mul": mul})
+
+
+@pytest.mark.parametrize("bad", [10**20, -(10**20), 2**63], ids=["1e20", "-1e20", "2^63"])
+def test_table_entry_out_of_int64_range_is_an_input_error(tmp_path, capsys, bad):
+    doc = brace_to_dict(cyclic_unit_brace(2))
+    doc["add"][1] = bad
+    with pytest.raises(SchemaError, match=r"^\$\.add\[1\]: entries must fit in a signed 64-bit integer$"):
+        brace_from_dict(doc)
+    path = tmp_path / "big.brace"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert _assert_one_error_line(capsys) == (
+        "error: $.add[1]: entries must fit in a signed 64-bit integer\n"
+    )

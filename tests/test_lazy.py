@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_lazy_constraints
+from zbrace import lazy
 from zbrace.lazy import odd_fraction_brace, sampled_brace_laws, sampled_verify_lazy
 
 
@@ -127,3 +128,123 @@ def test_sampler_is_seed_deterministic():
     lb = odd_fraction_brace()
     r1, r2 = random.Random(9), random.Random(9)
     assert [lb.sample(r1) for _ in range(20)] == [lb.sample(r2) for _ in range(20)]
+
+
+def test_sampled_brace_laws_refuse_an_empty_sample():
+    lb = odd_fraction_brace()
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sampled_brace_laws(lb, samples=samples)
+
+
+# -- the integer-pair kernel ---------------------------------------------
+
+MAGNITUDES = (1, 25, 1000)
+OPERATION_FIELDS = ("add", "neg", "circle", "circle_inv", "equal", "contains", "sample")
+
+
+def _wrapped(lb, fields=OPERATION_FIELDS):
+    """A copy whose listed callables are wrappers that behave the same."""
+    return dataclasses.replace(
+        lb, **{f: (lambda fn: lambda *args: fn(*args))(getattr(lb, f)) for f in fields}
+    )
+
+
+def _runs_on_pairs(lb):
+    return lazy._primitives(lb).one == (1, 1)
+
+
+def _assert_fraction_witnesses(checks):
+    def leaves(v):
+        if isinstance(v, tuple):
+            for x in v:
+                yield from leaves(x)
+        else:
+            yield v
+
+    for c in checks:
+        for v in leaves(c.witness or ()):
+            assert type(v) is Fraction, (c.name, v)
+
+
+def test_sampler_draws_numerator_then_denominator():
+    for m in MAGNITUDES:
+        lb, rng, ref = odd_fraction_brace(m), random.Random(m), random.Random(m)
+        for _ in range(200):
+            num = 2 * ref.randint(-m, m) + 1
+            den = 2 * ref.randint(-m, m) + 1
+            assert lb.sample(rng) == Fraction(num, den)
+
+
+@pytest.mark.parametrize("m", MAGNITUDES)
+def test_pair_kernel_is_chosen_only_for_the_unmodified_brace(m):
+    lb = odd_fraction_brace(m)
+    assert _runs_on_pairs(lb)
+    assert not _runs_on_pairs(_wrapped(lb))
+    for field in OPERATION_FIELDS:
+        assert not _runs_on_pairs(_wrapped(lb, (field,))), field
+
+
+@pytest.mark.parametrize("m", MAGNITUDES)
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(3, 5), Fraction(3), Fraction(-7, 3)], ids=str)
+def test_pair_kernel_matches_the_generic_path(m, z):
+    lb = odd_fraction_brace(m)
+    generic = _wrapped(lb)
+    for w in (None, Fraction(1), z):
+        for seed in range(5):
+            got = sampled_verify_lazy(lb, z, samples=40, seed=seed, w=w)
+            assert got == sampled_verify_lazy(generic, z, samples=40, seed=seed, w=w)
+            _assert_fraction_witnesses(got)
+    for seed in range(5):
+        got = sampled_brace_laws(lb, samples=40, seed=seed)
+        assert got == sampled_brace_laws(generic, samples=40, seed=seed)
+
+
+def test_pair_kernel_matches_the_generic_path_on_criterion_eleven():
+    lb = odd_fraction_brace()
+    got = sampled_verify_lazy(lb, Fraction(3, 5), samples=10_000, seed=0)
+    assert got == sampled_verify_lazy(_wrapped(lb), Fraction(3, 5), samples=10_000, seed=0)
+    _assert_fraction_witnesses(got)
+
+
+def test_pair_kernel_witnesses_are_fractions():
+    lb = odd_fraction_brace()
+    checks = sampled_verify_lazy(lb, Fraction(3), samples=50, seed=0, w=Fraction(5))
+    assert {c.name for c in checks if c.witness} == {"non-involutive-witness", "distinct-shift-witness"}
+    _assert_fraction_witnesses(checks)
+
+
+def test_pair_primitives_agree_with_fraction_operations():
+    lb = odd_fraction_brace()
+    ops = lazy._primitives(lb)
+    enc, dec = ops.encode, ops.decode
+    rng = random.Random(11)
+    special = [Fraction(1), Fraction(-1), Fraction(3**40, -(5**31)), Fraction(-(7**25), 3**30)]
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(special)
+        m = (1, 25, 10**12)[kind - 1]
+        return Fraction(2 * rng.randint(-m, m) + 1, 2 * rng.randint(-m, m) + 1)
+
+    for _ in range(2000):
+        z, a, b = draw(), draw(), draw()
+        pz, pa, pb = enc(z), enc(a), enc(b)
+        assert dec(pa) == a and type(dec(pa)) is Fraction
+        assert ops.add(pa, pb) == enc(lb.add(a, b))
+        assert ops.neg(pa) == enc(lb.neg(a))
+        assert ops.circle(pa, pb) == enc(lb.circle(a, b))
+        assert ops.circle_inv(pa) == enc(lb.circle_inv(a))
+        assert ops.equal(pa, pb) == lb.equal(a, b)
+        assert ops.equal(pa, enc(a))
+        assert ops.contains(ops.add(pa, pb)) and ops.contains(pa)
+        s, t = ops.apply(pz, pa, pb)
+        assert (s, t) == (enc(lb.sigma(z, a, b)), enc(lb.tau(z, b, a)))
+    assert not ops.contains((2, 5)) and not ops.contains((3, 4))
+    for m in MAGNITUDES:
+        lbm = odd_fraction_brace(m)
+        r1, r2 = random.Random(m), random.Random(m)
+        draws = lazy._primitives(lbm).draw
+        for _ in range(200):
+            assert draws(r1) == enc(lbm.sample(r2))
