@@ -89,6 +89,11 @@ class SkewBrace:
     def circ_inv(self, a: int) -> int:
         return self.mul.inv(a)
 
+    @functools.cached_property
+    def socle_members(self) -> frozenset[int]:
+        """The indices of ``socle(self)``, scanned once per brace."""
+        return frozenset(socle(self).tolist())
+
 
 def make_skew_brace(
     add: FiniteGroup,

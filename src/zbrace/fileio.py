@@ -19,7 +19,7 @@ import numpy as np
 
 from .braces import SkewBrace, make_skew_brace
 from .groups import validate_group
-from .tensor import PermMatrix, SparseIntMatrix
+from .tensor import PermMatrix
 
 BRACE_FORMAT = "zbrace-brace/1"
 
@@ -105,16 +105,12 @@ def parse_brace(path: str | Path) -> SkewBrace:
     return brace_from_dict(doc)
 
 
-def matrix_coo_text(m: PermMatrix | SparseIntMatrix) -> str:
-    """Coordinate text form; permutation matrices export all-ones values."""
-    if isinstance(m, PermMatrix):
-        lines = [f"{m.size} {m.size} {m.size}"]
-        lines.extend(f"{i} {j} {v}" for i, j, v in m.coo_entries())
-    else:
-        lines = [f"{m.rows} {m.cols} {m.nnz}"]
-        lines.extend(f"{r} {c} {v}" for r, c, v in m.entries)
+def matrix_coo_text(m: PermMatrix) -> str:
+    """Coordinate text form of a permutation matrix: all-ones values."""
+    lines = [f"{m.size} {m.size} {m.size}"]
+    lines.extend(f"{i} {j} {v}" for i, j, v in m.coo_entries())
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(m: PermMatrix | SparseIntMatrix, path: str | Path) -> None:
+def write_matrix(m: PermMatrix, path: str | Path) -> None:
     Path(path).write_text(matrix_coo_text(m), encoding="utf-8")

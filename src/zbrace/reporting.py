@@ -44,7 +44,6 @@ from .braces import (
     cyclic_unit_brace,
     is_odd_matrix_brace,
     odd_matrix_pair_criterion,
-    socle,
 )
 from .solutions import (
     DeformedSolution,
@@ -55,7 +54,6 @@ from .solutions import (
     gv_correspondence_check,
     inverse_solution,
     involutivity_witness,
-    is_involutive,
     product_identity_check,
     sigma_shift_criterion,
     transpose_identity_check,
@@ -170,8 +168,8 @@ def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> lis
         _entry("solution", "transpose-identity", "pass" if tok else "fail", n * n, z=z, witness=collision)
     )
 
-    involutive = is_involutive(s)  # raises CriterionMismatchError on a bug
-    in_socle = bool(z in set(socle(b).tolist()))
+    involutive = s.involutive  # raises CriterionMismatchError on a bug
+    in_socle = z in b.socle_members
     payload: dict[str, Any] = {
         "involutive": involutive,
         "left_brace": b.is_left_brace,
@@ -245,11 +243,14 @@ def tensor_checks(
                 yield family, check
 
 
-def tensor_suite(bundle: TwistBundle, budget: int, sample_points: int, seed: int) -> list[dict]:
+def tensor_suite(
+    bundle: TwistBundle, budget: int, sample_points: int, seed: int, timings: bool = False
+) -> list[dict]:
     """Matrix-level report entries for one shift's bundle, in fixed order.
 
     Defect probes are informational: a nonzero defect is expected content
-    away from the involutive case, never a failure.
+    away from the involutive case, never a failure.  With ``timings`` each
+    entry records its check's own wall time; otherwise 0.0.
     """
     out: list[dict] = []
     for family, check in tensor_checks(bundle, TENSOR_FAMILIES, budget, sample_points, seed):
@@ -258,7 +259,13 @@ def tensor_suite(bundle: TwistBundle, budget: int, sample_points: int, seed: int
             status = "sampled" if check.status == "sampled" else "pass"
             witness = {"defect_nonzero": check.status == "fail", "witness": check.witness}
             note = "informational defect probe"
-        out.append(_entry("tensor", check.name, status, check.points, z=bundle.solution.z, witness=witness, note=note))
+        elapsed_ms = round(check.elapsed_ms, 3) if timings else 0.0
+        out.append(
+            _entry(
+                "tensor", check.name, status, check.points, z=bundle.solution.z,
+                witness=witness, note=note, elapsed_ms=elapsed_ms,
+            )
+        )
     return out
 
 
@@ -384,7 +391,7 @@ def build_report(
     budget = default_full_budget() if budget is None else budget
     t_start = time.perf_counter()
 
-    soc = socle(b).tolist()
+    soc = sorted(b.socle_members)
     adm = admissible_z(b)
     checks: list[dict] = [
         _entry(
@@ -413,7 +420,7 @@ def build_report(
         s = build_solution(b, z)
         maps_out = solution_suite(s, identity_shift) if maps else []
         mid = time.perf_counter() if maps else start
-        tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed) if matrices else []
+        tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings) if matrices else []
         return s, maps_out, tensors_out, mid - start, time.perf_counter() - mid
 
     # Section timings are sums over shifts (wall time at one thread).

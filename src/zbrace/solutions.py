@@ -15,11 +15,12 @@ or by certificates that prove a verdict at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .braces import SkewBrace, right_distributes_at, socle
+from .braces import SkewBrace, right_distributes_at
 from .groups import row_blocks
 
 
@@ -63,6 +64,11 @@ class DeformedSolution:
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return int(self.sigma[x, y]), int(self.tau[y, x])
+
+    @cached_property
+    def involutive(self) -> bool:
+        """``is_involutive(self)``, cross-checked once per solution."""
+        return is_involutive(self)
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def is_involutive(s: DeformedSolution, cross_check: bool = True) -> bool:
     idx = np.arange(s.order * s.order)
     direct = bool(np.array_equal(s.combined[s.combined], idx))
     if cross_check:
-        criterion = bool(s.brace.is_left_brace and s.z in set(socle(s.brace).tolist()))
+        criterion = bool(s.brace.is_left_brace and s.z in s.brace.socle_members)
         if direct != criterion:
             raise CriterionMismatchError(
                 f"direct involutivity test ({direct}) disagrees with socle criterion "

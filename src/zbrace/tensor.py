@@ -10,22 +10,31 @@ Basis index convention (fixed): the tuple (i1, ..., ik) with factor
 dimension n encodes to i1*n^(k-1) + ... + ik, leftmost factor most
 significant.  Leg subscripts 12, 23, 13 and the split subscripts (1,23),
 (12,3) all refer to this encoding.
+
+Arity-3 identities compare two chains of operators given as index
+formulas.  Within the point budget every operator of a check becomes one
+flat row map, evaluated on the broadcast index grid, and each side is a
+composition of those maps; beyond the budget both chains run on a seeded
+sample of decoded points.
 """
 
 from __future__ import annotations
 
+import collections
+import math
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .solutions import DeformedSolution, is_involutive
+from .solutions import DeformedSolution
 
 DEFAULT_SAMPLE_POINTS = 100_000
-_BLOCK = 1 << 22
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
+Formula2 = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Formula3 = Callable[[np.ndarray, np.ndarray, np.ndarray], Triple]
 
 
@@ -104,27 +113,22 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SparseIntMatrix:
-    """Coordinate-form integer matrix; used for exports and defect witnesses."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-    nnz: int
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
 class TensorCheck:
     name: str
     status: str  # pass | fail | sampled
     points: int
     witness: dict | None = None
     note: str = ""
+    # wall time of this check alone; not part of its verdict
+    elapsed_ms: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000
 
 
 def _decode3(p: np.ndarray, n: int) -> Triple:
@@ -143,6 +147,55 @@ def _chain(fns: Sequence[Formula3], pts: Triple) -> Triple:
     return pts
 
 
+def _row_map(fn: Formula3, n: int) -> np.ndarray:
+    """The flat row map of an arity-3 formula, evaluated on the broadcast index grid.
+
+    The formula sees the three legs as arange(n) along axes 0, 1 and 2, so
+    it gathers only over the shape its legs actually span (n^2 for a lifted
+    pair operator) and no flat index is decoded.  The legs are weighted by
+    their place values and summed into the map itself: first the leg that
+    leaves the smallest sum of the other two, then that sum.  So no n^3
+    intermediate is made beyond a leg that already spans the full grid.
+    Maps are int32 while every index fits.
+    """
+    i = np.arange(n)
+    legs = fn(i[:, None, None], i[None, :, None], i[None, None, :])
+    weights = (n * n, n, 1)
+
+    def rest_size(k: int) -> int:
+        return math.prod(np.broadcast_shapes(*(leg.shape for j, leg in enumerate(legs) if j != k)))
+
+    k = min(range(3), key=rest_size)
+    x, y = (legs[j] * weights[j] for j in range(3) if j != k)
+    out = np.empty((n, n, n), dtype=np.int32 if n**3 < 2**31 else np.int64)
+    np.multiply(legs[k], weights[k], out=out, casting="unsafe")
+    np.add(out, x + y, out=out, casting="unsafe")
+    return out.ravel()
+
+
+def _chain_maps(n: int, lhs: Sequence[Formula3], rhs: Sequence[Formula3]) -> list[np.ndarray]:
+    """Row maps of both chains, composed left to right as in ``PermMatrix.__matmul__``.
+
+    Each distinct operator is materialized once and released after its
+    last use, so at most the operators still needed, the two sides and
+    one intermediate are alive at a time.
+    """
+    uses = collections.Counter([*lhs, *rhs])
+    maps: dict[Formula3, np.ndarray] = {}
+    sides = []
+    for chain in (lhs, rhs):
+        acc = None
+        for f in chain:
+            if f not in maps:
+                maps[f] = _row_map(f, n)
+            acc = maps[f] if acc is None else maps[f][acc]
+            uses[f] -= 1
+            if not uses[f]:
+                del maps[f]
+        sides.append(acc)
+    return sides
+
+
 def _compare_chains(
     name: str,
     n: int,
@@ -152,26 +205,26 @@ def _compare_chains(
     sample_points: int,
     seed: int,
 ) -> TensorCheck:
-    """Exact or seeded-sample equality of two left-to-right operator chains."""
+    """Exact or seeded-sample equality of two left-to-right operator chains.
+
+    Within the budget both chains become flat row maps over all n^3 points
+    and the first differing point is the witness; beyond it the chains
+    run on a seeded sample of decoded points.
+    """
+    start = time.perf_counter()
     total = n**3
     if total <= budget:
-        witness = None
-        for lo in range(0, total, _BLOCK):
-            p = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-            pts = _decode3(p, n)
-            le = _encode3(_chain(lhs, pts), n)
-            re = _encode3(_chain(rhs, pts), n)
-            if witness is None and not np.array_equal(le, re):
-                i = int(np.flatnonzero(le != re)[0])
-                witness = {
-                    "point": int(p[i]),
-                    "triple": [int(x[i]) for x in pts],
-                    "lhs": int(le[i]),
-                    "rhs": int(re[i]),
-                }
-                break
-        status = "pass" if witness is None else "fail"
-        return TensorCheck(name, status, total if witness is None else int(witness["point"]) + 1, witness)
+        le, re = _chain_maps(n, lhs, rhs)
+        if np.array_equal(le, re):
+            return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
+        i = int(np.argmax(le != re))
+        witness = {
+            "point": i,
+            "triple": [i // (n * n), i // n % n, i % n],
+            "lhs": int(le[i]),
+            "rhs": int(re[i]),
+        }
+        return TensorCheck(name, "fail", i + 1, witness, elapsed_ms=_ms_since(start))
 
     rng = np.random.default_rng(seed)
     # sorted distinct draws (the result of np.unique, without its cost)
@@ -183,7 +236,9 @@ def _compare_chains(
     le = _encode3(_chain(lhs, pts), n)
     re = _encode3(_chain(rhs, pts), n)
     if np.array_equal(le, re):
-        return TensorCheck(name, "sampled", int(p.size), None, note="seeded sample, not exhaustive")
+        return TensorCheck(
+            name, "sampled", int(p.size), None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start)
+        )
     i = int(np.flatnonzero(le != re)[0])
     witness = {
         "point": int(p[i]),
@@ -191,15 +246,45 @@ def _compare_chains(
         "lhs": int(le[i]),
         "rhs": int(re[i]),
     }
-    return TensorCheck(name, "fail", int(p.size), witness)
+    return TensorCheck(name, "fail", int(p.size), witness, elapsed_ms=_ms_since(start))
+
+
+def _lift12(f2: Formula2) -> Formula3:
+    def g(a, b, c):
+        a2, b2 = f2(a, b)
+        return a2, b2, c
+    return g
+
+
+def _lift23(f2: Formula2) -> Formula3:
+    def g(a, b, c):
+        b2, c2 = f2(b, c)
+        return a, b2, c2
+    return g
+
+
+def _lift13(f2: Formula2) -> Formula3:
+    def g(a, b, c):
+        a2, c2 = f2(a, c)
+        return a2, b, c2
+    return g
+
+
+def _pair_formula(op: PermMatrix) -> Formula2:
+    """The index formula of an arity-2 permutation matrix: (x, y) -> its column pair."""
+    qa, qc = np.divmod(op.perm.reshape(op.dim, op.dim), op.dim)
+
+    def op2(x, y):
+        return qa[x, y], qc[x, y]
+    return op2
 
 
 class TwistBundle:
     """All twist-related operators attached to one deformed solution.
 
     Arity-2 members are materialized permutation maps; arity-3 members are
-    available both as pointwise index formulas (for budgeted or sampled
-    sweeps) and as materialized matrices.
+    pointwise index formulas, which the chain comparison turns into flat
+    row maps or runs on sampled points, and ``materialize3`` into matrices.
     """
 
     def __init__(self, s: DeformedSolution):
@@ -315,24 +400,6 @@ class TwistBundle:
         def r2(a, b):
             return S[b, a], TT[b, a]
 
-        def mk_lift12(f2):
-            def g(a, b, c):
-                a2, b2 = f2(a, b)
-                return a2, b2, c
-            return g
-
-        def mk_lift23(f2):
-            def g(a, b, c):
-                b2, c2 = f2(b, c)
-                return a, b2, c2
-            return g
-
-        def mk_lift13(f2):
-            def g(a, b, c):
-                a2, c2 = f2(a, c)
-                return a2, b, c2
-            return g
-
         def f_1_23(e, u, v):
             x = Si[e, u]
             return e, x, Si[TT[e, x], v]
@@ -362,15 +429,15 @@ class TwistBundle:
             return Ti[y, u], y
 
         return {
-            "rc12": mk_lift12(rc2),
-            "rc23": mk_lift23(rc2),
-            "r12": mk_lift12(r2),
-            "r23": mk_lift23(r2),
-            "r13": mk_lift13(r2),
-            "F12": mk_lift12(f2),
-            "F23": mk_lift23(f2),
-            "Fhat12": mk_lift12(fhat2),
-            "Fhat23": mk_lift23(fhat2),
+            "rc12": _lift12(rc2),
+            "rc23": _lift23(rc2),
+            "r12": _lift12(r2),
+            "r23": _lift23(r2),
+            "r13": _lift13(r2),
+            "F12": _lift12(f2),
+            "F23": _lift23(f2),
+            "Fhat12": _lift12(fhat2),
+            "Fhat23": _lift23(fhat2),
             "F_1_23": f_1_23,
             "Fstar_12_3": fstar_12_3,
             "Fhatstar_1_23": fhatstar_1_23,
@@ -381,10 +448,7 @@ class TwistBundle:
 
     def materialize3(self, name: str) -> PermMatrix:
         """Full arity-3 permutation for a named operator."""
-        fn = self._pointwise()[name]
-        n = self.n
-        pts = _decode3(np.arange(n**3, dtype=np.int64), n)
-        return PermMatrix(n, 3, _encode3(fn(*pts), n))
+        return PermMatrix(self.n, 3, _row_map(self._pointwise()[name], self.n))
 
     # -- iterated coproducts (coassociativity probes) ----------------------
     def iterated_delta_v(self, eta: int, bracketing: str) -> Formula3:
@@ -457,20 +521,8 @@ def braid_matrix_check(
         fns = bundle._pointwise()
         a12, a23 = fns["rc12"], fns["rc23"]
     else:
-        q = pair_op.perm.reshape(n, n)
-        qa, qc = np.divmod(q, n)
-
-        def op2(x, y):
-            return qa[x, y], qc[x, y]
-
-        def a12(a, b, c):
-            a2, b2 = op2(a, b)
-            return a2, b2, c
-
-        def a23(a, b, c):
-            b2, c2 = op2(b, c)
-            return a, b2, c2
-
+        op2 = _pair_formula(pair_op)
+        a12, a23 = _lift12(op2), _lift23(op2)
     return _compare_chains(name, n, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed)
 
 
@@ -499,6 +551,7 @@ def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
 
     Compares the row maps of Delta . rcheck and rcheck . Delta directly.
     """
+    start = time.perf_counter()
     rc = bundle.rcheck().perm
     n = bundle.n
     for x in range(n):
@@ -513,8 +566,9 @@ def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
                     "fail",
                     2 * n * n * n,
                     {"family": tag, "element": x, "point": i},
+                    elapsed_ms=_ms_since(start),
                 )
-    return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n)
+    return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n, elapsed_ms=_ms_since(start))
 
 
 _LIFT_RELATIONS = (
@@ -575,6 +629,14 @@ def cocycle_check(
     ]
 
 
+def _equality_check(name: str, got: PermMatrix, want: PermMatrix, start: float) -> TensorCheck:
+    """Equality of two arity-2 operators over their n^2 rows; the witness is the first differing row."""
+    if got.equals(want):
+        return TensorCheck(name, "pass", got.size, elapsed_ms=_ms_since(start))
+    i = int(np.flatnonzero(got.perm != want.perm)[0])
+    return TensorCheck(name, "fail", got.size, {"point": i}, elapsed_ms=_ms_since(start))
+
+
 def twisted_solution_check(
     bundle: TwistBundle,
     budget: int | None = None,
@@ -588,19 +650,16 @@ def twisted_solution_check(
     """
     budget = default_full_budget() if budget is None else budget
     rc = bundle.rcheck()
-    n = bundle.n
     out: list[TensorCheck] = []
 
     for tag, twist, closed in (
-        ("F", bundle.f_twist(), bundle.rcheck_f_closed()),
-        ("Fhat", bundle.fhat_twist(), bundle.rcheck_fhat_closed()),
+        ("F", bundle.f_twist, bundle.rcheck_f_closed),
+        ("Fhat", bundle.fhat_twist, bundle.rcheck_fhat_closed),
     ):
-        conj = twist @ rc @ twist.inverse()
-        if conj.equals(closed):
-            out.append(TensorCheck(f"twisted-closed-form:{tag}", "pass", n * n))
-        else:
-            i = int(np.flatnonzero(conj.perm != closed.perm)[0])
-            out.append(TensorCheck(f"twisted-closed-form:{tag}", "fail", n * n, {"point": i}))
+        start = time.perf_counter()
+        t = twist()
+        conj = t @ rc @ t.inverse()
+        out.append(_equality_check(f"twisted-closed-form:{tag}", conj, closed(), start))
         out.append(
             braid_matrix_check(
                 bundle,
@@ -612,16 +671,10 @@ def twisted_solution_check(
             )
         )
 
-    if is_involutive(bundle.solution):
-        flip = bundle.p()
-        for tag, closed in (("F", bundle.rcheck_f_closed()), ("Fhat", bundle.rcheck_fhat_closed())):
-            if closed.equals(flip):
-                out.append(TensorCheck(f"involutive-collapse:{tag}", "pass", n * n))
-            else:
-                i = int(np.flatnonzero(closed.perm != flip.perm)[0])
-                out.append(
-                    TensorCheck(f"involutive-collapse:{tag}", "fail", n * n, {"point": i})
-                )
+    if bundle.solution.involutive:
+        for tag, closed in (("F", bundle.rcheck_f_closed), ("Fhat", bundle.rcheck_fhat_closed)):
+            start = time.perf_counter()
+            out.append(_equality_check(f"involutive-collapse:{tag}", closed(), bundle.p(), start))
     return out
 
 
@@ -689,6 +742,7 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
     )
     out: list[TensorCheck] = []
     for name, tag, holds, operators in families:
+        start = time.perf_counter()
         bad = None
         for x in range(n):
             if not holds(x):
@@ -696,7 +750,7 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
                 got = twist @ delta @ twist.inverse()
                 bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
                 break
-        out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad))
+        out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad, elapsed_ms=_ms_since(start)))
     return out
 
 

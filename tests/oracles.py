@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +30,20 @@ from zbrace.solutions import (
     sigma_table,
     tau_table_from_sigma,
 )
-from zbrace.tensor import PermMatrix, SparseIntMatrix, TensorCheck, _decode3, _encode3
+from zbrace.tensor import PermMatrix, TensorCheck, _decode3, _encode3
 
 SPARSE_ENTRY_LIMIT = 4096
+
+
+@dataclass(frozen=True)
+class SparseIntMatrix:
+    """Coordinate-form integer matrix, for defect witnesses."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, int, int], ...]
+    nnz: int
+    truncated: bool = False
 
 
 def brute_group_facts(table):
@@ -381,13 +393,64 @@ def sparse_perm_difference(a, b):
     )
 
 
+def brute_row_map(fn, n):
+    """Row map of an arity-3 formula by decoding every flat index (the former materializer)."""
+    return _encode3(fn(*_decode3(np.arange(n**3, dtype=np.int64), n)), n)
+
+
 def iterated_coproduct_difference(bundle, eta):
     """Sparse difference of the right- and left-bracketed coproducts of V_eta, materialized."""
     n = bundle.n
-    pts = _decode3(np.arange(n**3, dtype=np.int64), n)
-    right = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "right")(*pts), n))
-    left = PermMatrix(n, 3, _encode3(bundle.iterated_delta_v(eta, "left")(*pts), n))
+    right = PermMatrix(n, 3, brute_row_map(bundle.iterated_delta_v(eta, "right"), n))
+    left = PermMatrix(n, 3, brute_row_map(bundle.iterated_delta_v(eta, "left"), n))
     return sparse_perm_difference(right, left)
+
+
+def _chain(fns, pts):
+    for f in fns:
+        pts = f(*pts)
+    return pts
+
+
+def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1 << 22):
+    """The former chain comparison: decode each block of flat indices and run both chains on it.
+
+    Exhaustive within the budget, one block of ``block`` points at a time;
+    beyond it, the seeded sample the library still draws.
+    """
+    total = n**3
+    if total <= budget:
+        for lo in range(0, total, block):
+            p = np.arange(lo, min(lo + block, total), dtype=np.int64)
+            pts = _decode3(p, n)
+            le = _encode3(_chain(lhs, pts), n)
+            re = _encode3(_chain(rhs, pts), n)
+            if not np.array_equal(le, re):
+                i = int(np.flatnonzero(le != re)[0])
+                witness = {
+                    "point": int(p[i]),
+                    "triple": [int(x[i]) for x in pts],
+                    "lhs": int(le[i]),
+                    "rhs": int(re[i]),
+                }
+                return TensorCheck(name, "fail", int(p[i]) + 1, witness)
+        return TensorCheck(name, "pass", total)
+
+    rng = np.random.default_rng(seed)
+    p = np.unique(rng.integers(0, total, size=min(sample_points, total)))
+    pts = _decode3(p, n)
+    le = _encode3(_chain(lhs, pts), n)
+    re = _encode3(_chain(rhs, pts), n)
+    if np.array_equal(le, re):
+        return TensorCheck(name, "sampled", int(p.size), None, note="seeded sample, not exhaustive")
+    i = int(np.flatnonzero(le != re)[0])
+    witness = {
+        "point": int(p[i]),
+        "triple": [int(x[i]) for x in pts],
+        "lhs": int(le[i]),
+        "rhs": int(re[i]),
+    }
+    return TensorCheck(name, "fail", int(p.size), witness)
 
 
 def swap_sigma_entries(s, x, y1, y2):

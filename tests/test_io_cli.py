@@ -330,6 +330,37 @@ def test_report_builds_each_shift_once_plus_the_identity(monkeypatch):
     assert sorted(calls) == sorted(zs + [b.identity])
 
 
+def test_report_scans_the_socle_once_and_each_shift_involutivity_once(monkeypatch):
+    import zbrace.braces
+    import zbrace.solutions
+
+    calls = {"socle": 0, "is_involutive": 0}
+    for module, name in ((zbrace.braces, "socle"), (zbrace.solutions, "is_involutive")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    b = cyclic_unit_brace(4)
+    zs = select_shifts(b, "all", seed=0)
+    report = build_report(b, zs, level="all", family="cyclic2n")
+    assert not report_failed(report)
+    assert calls == {"socle": 1, "is_involutive": len(zs)}
+
+
+def test_report_tensor_entries_time_their_own_check_only_with_timings():
+    b = cyclic_unit_brace(3)
+    zs = select_shifts(b, "all", seed=0)
+    for timings in (True, False):
+        report = build_report(b, zs, level="matrices", family="cyclic2n", seed=0, timings=timings)
+        times = [c["elapsed_ms"] for c in report["checks"] if c["section"] == "tensor"]
+        assert len(times) == 4 * 23 + 2 * 2  # two socle shifts add the involutive-collapse pair
+        if timings:
+            assert all(t > 0 for t in times)
+        else:
+            assert all(t == 0.0 for t in times)
+
+
 def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     renamed = tmp_path / "renamed.brace"
     doc = brace_to_dict(cyclic_unit_brace(6))

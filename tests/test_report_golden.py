@@ -25,6 +25,12 @@ CYCLIC4_TWIST = "c3070d3c61288ed5958b51cedf9ccd19c61f2ebd311afb476f5063175457259
 TRIVIAL_S3_TWIST = "13b6363cdb3c5e159c2554a967fc8c376af8ac0507d16b12ef62256077b9de0a"
 # level "maps" on shifts 128 and 237: pins c1-c3 on the n = 256 path
 ODDMATRIX_MAPS_REPORT = "3619ef6aa785ea2845d6185ec1685fb0602d7f51599165adab3372717abc73a6"
+# `export --z 3` of cyclic2n n=4, coordinate text of each object
+CYCLIC4_EXPORT = {
+    "F123": "8f1b705dfcd0dc44b7d05341cabede9c6747df980a1e463804b688c13c773004",
+    "Fhat123": "3ed858f9e14a489e5e944daa4fb8c3a44d7032defef5ff7f6c5c476ac0420a10",
+    "rcheck": "e5f8f2a5faac83ad5f848f1631614d4d647aba6879016473b5f710df2b026e2c",
+}
 # `validate` stderr on corrupted cyclic2n n=4 files, with exit code 2
 VALIDATE_ERRORS = {
     "non-associative-add": "0cead6413ab3f224fc3c4a8d68f8a00aefae9d3c1cb424148d609bee797679fd",
@@ -76,6 +82,15 @@ def test_twist_stdout_and_exit_codes(tmp_path, capsys):
         write_brace(b, path)
         assert main(["twist", str(path), "--z", "all"]) == 0
         assert _sha(capsys.readouterr().out) == digest
+
+
+def test_export_coo_bytes(tmp_path):
+    path = tmp_path / "c4.brace"
+    write_brace(cyclic_unit_brace(4), path)
+    for obj, digest in CYCLIC4_EXPORT.items():
+        out = tmp_path / f"{obj}.coo"
+        assert main(["export", str(path), "--z", "3", "--object", obj, "-o", str(out)]) == 0
+        assert _sha(out.read_text(encoding="utf-8")) == digest, obj
 
 
 def test_oddmatrix_maps_report_bytes():

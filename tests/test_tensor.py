@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    brute_compare_chains,
     brute_coproduct_commutation,
     brute_delta_v,
     brute_delta_w,
+    brute_row_map,
     brute_twisted_coproduct,
     dense_add,
     dense_kron,
@@ -21,13 +23,20 @@ from oracles import (
     matrix_unit,
     sparse_perm_difference,
 )
+from zbrace import tensor
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.groups import cyclic_group, symmetric_group
+from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
 from zbrace.solutions import build_solution
 from zbrace.tensor import (
     PermMatrix,
     TwistBundle,
     UnknownObjectError,
+    _lift12,
+    _lift13,
+    _lift23,
+    _pair_formula,
+    _row_map,
     braid_matrix_check,
     cocycle_check,
     coproduct_commutation_check,
@@ -403,3 +412,78 @@ def test_export_object_names():
     for bad in ("V", "V:x", "V:9", "rcheck:1", "nonsense"):
         with pytest.raises(UnknownObjectError):
             export_object(tb, bad)
+
+
+def test_row_maps_match_decoded_maps():
+    rng = np.random.default_rng(11)
+    for b, z in ((CYCLIC3, 1), (S3_TRIVIAL, 4), (cyclic_unit_brace(4), 3)):
+        tb = bundle_for(b, z)
+        n = tb.n
+        formulas = dict(tb._pointwise())
+        for side in ("left", "right"):
+            formulas[f"split_r:{side}"] = tb.split_r(side)
+        for eta in range(n):
+            for bracketing in ("left", "right"):
+                formulas[f"iterated_delta_v:{eta}:{bracketing}"] = tb.iterated_delta_v(eta, bracketing)
+        q = random_perm_matrix(rng, n, 2)
+        pair = _pair_formula(q)
+        formulas.update({"pair12": _lift12(pair), "pair23": _lift23(pair), "pair13": _lift13(pair)})
+        for name, fn in formulas.items():
+            got = _row_map(fn, n)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, brute_row_map(fn, n)), name
+        # the lifted pair formulas are the permutation-level lifts of q
+        for lift, oracle in (("pair12", lift12), ("pair23", lift23), ("pair13", lift13)):
+            assert np.array_equal(_row_map(formulas[lift], n), oracle(q).perm), lift
+        for name in ("F123", "Fhat123"):
+            assert np.array_equal(tb.materialize3(name).perm, brute_row_map(formulas[name], n))
+
+
+def _report_checks(tb, **kw):
+    return [c for _, c in tensor_checks(tb, TENSOR_FAMILIES, **kw)]
+
+
+def _real_and_forged_bundles():
+    for b in (S3_TRIVIAL, cyclic_unit_brace(4)):
+        for z in range(b.order):
+            yield bundle_for(b, z)
+    yield from _forged_bundles()
+
+
+def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
+    # the oracle decodes 16 points at a time, so witnesses also come from later blocks
+    kw = {"budget": 1 << 22, "sample_points": 64, "seed": 3}
+    chain_checks = []
+
+    def oracle(name, *args):
+        check = brute_compare_chains(name, *args, block=16)
+        chain_checks.append(check)
+        return check
+
+    for tb in _real_and_forged_bundles():
+        got = _report_checks(tb, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_compare_chains", oracle)
+            want = _report_checks(tb, **kw)
+        assert got == want
+        assert all(c.status != "sampled" for c in got)
+    failing = {c.name for c in chain_checks if c.status == "fail"}
+    assert {"matrix-braid", "matrix-ybe", "twisted-braid:F", "twisted-braid:Fhat"} <= failing
+    assert any(name.startswith("lift-commutation:") for name in failing)
+    assert any(c.witness["point"] >= 16 for c in chain_checks if c.status == "fail")
+
+
+def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
+    tb = bundle_for(cyclic_unit_brace(4), 3)
+    total = tb.n**3
+    full = braid_matrix_check(tb, budget=total)
+    assert full.status == "pass" and full.points == total
+    kw = {"budget": total - 1, "sample_points": 200, "seed": 4}
+    got = [braid_matrix_check(tb, **kw), *r_lift_defects(tb, **kw)]
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "_compare_chains", brute_compare_chains)
+        want = [braid_matrix_check(tb, **kw), *r_lift_defects(tb, **kw)]
+    assert got == want
+    draws = np.unique(np.random.default_rng(4).integers(0, total, size=200)).size
+    assert got[0].status == "sampled" and got[0].points == draws
+    assert got[1].status == "fail" and got[1].witness is not None
