@@ -38,10 +38,10 @@ from .reporting import (
 )
 from .solutions import InadmissibleZError, build_solution, dedup_solutions, is_involutive
 from .tensor import (
+    DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
     TwistBundle,
     UnknownObjectError,
-    default_full_budget,
     export_object,
 )
 
@@ -203,11 +203,10 @@ def cmd_twist(args) -> int:
     for w in wanted:
         if w not in _TWIST_CHECKS:
             raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
-    budget = args.budget if args.budget is not None else default_full_budget()
     failed = False
     for z in zs:
         bundle = TwistBundle(build_solution(b, z))
-        for family, c in tensor_checks(bundle, wanted, budget, DEFAULT_SAMPLE_POINTS, args.seed):
+        for family, c in tensor_checks(bundle, wanted, args.budget, DEFAULT_SAMPLE_POINTS, args.seed):
             if family == "defect":
                 nz = c.status == "fail"
                 print(f"[   info] z={z} {c.name} defect_nonzero={nz}"
@@ -222,7 +221,7 @@ def cmd_twist(args) -> int:
 def cmd_export(args) -> int:
     b = parse_brace(args.file)
     z = _resolve_element(b, args.z)
-    zs = select_shifts(b, [z], seed=args.seed)
+    zs = select_shifts(b, [z], seed=0)
     bundle = TwistBundle(build_solution(b, zs[0]))
     matrix = export_object(bundle, args.object)
     write_matrix(matrix, args.output)
@@ -245,6 +244,9 @@ def cmd_report(args) -> int:
         b = _make_brace(family, src_doc)
 
     seed = config_int(cfg.get("seed", 0), "seed")
+    timings = cfg.get("timings", False)
+    if not isinstance(timings, bool):
+        raise ValueError(f"timings must be true or false, got {timings!r}")
     zs = select_shifts(b, cfg.get("z", "all"), seed=seed)
     report = build_report(
         b,
@@ -252,11 +254,11 @@ def cmd_report(args) -> int:
         level=str(cfg.get("level", "all")),
         family=family,
         params={k: v for k, v in src_doc.items() if k != "family"} or None,
-        budget=config_int(cfg["budget"], "budget") if "budget" in cfg else None,
-        sample_points=config_int(cfg.get("sample_points", 100_000), "sample_points"),
+        budget=config_int(cfg.get("budget", DEFAULT_BUDGET), "budget"),
+        sample_points=config_int(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS), "sample_points"),
         seed=seed,
-        timings=bool(cfg.get("timings", False)),
-        threads=config_int(cfg["threads"], "threads") if "threads" in cfg else None,
+        timings=timings,
+        threads=config_int(cfg.get("threads", 1), "threads"),
     )
     text = serialize_report(report)
     if args.output:
@@ -303,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--z", default="all")
     p.add_argument("--level", choices=["maps", "matrices", "all"], default="maps")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--z", default="all")
     p.add_argument("--check", default=",".join(_TWIST_CHECKS))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_twist)
 
@@ -322,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", required=True,
                    help="rcheck, r, P, F, Fhat, rF, rFhat, F123, Fhat123, or V:x, W:y, DeltaV:x, DeltaW:y")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("report", help="run a full verification report from a config file")

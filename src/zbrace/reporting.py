@@ -60,13 +60,14 @@ from .solutions import (
     verify_braid_constraints,
 )
 from .tensor import (
+    DEFAULT_BUDGET,
+    DEFAULT_SAMPLE_POINTS,
     TensorCheck,
     TwistBundle,
     braid_matrix_check,
     cocycle_check,
     coproduct_commutation_check,
     coproduct_defect,
-    default_full_budget,
     lift_commutation_check,
     r_lift_defects,
     twisted_coproduct_check,
@@ -75,14 +76,6 @@ from .tensor import (
 )
 
 _LABELS_IN_REPORT_MAX = 64
-
-
-def default_thread_count() -> int:
-    raw = os.environ.get("ZBRACE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _jsonable(obj: Any) -> Any:
@@ -379,16 +372,17 @@ def build_report(
     level: str = "all",
     family: str | None = None,
     params: dict | None = None,
-    budget: int | None = None,
-    sample_points: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
+    sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     timings: bool = False,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict:
     """Run the selected suites in fixed order and assemble the report."""
     if level not in ("maps", "matrices", "all"):
         raise ValueError(f"unknown level {level!r}")
-    budget = default_full_budget() if budget is None else budget
+    if sample_points < 1:
+        raise ValueError("sample_points must be >= 1")
     t_start = time.perf_counter()
 
     soc = sorted(b.socle_members)
@@ -409,7 +403,6 @@ def build_report(
     ]
 
     zs = [int(z) for z in zs]
-    threads = default_thread_count() if threads is None else threads
     threads = max(1, min(threads, len(zs), os.cpu_count() or 1))
     maps = level in ("maps", "all")
     matrices = level in ("matrices", "all")

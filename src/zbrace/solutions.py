@@ -84,12 +84,6 @@ class DedupPartition:
     classes: tuple[tuple[int, ...], ...]
     criterion_pairs: tuple[tuple[int, int, bool, bool], ...]
 
-    def class_of(self, z: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if z in cls:
-                return cls
-        raise KeyError(z)
-
 
 def sigma_table(b: SkewBrace, z: int) -> np.ndarray:
     A, M, neg = b.add.table, b.mul.table, b.add.inverses
@@ -270,22 +264,21 @@ def transpose_identity_check(s: DeformedSolution) -> tuple[bool, tuple[int, int]
     return False, (int(pre[0]), int(pre[1]))
 
 
-def is_involutive(s: DeformedSolution, cross_check: bool = True) -> bool:
+def is_involutive(s: DeformedSolution) -> bool:
     """True iff applying the map twice is the identity on the pair space.
 
-    For solutions built from a brace the result is cross-checked against
-    the socle criterion (involutive iff the additive group is abelian and
-    z lies in the socle); disagreement is an internal error.
+    The result is cross-checked against the socle criterion (involutive
+    iff the additive group is abelian and z lies in the socle);
+    disagreement is an internal error.
     """
     idx = np.arange(s.order * s.order)
     direct = bool(np.array_equal(s.combined[s.combined], idx))
-    if cross_check:
-        criterion = bool(s.brace.is_left_brace and s.z in s.brace.socle_members)
-        if direct != criterion:
-            raise CriterionMismatchError(
-                f"direct involutivity test ({direct}) disagrees with socle criterion "
-                f"({criterion}) for z={s.z} on {s.brace.name}"
-            )
+    criterion = bool(s.brace.is_left_brace and s.z in s.brace.socle_members)
+    if direct != criterion:
+        raise CriterionMismatchError(
+            f"direct involutivity test ({direct}) disagrees with socle criterion "
+            f"({criterion}) for z={s.z} on {s.brace.name}"
+        )
     return direct
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import collections
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,19 +31,12 @@ import numpy as np
 from .solutions import DeformedSolution
 
 DEFAULT_SAMPLE_POINTS = 100_000
+# Arity-3 checks run exhaustively when n^3 is at most this many points.
+DEFAULT_BUDGET = 1 << 22
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
 Formula2 = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Formula3 = Callable[[np.ndarray, np.ndarray, np.ndarray], Triple]
-
-
-def default_full_budget() -> int:
-    """Point budget below which arity-3 checks run exhaustively (ZBRACE_BUDGET)."""
-    raw = os.environ.get("ZBRACE_BUDGET", "")
-    try:
-        return int(raw) if raw else (1 << 22)
-    except ValueError:
-        return 1 << 22
 
 
 class UnknownObjectError(KeyError):
@@ -504,7 +496,7 @@ class TwistBundle:
 
 def braid_matrix_check(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     name: str = "matrix-braid",
@@ -515,7 +507,6 @@ def braid_matrix_check(
     With ``pair_op`` given, checks the braid relation for that arity-2
     operator instead of the bundle's solution matrix.
     """
-    budget = default_full_budget() if budget is None else budget
     n = bundle.n
     if pair_op is None:
         fns = bundle._pointwise()
@@ -528,12 +519,11 @@ def braid_matrix_check(
 
 def ybe_matrix_check(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> TensorCheck:
     """r12 r13 r23 = r23 r13 r12 for r = P . rcheck."""
-    budget = default_full_budget() if budget is None else budget
     fns = bundle._pointwise()
     return _compare_chains(
         "matrix-ybe",
@@ -581,12 +571,11 @@ _LIFT_RELATIONS = (
 
 def lift_commutation_check(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[TensorCheck]:
     """The four commutation relations between lifted twists and the solution."""
-    budget = default_full_budget() if budget is None else budget
     fns = bundle._pointwise()
     out = []
     for name, a, b in _LIFT_RELATIONS:
@@ -606,7 +595,7 @@ def lift_commutation_check(
 
 def cocycle_check(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[TensorCheck]:
@@ -615,7 +604,6 @@ def cocycle_check(
     F12 . Fstar_12,3 = F23 . F_1,23 = F123 and
     Fhat12 . Fhat_12,3 = Fhat23 . Fhatstar_1,23 = Fhat123.
     """
-    budget = default_full_budget() if budget is None else budget
     fns = bundle._pointwise()
     jobs = (
         ("cocycle:F-factorizations", [fns["F12"], fns["Fstar_12_3"]], [fns["F23"], fns["F_1_23"]]),
@@ -639,7 +627,7 @@ def _equality_check(name: str, got: PermMatrix, want: PermMatrix, start: float) 
 
 def twisted_solution_check(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[TensorCheck]:
@@ -648,7 +636,6 @@ def twisted_solution_check(
     In the involutive case both twisted matrices must equal the flip
     operator exactly.
     """
-    budget = default_full_budget() if budget is None else budget
     rc = bundle.rcheck()
     out: list[TensorCheck] = []
 
@@ -757,7 +744,7 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
 def coproduct_defect(
     bundle: TwistBundle,
     eta: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> TensorCheck:
@@ -766,7 +753,6 @@ def coproduct_defect(
     A "fail" status records a nonzero defect (expected away from the
     involutive case).
     """
-    budget = default_full_budget() if budget is None else budget
     return _compare_chains(
         "coassociativity:V-iterated-coproduct",
         bundle.n,
@@ -780,7 +766,7 @@ def coproduct_defect(
 
 def r_lift_defects(
     bundle: TwistBundle,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[TensorCheck]:
@@ -789,7 +775,6 @@ def r_lift_defects(
     These comparisons are element-independent; "fail" records a nonzero
     defect, the expected outcome away from the involutive case.
     """
-    budget = default_full_budget() if budget is None else budget
     fns = bundle._pointwise()
     return [
         _compare_chains(

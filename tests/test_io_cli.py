@@ -279,15 +279,41 @@ def test_cli_malformed_report_config(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
 
 
-def test_budget_env_switches_matrix_checks_to_sampled(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZBRACE_BUDGET", "1")
+def test_budget_flag_switches_matrix_checks_to_sampled(tmp_path, capsys):
     out = tmp_path / "c3.brace"
     main(["make", "--family", "cyclic2n", "--n", "3", "-o", str(out)])
     capsys.readouterr()
-    code = main(["verify", str(out), "--z", "3", "--level", "matrices"])
+    code = main(["verify", str(out), "--z", "3", "--level", "matrices", "--budget", "1"])
     printed = capsys.readouterr().out
     assert code == 0
     assert "[sampled] tensor:matrix-braid" in printed
+
+
+def test_verify_output_does_not_depend_on_the_environment(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c3.brace"
+    main(["make", "--family", "cyclic2n", "--n", "3", "-o", str(out)])
+    capsys.readouterr()
+    argv = ["verify", str(out), "--level", "all"]
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("ZBRACE_BUDGET", "1")
+    monkeypatch.setenv("ZBRACE_THREADS", "2")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert "[sampled]" not in unset
+
+
+def test_report_config_without_settings_uses_library_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    rep = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}}))
+    assert main(["report", "--config", str(cfg), "-o", str(rep)]) == 0
+    b = cyclic_unit_brace(3)
+    expected = build_report(b, select_shifts(b, "all", seed=0), family="cyclic2n", params={"n": 3})
+    assert rep.read_text() == serialize_report(expected)
+    config = json.loads(rep.read_text())["config"]
+    assert config["budget"] == 4194304 and config["sample_points"] == 100000
+    assert config["timings"] is False
 
 
 def test_cli_solve_dedup_builds_each_shift_once(tmp_path, capsys, monkeypatch):
@@ -433,6 +459,25 @@ def test_report_scalar_shift_selection_is_an_input_error(tmp_path, capsys):
     assert "shift selection" in _assert_one_error_line(capsys)
     with pytest.raises(ValueError, match="shift selection"):
         select_shifts(cyclic_unit_brace(3), "13", seed=0)
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_report_sample_points_below_one_is_an_input_error(tmp_path, capsys, points):
+    b = cyclic_unit_brace(3)
+    with pytest.raises(ValueError, match="^sample_points must be >= 1$"):
+        build_report(b, [3], sample_points=points)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "budget": 1, "sample_points": points}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert _assert_one_error_line(capsys) == "error: sample_points must be >= 1\n"
+
+
+@pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "int", "null"])
+def test_report_timings_must_be_a_json_boolean(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "timings": value}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert _assert_one_error_line(capsys).startswith("error: timings must be true or false")
 
 
 @pytest.mark.parametrize(
