@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +58,6 @@ from .solutions import (
     product_identity_check,
     sigma_shift_criterion,
     transpose_identity_check,
-    verify_braid_constraints,
 )
 from .tensor import (
     DEFAULT_BUDGET,
@@ -114,16 +114,43 @@ def _entry(
     }
 
 
-def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> list[dict]:
+def entry_ms(elapsed_ms: float, timings: bool) -> float:
+    """The ``elapsed_ms`` of a report entry: 0.0 without timings.
+
+    With timings a check's wall time is rounded up to the microsecond, so
+    a check that ran never reads 0.0, the value of an untimed entry.
+    """
+    return max(math.ceil(elapsed_ms * 1000), 1) / 1000 if timings else 0.0
+
+
+class _Laps:
+    """Per-entry wall times: each ``lap`` is the time since the previous one."""
+
+    def __init__(self, timings: bool):
+        self.timings = timings
+        self.last = time.perf_counter()
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed_ms, self.last = (now - self.last) * 1000, now
+        return entry_ms(elapsed_ms, self.timings)
+
+
+def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution, timings: bool = False) -> list[dict]:
     """Map-level checks for one built shift, in fixed order.
 
     ``identity_shift`` is the same brace's solution at the identity.  The
     two non-degeneracy entries always pass: ``build_solution`` raises
     before it returns a solution with a sigma or tau row that is not a
-    permutation.
+    permutation.  With ``timings`` each entry records the wall time of
+    the work done for it here: each braid constraint its own share of the
+    constraint pass, the others the time since the previous entry.  The
+    admissibility and non-degeneracy entries restate what
+    ``build_solution`` established, so they time only their own entry.
     """
     b, z, n = s.brace, s.z, s.order
     out: list[dict] = []
+    laps = _Laps(timings)
 
     out.append(
         _entry(
@@ -137,11 +164,14 @@ def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> lis
                 if b.is_two_sided
                 else "shift law checked elementwise"
             ),
+            elapsed_ms=laps.lap(),
         )
     )
-    out.append(_entry("solution", "nondegenerate-sigma", "pass", n * n, z=z))
-    out.append(_entry("solution", "nondegenerate-tau", "pass", n * n, z=z))
-    for rep in verify_braid_constraints(s):
+    out.append(_entry("solution", "nondegenerate-sigma", "pass", n * n, z=z, elapsed_ms=laps.lap()))
+    out.append(_entry("solution", "nondegenerate-tau", "pass", n * n, z=z, elapsed_ms=laps.lap()))
+    constraints = s.braid_constraints
+    laps.lap()  # the pass is timed per constraint
+    for rep in constraints:
         out.append(
             _entry(
                 "solution",
@@ -150,15 +180,22 @@ def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> lis
                 rep.points,
                 z=z,
                 witness=rep.witness,
+                elapsed_ms=entry_ms(rep.elapsed_ms, timings),
             )
         )
     pid = product_identity_check(s)
     out.append(
-        _entry("solution", "product-identity", "pass" if pid.ok else "fail", pid.points, z=z, witness=pid.witness)
+        _entry(
+            "solution", "product-identity", "pass" if pid.ok else "fail", pid.points, z=z,
+            witness=pid.witness, elapsed_ms=laps.lap(),
+        )
     )
     tok, collision = transpose_identity_check(s)
     out.append(
-        _entry("solution", "transpose-identity", "pass" if tok else "fail", n * n, z=z, witness=collision)
+        _entry(
+            "solution", "transpose-identity", "pass" if tok else "fail", n * n, z=z,
+            witness=collision, elapsed_ms=laps.lap(),
+        )
     )
 
     involutive = s.involutive  # raises CriterionMismatchError on a bug
@@ -172,7 +209,7 @@ def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> lis
         payload["two_step_witness"] = involutivity_witness(s)
     out.append(
         _entry("solution", "involutivity-criterion", "pass", n * n, z=z, witness=payload,
-               note="direct double-application test agrees with the socle criterion")
+               note="direct double-application test agrees with the socle criterion", elapsed_ms=laps.lap())
     )
     tables_equal, commutes = sigma_shift_criterion(s, identity_shift)
     out.append(
@@ -183,14 +220,18 @@ def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution) -> lis
             n * n,
             z=z,
             witness={"sigma_equals_identity_shift": tables_equal, "shift_commutation": commutes},
+            elapsed_ms=laps.lap(),
         )
     )
     try:
         inverse_solution(s)
-        out.append(_entry("solution", "inverse-composition", "pass", 2 * n * n, z=z))
+        out.append(_entry("solution", "inverse-composition", "pass", 2 * n * n, z=z, elapsed_ms=laps.lap()))
     except InverseCheckFailedError as exc:
         out.append(
-            _entry("solution", "inverse-composition", "fail", 2 * n * n, z=z, witness=exc.witness)
+            _entry(
+                "solution", "inverse-composition", "fail", 2 * n * n, z=z,
+                witness=exc.witness, elapsed_ms=laps.lap(),
+            )
         )
     return out
 
@@ -252,11 +293,10 @@ def tensor_suite(
             status = "sampled" if check.status == "sampled" else "pass"
             witness = {"defect_nonzero": check.status == "fail", "witness": check.witness}
             note = "informational defect probe"
-        elapsed_ms = round(check.elapsed_ms, 3) if timings else 0.0
         out.append(
             _entry(
                 "tensor", check.name, status, check.points, z=bundle.solution.z,
-                witness=witness, note=note, elapsed_ms=elapsed_ms,
+                witness=witness, note=note, elapsed_ms=entry_ms(check.elapsed_ms, timings),
             )
         )
     return out
@@ -301,9 +341,11 @@ def dedup_section(b: SkewBrace, solutions: Iterable[DeformedSolution]) -> dict:
     return section
 
 
-def gv_section(identity_shift: DeformedSolution) -> list[dict]:
+def gv_section(identity_shift: DeformedSolution, timings: bool = False) -> list[dict]:
+    """Correspondence entries; with ``timings`` each records its own comparison's wall time."""
     rep = gv_correspondence_check(identity_shift)
     n2 = identity_shift.order ** 2
+    conj_ms, inverse_ms, tables_ms = (entry_ms(ms, timings) for ms in rep.elapsed_ms)
     out = [
         _entry(
             "gv",
@@ -311,6 +353,7 @@ def gv_section(identity_shift: DeformedSolution) -> list[dict]:
             "pass" if rep.conjugation_ok else "fail",
             n2,
             witness=rep.conjugation_witness,
+            elapsed_ms=conj_ms,
         ),
         _entry(
             "gv",
@@ -319,6 +362,7 @@ def gv_section(identity_shift: DeformedSolution) -> list[dict]:
             n2,
             witness=rep.inverse_witness,
             note="undeformed map composes with the identity-shift deformation to the identity",
+            elapsed_ms=inverse_ms,
         ),
     ]
     if rep.tables_equal is not None:
@@ -329,17 +373,18 @@ def gv_section(identity_shift: DeformedSolution) -> list[dict]:
                 "pass" if rep.tables_equal else "fail",
                 n2,
                 witness=rep.tables_witness,
+                elapsed_ms=tables_ms,
             )
         )
     return out
 
 
 def config_int(value: Any, where: str) -> int:
-    """``int(value)`` for a config field; a value int() rejects raises a one-line ValueError."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must be an integer, got {value!r}") from None
+    """``int(value)`` for a config field; a JSON boolean, or a value int() rejects, raises a one-line ValueError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return int(value)
+    raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
@@ -385,8 +430,11 @@ def build_report(
         raise ValueError("sample_points must be >= 1")
     t_start = time.perf_counter()
 
+    # the brace was built and validated before the report; its entry times
+    # the brace-level work done here, the socle and the admissible shifts
     soc = sorted(b.socle_members)
     adm = admissible_z(b)
+    brace_ms = entry_ms((time.perf_counter() - t_start) * 1000, timings)
     checks: list[dict] = [
         _entry(
             "brace",
@@ -399,6 +447,7 @@ def build_report(
                 "identity": b.identity,
             },
             note="group axioms, shared identity and left distributivity verified eagerly",
+            elapsed_ms=brace_ms,
         )
     ]
 
@@ -411,7 +460,7 @@ def build_report(
     def run_shift(z: int) -> tuple[DeformedSolution, list[dict], list[dict], float, float]:
         start = time.perf_counter()
         s = build_solution(b, z)
-        maps_out = solution_suite(s, identity_shift) if maps else []
+        maps_out = solution_suite(s, identity_shift, timings) if maps else []
         mid = time.perf_counter() if maps else start
         tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings) if matrices else []
         return s, maps_out, tensors_out, mid - start, time.perf_counter() - mid
@@ -439,7 +488,7 @@ def build_report(
                 pass
     checks.extend(map_entries)
     if maps:
-        checks.extend(gv_section(identity_shift))
+        checks.extend(gv_section(identity_shift, timings))
     checks.extend(tensor_entries)
     maps_ms, matrices_ms = spent[0] * 1000, spent[1] * 1000
 

@@ -14,7 +14,8 @@ or by certificates that prove a verdict at every point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -70,6 +71,15 @@ class DeformedSolution:
         """``is_involutive(self)``, cross-checked once per solution."""
         return is_involutive(self)
 
+    @cached_property
+    def braid_constraints(self) -> tuple[ConstraintReport, ...]:
+        """``verify_braid_constraints(self)``, decided once per solution.
+
+        The map-level suite reports these verdicts, and the twisted-coproduct
+        and coproduct-commutation families are decided from them.
+        """
+        return tuple(verify_braid_constraints(self))
+
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -77,6 +87,8 @@ class ConstraintReport:
     ok: bool
     witness: tuple[int, int, int] | None
     points: int
+    # wall time of deciding this constraint; not part of its verdict
+    elapsed_ms: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -165,6 +177,11 @@ def sigma_is_left_action(s: DeformedSolution) -> bool:
     return all(np.array_equal(S[g][S], S[M[g]]) for g in s.brace.mul.generators)
 
 
+def _lap_ms(laps: list[float]) -> list[float]:
+    """Milliseconds between consecutive ``time.perf_counter()`` readings."""
+    return [(b - a) * 1000 for a, b in zip(laps, laps[1:])]
+
+
 def _first_failing_row(
     n: int, row: Callable[[int], tuple[np.ndarray, np.ndarray]]
 ) -> tuple[tuple[int, int, int], int] | None:
@@ -222,18 +239,24 @@ def verify_braid_constraints(s: DeformedSolution) -> list[ConstraintReport]:
     def c3(e: int) -> tuple[np.ndarray, np.ndarray]:
         return flat_tt.take(S[e][:, None] * n + S[TT[e]]), flat_s.take(TT[e][S] * n + TT)
 
+    # each constraint is timed from the end of the previous one, so the
+    # product identity, which both certificates read, counts towards c1
+    laps = [time.perf_counter()]
     product_ok = bool(np.array_equal(M[S, TT], M))
     hits = {"c1": None if product_ok and sigma_is_left_action(s) else _first_failing_row(n, c1)}
+    laps.append(time.perf_counter())
     hits["c2"] = _first_failing_row(n, c2)
+    laps.append(time.perf_counter())
     certified_c3 = product_ok and hits["c1"] is None and hits["c2"] is None
     hits["c3"] = None if certified_c3 else _first_failing_row(n, c3)
+    laps.append(time.perf_counter())
 
     total = n * n * n
     return [
-        ConstraintReport(name=name, ok=True, witness=None, points=total)
+        ConstraintReport(name=name, ok=True, witness=None, points=total, elapsed_ms=ms)
         if hit is None
-        else ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1])
-        for name, hit in hits.items()
+        else ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1], elapsed_ms=ms)
+        for (name, hit), ms in zip(hits.items(), _lap_ms(laps))
     ]
 
 
@@ -368,6 +391,8 @@ class GvReport:
     inverse_witness: tuple[int, int] | None
     tables_equal: bool | None
     tables_witness: tuple[int, int] | None
+    # wall time of each comparison, the shared tables counted with the first
+    elapsed_ms: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0), compare=False)
 
 
 def gv_tables(b: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
@@ -402,6 +427,7 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
         raise ValueError(f"gv correspondence needs the identity shift, got z={s1.z}")
     n = b.order
     A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
+    laps = [time.perf_counter()]
     sgv, tgv = gv_tables(b)
     tt1 = s1.tau.T
 
@@ -415,6 +441,7 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
         mism = (lhs_sigma != sgv) | (lhs_tau != tgv.T)
         a, bb = np.argwhere(mism)[0]
         conj_witness = (int(a), int(bb))
+    laps.append(time.perf_counter())
 
     comb_gv = pair_map(sgv, tgv)
     pairs = np.arange(n * n)
@@ -425,6 +452,7 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
     if not inv_ok:
         p = int(np.flatnonzero(comb_gv[s1.combined] != pairs)[0])
         inv_witness = (p // n, p % n)
+    laps.append(time.perf_counter())
 
     tables_equal: bool | None = None
     tables_witness = None
@@ -436,6 +464,7 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
             mism = (sgv != s1.sigma) | (tgv.T != tt1)
             a, bb = np.argwhere(mism)[0]
             tables_witness = (int(a), int(bb))
+    laps.append(time.perf_counter())
 
     return GvReport(
         conjugation_ok=bool(conj),
@@ -444,4 +473,5 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
         inverse_witness=inv_witness,
         tables_equal=tables_equal,
         tables_witness=tables_witness,
+        elapsed_ms=tuple(_lap_ms(laps)),
     )

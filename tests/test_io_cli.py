@@ -18,6 +18,7 @@ from zbrace.groups import cyclic_group
 from zbrace.reporting import (
     build_report,
     dedup_section,
+    entry_ms,
     report_failed,
     select_shifts,
     serialize_report,
@@ -387,6 +388,45 @@ def test_report_tensor_entries_time_their_own_check_only_with_timings():
             assert all(t == 0.0 for t in times)
 
 
+def test_report_map_entries_time_their_own_check_only_with_timings():
+    b = cyclic_unit_brace(3)
+    zs = select_shifts(b, "all", seed=0)
+    for timings in (True, False):
+        report = build_report(b, zs, level="maps", family="cyclic2n", seed=0, timings=timings)
+        times = [c["elapsed_ms"] for c in report["checks"]]
+        assert [c["section"] for c in report["checks"]] == ["brace"] + ["solution"] * 11 * len(zs) + ["gv"] * 3
+        if timings:
+            assert all(t > 0 for t in times)
+        else:
+            assert all(t == 0.0 for t in times)
+
+
+def test_entry_times_round_up_to_the_microsecond():
+    assert entry_ms(0.0, True) == 0.001
+    assert entry_ms(0.0004, True) == 0.001
+    assert entry_ms(1.2341, True) == 1.235
+    assert entry_ms(1.2341, False) == 0.0
+
+
+def test_report_decides_each_shift_braid_constraints_once(monkeypatch):
+    import zbrace.solutions
+
+    calls = []
+
+    def counted(s, _fn=zbrace.solutions.verify_braid_constraints):
+        calls.append(s.z)
+        return _fn(s)
+
+    monkeypatch.setattr(zbrace.solutions, "verify_braid_constraints", counted)
+    b = cyclic_unit_brace(4)
+    zs = select_shifts(b, "all", seed=0)
+    for level in ("all", "matrices"):
+        calls.clear()
+        report = build_report(b, zs, level=level, family="cyclic2n")
+        assert not report_failed(report)
+        assert sorted(calls) == zs
+
+
 def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     renamed = tmp_path / "renamed.brace"
     doc = brace_to_dict(cyclic_unit_brace(6))
@@ -487,8 +527,16 @@ def test_report_timings_must_be_a_json_boolean(tmp_path, capsys, value):
         ({"brace": {"family": "cyclic2n", "n": 3}, "seed": [1]}, "seed"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": [[1]]}, "z[0]"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": [2]}}, "z.sample"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "budget": True}, "budget"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "sample_points": True}, "sample_points"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "threads": False}, "threads"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "seed": True}, "seed"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": [3, True]}, "z[1]"),
     ],
-    ids=["brace-n-list", "seed-list", "z-nested-list", "z-sample-list"],
+    ids=[
+        "brace-n-list", "seed-list", "z-nested-list", "z-sample-list",
+        "budget-bool", "sample-points-bool", "threads-bool", "seed-bool", "z-entry-bool",
+    ],
 )
 def test_report_non_integer_numeric_field_is_an_input_error(tmp_path, capsys, cfg, field):
     path = tmp_path / "cfg.json"

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from oracles import (
+    brute_braid_constraints,
     brute_compare_chains,
     brute_coproduct_commutation,
     brute_delta_v,
@@ -254,23 +256,95 @@ def _outcome(check, tb):
         return str(exc)
 
 
-def test_fused_checks_match_oracle_on_random_permutation_tables():
-    # random sigma/tau rows: the mixed closed forms often stop being
-    # bijections, which both paths must report as the same error
+def _random_table_bundles():
+    """Bundles on random sigma and tau rows, 40 per brace."""
     rng = np.random.default_rng(5)
-    outcomes = set()
     for b in (CYCLIC3, S3_TRIVIAL):
         base = build_solution(b, 0)
         n = b.order
         for _ in range(40):
             sigma = np.array([rng.permutation(n) for _ in range(n)])
             tau = np.array([rng.permutation(n) for _ in range(n)])
-            tb = TwistBundle(dataclasses.replace(base, sigma=sigma, tau=tau))
-            got = _outcome(twisted_coproduct_check, tb)
-            assert got == _outcome(brute_twisted_coproduct, tb)
-            assert _outcome(coproduct_commutation_check, tb) == _outcome(brute_coproduct_commutation, tb)
-            outcomes.add("raise" if isinstance(got, str) else tuple(c.status for c in got))
+            yield TwistBundle(dataclasses.replace(base, sigma=sigma, tau=tau))
+
+
+def test_fused_checks_match_oracle_on_random_permutation_tables():
+    # random sigma/tau rows: the mixed closed forms often stop being
+    # bijections, which both paths must report as the same error
+    outcomes = set()
+    for tb in _random_table_bundles():
+        got = _outcome(twisted_coproduct_check, tb)
+        assert got == _outcome(brute_twisted_coproduct, tb)
+        assert _outcome(coproduct_commutation_check, tb) == _outcome(brute_coproduct_commutation, tb)
+        outcomes.add("raise" if isinstance(got, str) else tuple(c.status for c in got))
     assert "raise" in outcomes and ("fail", "fail", "fail", "fail") in outcomes
+
+
+# the braid constraints that decide each family
+_FAMILY_CONSTRAINTS = {
+    "group-like:V": ("c1",),
+    "group-like:W": ("c2",),
+    "mixed-coproduct:F-on-W": ("c3",),
+    "mixed-coproduct:Fhat-on-V": ("c3",),
+    "coproduct-commutation": ("c1", "c2", "c3"),
+}
+
+
+def _swapped_bundles():
+    """Each forged bundle, then its mirror r -> P r P (sigma and tau exchanged), which trades c1 for c2."""
+    for tb in _forged_bundles():
+        yield tb
+        s = tb.solution
+        yield TwistBundle(dataclasses.replace(s, sigma=s.tau, tau=s.sigma))
+
+
+def test_coproduct_families_are_decided_by_their_braid_constraints():
+    seen = set()
+    for tb in (*_swapped_bundles(), *_random_table_bundles()):
+        holds = {r.name: r.ok for r in brute_braid_constraints(tb.solution)}
+        want = {name: all(holds[c] for c in cs) for name, cs in _FAMILY_CONSTRAINTS.items()}
+        commutation = coproduct_commutation_check(tb)
+        assert commutation == brute_coproduct_commutation(tb)
+        got = {commutation.name: commutation.ok}
+        try:
+            checks = twisted_coproduct_check(tb)
+        except RuntimeError:
+            # only a failing mixed family materializes a closed form
+            assert not holds["c3"]
+            with pytest.raises(RuntimeError, match="bijection"):
+                brute_twisted_coproduct(tb)
+        else:
+            assert checks == brute_twisted_coproduct(tb)
+            got.update((c.name, c.ok) for c in checks)
+        assert got == {name: want[name] for name in got}
+        seen.add(tuple(holds.values()))
+    # each constraint fails while another holds, so a family decided by
+    # the wrong constraint gives the wrong status somewhere
+    assert {(False, True, False), (False, True, True), (True, False, False), (True, False, True)} <= seen
+
+
+def test_proved_coproduct_families_touch_no_element(monkeypatch):
+    # every per-element test builds a coproduct or compares arrays
+    calls = collections.Counter()
+    for owner, name in ((TwistBundle, "delta_v"), (TwistBundle, "delta_w"), (np, "array_equal")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for b in (CYCLIC3, S3_TRIVIAL, cyclic_unit_brace(4)):
+        for z in range(b.order):
+            tb = bundle_for(b, z)
+            assert all(r.ok for r in tb.solution.braid_constraints)
+            calls.clear()
+            checks = [coproduct_commutation_check(tb), *twisted_coproduct_check(tb)]
+            assert all(c.status == "pass" for c in checks)
+            assert not calls
+    # a shift whose constraints fail still runs the per-element loop
+    s = build_solution(S3_TRIVIAL, 0)
+    forged = TwistBundle(dataclasses.replace(s, tau=build_solution(S3_TRIVIAL, 1).tau))
+    assert coproduct_commutation_check(forged).status == "fail"
+    assert calls["delta_v"] > 0
 
 
 def test_bundle_rejects_rows_that_are_not_permutations():
