@@ -197,12 +197,14 @@ _TWIST_CHECKS = tuple(f for f in TENSOR_FAMILIES if f != "braid")
 
 
 def cmd_twist(args) -> int:
-    b = parse_brace(args.file)
-    zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     wanted = [w.strip() for w in args.check.split(",") if w.strip()]
+    if not wanted:
+        raise ValueError(f"no twist check selected (choose from {', '.join(_TWIST_CHECKS)})")
     for w in wanted:
         if w not in _TWIST_CHECKS:
             raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
+    b = parse_brace(args.file)
+    zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     failed = False
     for z in zs:
         bundle = TwistBundle(build_solution(b, z))

@@ -390,13 +390,16 @@ def config_int(value: Any, where: str) -> int:
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     """Resolve a shift selection: "all" (or None), a list of element indices, or {"sample": k}.
 
-    Any other form, or a count or index that is not an integer, raises ValueError.
+    Any other form, a count or index that is not an integer, or a
+    selection of no shift (an empty list, k < 1) raises ValueError.
     """
     admissible = admissible_z(b).tolist()
     if selection == "all" or selection is None:
         return [int(z) for z in admissible]
     if isinstance(selection, dict) and "sample" in selection:
         k = config_int(selection["sample"], "z.sample")
+        if k < 1:
+            raise ValueError(f"z.sample must be >= 1, got {k}")
         rng = np.random.default_rng(seed)
         if k >= len(admissible):
             return [int(z) for z in admissible]
@@ -405,6 +408,8 @@ def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     if not isinstance(selection, (list, tuple)):
         raise ValueError(f'shift selection must be "all", a list or {{"sample": k}}, got {selection!r}')
     zs = [config_int(z, f"z[{i}]") for i, z in enumerate(selection)]
+    if not zs:
+        raise ValueError("shift selection is empty")
     bad = [z for z in zs if z not in set(admissible)]
     if bad:
         raise InadmissibleZError(f"requested shifts not admissible: {bad}")

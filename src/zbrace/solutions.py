@@ -75,8 +75,8 @@ class DeformedSolution:
     def braid_constraints(self) -> tuple[ConstraintReport, ...]:
         """``verify_braid_constraints(self)``, decided once per solution.
 
-        The map-level suite reports these verdicts, and the twisted-coproduct
-        and coproduct-commutation families are decided from them.
+        The map-level suite reports these verdicts, and the tensor checks
+        that follow from them (``tensor._PREMISES``) are decided from them.
         """
         return tuple(verify_braid_constraints(self))
 

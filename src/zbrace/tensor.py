@@ -12,15 +12,22 @@ significant.  Leg subscripts 12, 23, 13 and the split subscripts (1,23),
 (12,3) all refer to this encoding.
 
 Arity-3 identities compare two chains of operators given as index
-formulas.  Within the point budget every operator of a check becomes one
+formulas.  Most of them are braid constraints c1-c3 of the solution under
+a bijective change of variables, so ``_PREMISES`` names the constraints
+each check follows from, and a check whose constraints hold (decided once
+per solution, ``DeformedSolution.braid_constraints``) passes at all n^3
+points without evaluating one; each check's docstring derives its
+relabelling.  Otherwise, and for the defect probes, the chains are
+compared: within the point budget every operator of a check becomes one
 flat row map, evaluated on the broadcast index grid, and each side is a
 composition of those maps; beyond the budget both chains run on a seeded
-sample of decoded points.
+sample of decoded points, drawn once per (n, sample_points, seed).
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -188,6 +195,26 @@ def _chain_maps(n: int, lhs: Sequence[Formula3], rhs: Sequence[Formula3]) -> lis
     return sides
 
 
+@functools.lru_cache(maxsize=1)
+def _sample(n: int, sample_points: int, seed: int) -> tuple[np.ndarray, Triple]:
+    """The seeded sample of distinct flat points in ascending order, with its decoded triples.
+
+    Every sampled check of a report draws the same points, so they are
+    drawn once and shared as read-only arrays.
+    """
+    rng = np.random.default_rng(seed)
+    total = n**3
+    # sorted distinct draws (the result of np.unique, without its cost)
+    p = np.sort(rng.integers(0, total, size=min(sample_points, total)))
+    keep = np.ones(p.size, dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=keep[1:])
+    p = p[keep]
+    pts = _decode3(p, n)
+    for a in (p, *pts):
+        a.setflags(write=False)
+    return p, pts
+
+
 def _compare_chains(
     name: str,
     n: int,
@@ -218,13 +245,7 @@ def _compare_chains(
         }
         return TensorCheck(name, "fail", i + 1, witness, elapsed_ms=_ms_since(start))
 
-    rng = np.random.default_rng(seed)
-    # sorted distinct draws (the result of np.unique, without its cost)
-    p = np.sort(rng.integers(0, total, size=min(sample_points, total)))
-    keep = np.ones(p.size, dtype=bool)
-    np.not_equal(p[1:], p[:-1], out=keep[1:])
-    p = p[keep]
-    pts = _decode3(p, n)
+    p, pts = _sample(n, sample_points, seed)
     le = _encode3(_chain(lhs, pts), n)
     re = _encode3(_chain(rhs, pts), n)
     if np.array_equal(le, re):
@@ -493,28 +514,71 @@ class TwistBundle:
 
 # -- matrix-level verification ------------------------------------------
 
+# The braid constraints each check follows from, every entry derived in
+# its check's docstring by relabelling points through sigma_x and tau_y,
+# which ``TwistBundle`` has checked to be permutations.  Each check but
+# the twisted braids also fails wherever one of its constraints fails.
+_PREMISES: dict[str, tuple[str, ...]] = {
+    "matrix-braid": ("c1", "c2", "c3"),
+    "matrix-ybe": ("c1", "c2", "c3"),
+    "coproduct-commutation": ("c1", "c2", "c3"),
+    "lift-commutation:rc12-with-Fstar_12_3": ("c1",),
+    "lift-commutation:rc23-with-F_1_23": ("c1", "c3"),
+    "lift-commutation:rc12-with-Fhat_12_3": ("c2", "c3"),
+    "lift-commutation:rc23-with-Fhatstar_1_23": ("c2",),
+    "cocycle:F-factorizations": ("c1",),
+    "cocycle:F-closed-form": (),
+    "cocycle:Fhat-factorizations": ("c2",),
+    "cocycle:Fhat-closed-form": ("c2",),
+    "twisted-braid:F": ("c1", "c2", "c3"),
+    "twisted-braid:Fhat": ("c1", "c2", "c3"),
+    "group-like:V": ("c1",),
+    "group-like:W": ("c2",),
+    "mixed-coproduct:F-on-W": ("c3",),
+    "mixed-coproduct:Fhat-on-V": ("c3",),
+}
+
+
+def _proved(bundle: TwistBundle, name: str) -> bool:
+    """Whether every braid constraint that check ``name`` follows from holds for the bundle's solution."""
+    premises = _PREMISES[name]
+    return not premises or all(rep.ok for rep in bundle.solution.braid_constraints if rep.name in premises)
+
+
+def _proved_or_compared(
+    name: str,
+    bundle: TwistBundle,
+    lhs: Sequence[Formula3],
+    rhs: Sequence[Formula3],
+    budget: int,
+    sample_points: int,
+    seed: int,
+) -> TensorCheck:
+    """``pass`` at all n^3 points when the check's constraints hold, else ``_compare_chains``.
+
+    The proof evaluates no point and holds whatever the budget.
+    """
+    start = time.perf_counter()
+    if _proved(bundle, name):
+        return TensorCheck(name, "pass", bundle.n**3, elapsed_ms=_ms_since(start))
+    return _compare_chains(name, bundle.n, lhs, rhs, budget, sample_points, seed)
+
 
 def braid_matrix_check(
     bundle: TwistBundle,
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-    name: str = "matrix-braid",
-    pair_op: PermMatrix | None = None,
 ) -> TensorCheck:
     """rc12 rc23 rc12 = rc23 rc12 rc23 on the triple space.
 
-    With ``pair_op`` given, checks the braid relation for that arity-2
-    operator instead of the bundle's solution matrix.
+    At row (e, x, y) the first, middle and last legs of the two sides are
+    the two sides of c1, c3 and c2 at (e, x, y) (``verify_braid_constraints``),
+    so the check is c1, c2 and c3.
     """
-    n = bundle.n
-    if pair_op is None:
-        fns = bundle._pointwise()
-        a12, a23 = fns["rc12"], fns["rc23"]
-    else:
-        op2 = _pair_formula(pair_op)
-        a12, a23 = _lift12(op2), _lift23(op2)
-    return _compare_chains(name, n, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed)
+    fns = bundle._pointwise()
+    a12, a23 = fns["rc12"], fns["rc23"]
+    return _proved_or_compared("matrix-braid", bundle, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed)
 
 
 def ybe_matrix_check(
@@ -523,22 +587,23 @@ def ybe_matrix_check(
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> TensorCheck:
-    """r12 r13 r23 = r23 r13 r12 for r = P . rcheck."""
+    """r12 r13 r23 = r23 r13 r12 for r = P . rcheck.
+
+    r maps (a, b) to (sigma_b(a), tau_a(b)), so at row (a, b, c) the
+    first, middle and last legs of the two sides are the two sides of c1,
+    c3 and c2 at (c, b, a): the check is c1, c2 and c3 with the legs
+    reversed.
+    """
     fns = bundle._pointwise()
-    return _compare_chains(
+    return _proved_or_compared(
         "matrix-ybe",
-        bundle.n,
+        bundle,
         [fns["r12"], fns["r13"], fns["r23"]],
         [fns["r23"], fns["r13"], fns["r12"]],
         budget,
         sample_points,
         seed,
     )
-
-
-def _constraint_holds(bundle: TwistBundle) -> dict[str, bool]:
-    """The map-level braid constraint verdicts of the bundle's solution, by name (c1, c2, c3)."""
-    return {rep.name: rep.ok for rep in bundle.solution.braid_constraints}
 
 
 def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
@@ -561,7 +626,7 @@ def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
     """
     start = time.perf_counter()
     n = bundle.n
-    if all(_constraint_holds(bundle).values()):
+    if _proved(bundle, "coproduct-commutation"):
         return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n, elapsed_ms=_ms_since(start))
     rc = bundle.rcheck().perm
     for x in range(n):
@@ -595,22 +660,34 @@ def lift_commutation_check(
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[TensorCheck]:
-    """The four commutation relations between lifted twists and the solution."""
+    """The four commutation relations between lifted twists and the solution.
+
+    Each is braid constraints at relabelled points:
+
+      * rc12 with Fstar_12,3: Fstar_12,3 maps (e, u, v) to
+        (e, u, sigma_u^{-1} sigma_e^{-1}(v)) and rc12 keeps the last leg,
+        so the sides differ only there, as
+        sigma_{tau_u(e)}^{-1} sigma_{sigma_e(u)}^{-1} against
+        sigma_u^{-1} sigma_e^{-1}: c1 at (e, u, y) for every y.
+      * rc23 with F_1,23: write the row as (e, sigma_e(x),
+        sigma_{tau_x(e)}(y)).  The middle legs are the two sides of c1 at
+        (e, x, y), and where they agree the last legs are those of c3.
+      * rc12 with Fhat_12,3: write the row as (tau_{sigma_x(y)}(e),
+        tau_y(x), y).  The middle legs are the two sides of c2 at
+        (e, x, y), and where they agree the first legs are those of c3.
+      * rc23 with Fhatstar_1,23: Fhatstar_1,23 maps (u, x, y) to
+        (tau_x^{-1} tau_y^{-1}(u), x, y) and rc23 keeps the first leg, so
+        the sides differ only there, as
+        tau_{sigma_x(y)}^{-1} tau_{tau_y(x)}^{-1} against
+        tau_x^{-1} tau_y^{-1}: c2 at (e, x, y) for every e.
+    """
     fns = bundle._pointwise()
-    out = []
-    for name, a, b in _LIFT_RELATIONS:
-        out.append(
-            _compare_chains(
-                f"lift-commutation:{name}",
-                bundle.n,
-                [fns[a], fns[b]],
-                [fns[b], fns[a]],
-                budget,
-                sample_points,
-                seed,
-            )
+    return [
+        _proved_or_compared(
+            f"lift-commutation:{name}", bundle, [fns[a], fns[b]], [fns[b], fns[a]], budget, sample_points, seed
         )
-    return out
+        for name, a, b in _LIFT_RELATIONS
+    ]
 
 
 def cocycle_check(
@@ -623,6 +700,20 @@ def cocycle_check(
 
     F12 . Fstar_12,3 = F23 . F_1,23 = F123 and
     Fhat12 . Fhat_12,3 = Fhat23 . Fhatstar_1,23 = Fhat123.
+
+      * F-factorizations: at row (e, sigma_e(x), v) both sides give
+        (e, x, .) and differ in the last leg, as
+        sigma_x^{-1} sigma_e^{-1} against
+        sigma_{tau_x(e)}^{-1} sigma_{sigma_e(x)}^{-1}: c1 at (e, x, y)
+        for every y.
+      * F-closed-form: F123 is written as the composite F12 . Fstar_12,3,
+        so the two chains are one formula and the check holds outright.
+      * Fhat-factorizations: at row (u, tau_y(x), y) both sides give
+        (., x, y) and differ in the first leg, as
+        tau_{sigma_x(y)}^{-1} tau_{tau_y(x)}^{-1} against
+        tau_x^{-1} tau_y^{-1}: c2 at (e, x, y) for every e.
+      * Fhat-closed-form: Fhat123 is written as the composite
+        Fhat23 . Fhatstar_1,23, so this is the Fhat factorization: c2.
     """
     fns = bundle._pointwise()
     jobs = (
@@ -632,7 +723,7 @@ def cocycle_check(
         ("cocycle:Fhat-closed-form", [fns["Fhat12"], fns["Fhat_12_3"]], [fns["Fhat123"]]),
     )
     return [
-        _compare_chains(name, bundle.n, lhs, rhs, budget, sample_points, seed)
+        _proved_or_compared(name, bundle, lhs, rhs, budget, sample_points, seed)
         for name, lhs, rhs in jobs
     ]
 
@@ -655,6 +746,18 @@ def twisted_solution_check(
 
     In the involutive case both twisted matrices must equal the flip
     operator exactly.
+
+    twisted-braid:F is the braid relation of F rcheck F^{-1}.  Take
+    F123 = F12 Fstar_12,3 = F23 F_1,23 (the F factorizations, c1).  As
+    Fstar_12,3 commutes with rc12 (c1) and F_1,23 with rc23 (c1, c3),
+    F123 rc12 F123^{-1} = F12 rc12 F12^{-1} and
+    F123 rc23 F123^{-1} = F23 rc23 F23^{-1}, so the twisted relation is
+    the braid relation of rcheck (c1, c2, c3) conjugated by F123.
+    twisted-braid:Fhat is the same with Fhat123 = Fhat12 Fhat_12,3 =
+    Fhat23 Fhatstar_1,23 (c2), Fhat_12,3 commuting with rc12 (c2, c3) and
+    Fhatstar_1,23 with rc23 (c2).  Unlike the other chain checks, a
+    twisted braid can hold where no constraint does, and then the
+    comparison decides it.
     """
     rc = bundle.rcheck()
     out: list[TensorCheck] = []
@@ -667,14 +770,11 @@ def twisted_solution_check(
         t = twist()
         conj = t @ rc @ t.inverse()
         out.append(_equality_check(f"twisted-closed-form:{tag}", conj, closed(), start))
+        op2 = _pair_formula(conj)
+        a12, a23 = _lift12(op2), _lift23(op2)
         out.append(
-            braid_matrix_check(
-                bundle,
-                budget=budget,
-                sample_points=sample_points,
-                seed=seed,
-                name=f"twisted-braid:{tag}",
-                pair_op=conj,
+            _proved_or_compared(
+                f"twisted-braid:{tag}", bundle, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed
             )
         )
 
@@ -752,23 +852,22 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
         lhs = TTf[(S[eta] * n)[:, None] + S[TT[eta]]]
         return np.array_equal(lhs, Sf[TT[eta][S] * n + TT])
 
-    # family -> (its braid constraint, fused test,
-    #            (twist, coproduct, expected) materialized for one element)
+    # family -> (fused test, (twist, coproduct, expected) materialized for one element)
     families = (
-        ("group-like:V", "V", "c1", group_like_v,
+        ("group-like:V", "V", group_like_v,
          lambda x: (bundle.f_twist(), bundle.delta_v(x), bundle.v_op(x).tensor(bundle.v_op(x)))),
-        ("group-like:W", "W", "c2", group_like_w,
+        ("group-like:W", "W", group_like_w,
          lambda y: (bundle.fhat_twist(), bundle.delta_w(y), bundle.w_op(y).tensor(bundle.w_op(y)))),
-        ("mixed-coproduct:F-on-W", "W", "c3", mixed_f_on_w,
+        ("mixed-coproduct:F-on-W", "W", mixed_f_on_w,
          lambda y: (bundle.f_twist(), bundle.delta_w(y), bundle.delta_f_w_closed(y))),
-        ("mixed-coproduct:Fhat-on-V", "V", "c3", mixed_fhat_on_v,
+        ("mixed-coproduct:Fhat-on-V", "V", mixed_fhat_on_v,
          lambda eta: (bundle.fhat_twist(), bundle.delta_v(eta), bundle.delta_fhat_v_closed(eta))),
     )
     out: list[TensorCheck] = []
-    for name, tag, constraint, holds, operators in families:
+    for name, tag, holds, operators in families:
         start = time.perf_counter()
         bad = None
-        elements = () if _constraint_holds(bundle)[constraint] else range(n)
+        elements = () if _proved(bundle, name) else range(n)
         for x in elements:
             if not holds(x):
                 twist, delta, want = operators(x)

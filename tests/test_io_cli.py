@@ -281,13 +281,17 @@ def test_cli_malformed_report_config(tmp_path, capsys):
 
 
 def test_budget_flag_switches_matrix_checks_to_sampled(tmp_path, capsys):
+    # the coassociativity probes follow from no braid constraint, so the
+    # budget sends them to the sample; the braid relation is proved at
+    # every point whatever the budget
     out = tmp_path / "c3.brace"
     main(["make", "--family", "cyclic2n", "--n", "3", "-o", str(out)])
     capsys.readouterr()
     code = main(["verify", str(out), "--z", "3", "--level", "matrices", "--budget", "1"])
     printed = capsys.readouterr().out
     assert code == 0
-    assert "[sampled] tensor:matrix-braid" in printed
+    assert "[sampled] tensor:coassociativity:V-iterated-coproduct:eta=0" in printed
+    assert "[   pass] tensor:matrix-braid z=1 (64 points)" in printed
 
 
 def test_verify_output_does_not_depend_on_the_environment(tmp_path, capsys, monkeypatch):
@@ -490,6 +494,36 @@ def test_make_product_without_factors_is_an_input_error(tmp_path, capsys):
     assert main(["make", "--family", "product", "-o", str(tmp_path / "x.brace")]) == 2
     assert "'left' and 'right'" in _assert_one_error_line(capsys)
     assert not (tmp_path / "x.brace").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--config", "{cfg_list}"], "error: shift selection is empty\n"),
+        (["report", "--config", "{cfg_sample}"], "error: z.sample must be >= 1, got 0\n"),
+        (["verify", "{brace}", "--z", ""], "error: shift selection is empty\n"),
+        (["twist", "{brace}", "--z", ""], "error: shift selection is empty\n"),
+        (["twist", "{brace}", "--check", ","], "error: no twist check selected (choose from "),
+    ],
+    ids=["report-empty-list", "report-sample-0", "verify-empty-z", "twist-empty-z", "twist-empty-check"],
+)
+def test_empty_selection_is_an_input_error(tmp_path, capsys, monkeypatch, argv, message):
+    import zbrace.cli
+
+    paths = {"brace": tmp_path / "c3.brace", "cfg_list": tmp_path / "list.json", "cfg_sample": tmp_path / "sample.json"}
+    write_brace(cyclic_unit_brace(3), paths["brace"])
+    paths["cfg_list"].write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": []}))
+    paths["cfg_sample"].write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": 0}}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an empty selection")
+
+    monkeypatch.setattr(zbrace.cli, "build_report", no_work)
+    monkeypatch.setattr(zbrace.cli, "build_solution", no_work)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
 def test_report_scalar_shift_selection_is_an_input_error(tmp_path, capsys):

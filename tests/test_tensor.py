@@ -24,6 +24,7 @@ from oracles import (
     lift23,
     matrix_unit,
     sparse_perm_difference,
+    swap_sigma_entries,
 )
 from zbrace import tensor
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
@@ -268,6 +269,26 @@ def _random_table_bundles():
             yield TwistBundle(dataclasses.replace(base, sigma=sigma, tau=tau))
 
 
+def _c1_c2_bundles():
+    """Tables on which c1 and c2 hold, so that c3 can fail alone.
+
+    With sigma_x = s and tau_y = t for every x and y, c3 holds exactly when
+    s and t commute, and both twisted matrices braid either way.  With
+    sigma_0 = id, sigma_x = (2 3) for x != 0 and tau_y = (1 2) on four
+    points, c3 fails and so does each twisted braid.
+    """
+    rng = np.random.default_rng(6)
+    for b in (CYCLIC3, S3_TRIVIAL):
+        base = build_solution(b, 0)
+        n = b.order
+        for _ in range(6):
+            s, t = rng.permutation(n), rng.permutation(n)
+            yield TwistBundle(dataclasses.replace(base, sigma=np.tile(s, (n, 1)), tau=np.tile(t, (n, 1))))
+    sigma = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 1, 3, 2], [0, 1, 3, 2]])
+    tau = np.tile([0, 2, 1, 3], (4, 1))
+    yield TwistBundle(dataclasses.replace(build_solution(CYCLIC3, 0), sigma=sigma, tau=tau))
+
+
 def test_fused_checks_match_oracle_on_random_permutation_tables():
     # random sigma/tau rows: the mixed closed forms often stop being
     # bijections, which both paths must report as the same error
@@ -280,13 +301,26 @@ def test_fused_checks_match_oracle_on_random_permutation_tables():
     assert "raise" in outcomes and ("fail", "fail", "fail", "fail") in outcomes
 
 
-# the braid constraints that decide each family
-_FAMILY_CONSTRAINTS = {
+# the braid constraints each proved check follows from; every check but
+# the twisted braids holds exactly where its constraints all do
+_CHECK_CONSTRAINTS = {
     "group-like:V": ("c1",),
     "group-like:W": ("c2",),
     "mixed-coproduct:F-on-W": ("c3",),
     "mixed-coproduct:Fhat-on-V": ("c3",),
     "coproduct-commutation": ("c1", "c2", "c3"),
+    "matrix-braid": ("c1", "c2", "c3"),
+    "matrix-ybe": ("c1", "c2", "c3"),
+    "lift-commutation:rc12-with-Fstar_12_3": ("c1",),
+    "lift-commutation:rc23-with-F_1_23": ("c1", "c3"),
+    "lift-commutation:rc12-with-Fhat_12_3": ("c2", "c3"),
+    "lift-commutation:rc23-with-Fhatstar_1_23": ("c2",),
+    "cocycle:F-factorizations": ("c1",),
+    "cocycle:F-closed-form": (),
+    "cocycle:Fhat-factorizations": ("c2",),
+    "cocycle:Fhat-closed-form": ("c2",),
+    "twisted-braid:F": ("c1", "c2", "c3"),
+    "twisted-braid:Fhat": ("c1", "c2", "c3"),
 }
 
 
@@ -300,9 +334,9 @@ def _swapped_bundles():
 
 def test_coproduct_families_are_decided_by_their_braid_constraints():
     seen = set()
-    for tb in (*_swapped_bundles(), *_random_table_bundles()):
+    for tb in (*_swapped_bundles(), *_random_table_bundles(), *_c1_c2_bundles()):
         holds = {r.name: r.ok for r in brute_braid_constraints(tb.solution)}
-        want = {name: all(holds[c] for c in cs) for name, cs in _FAMILY_CONSTRAINTS.items()}
+        want = {name: all(holds[c] for c in cs) for name, cs in _CHECK_CONSTRAINTS.items()}
         commutation = coproduct_commutation_check(tb)
         assert commutation == brute_coproduct_commutation(tb)
         got = {commutation.name: commutation.ok}
@@ -320,7 +354,9 @@ def test_coproduct_families_are_decided_by_their_braid_constraints():
         seen.add(tuple(holds.values()))
     # each constraint fails while another holds, so a family decided by
     # the wrong constraint gives the wrong status somewhere
-    assert {(False, True, False), (False, True, True), (True, False, False), (True, False, True)} <= seen
+    assert {
+        (False, True, False), (False, True, True), (True, False, False), (True, False, True), (True, True, False),
+    } <= seen
 
 
 def test_proved_coproduct_families_touch_no_element(monkeypatch):
@@ -460,20 +496,52 @@ def test_sparse_difference_roundtrip():
     assert d.entries == ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1))
 
 
+def _unproved_braided_bundle():
+    """sigma of cyclic2n n=4 at shift 0 with tau of shift 1.
+
+    Every braid constraint fails, so no twisted braid is proved, yet both
+    twisted matrices braid at every point.
+    """
+    s = build_solution(cyclic_unit_brace(4), 0)
+    return TwistBundle(dataclasses.replace(s, tau=build_solution(cyclic_unit_brace(4), 1).tau))
+
+
+def _twisted_braids(tb, **kw):
+    return [c for c in twisted_solution_check(tb, **kw) if c.name.startswith("twisted-braid:")]
+
+
 def test_sampled_mode_reports_sampled_status():
-    tb = bundle_for(CYCLIC3, 1)
-    check = braid_matrix_check(tb, budget=1, sample_points=32, seed=0)
-    assert check.status == "sampled"
-    assert 0 < check.points <= 32
+    tb = _unproved_braided_bundle()
+    assert not any(r.ok for r in tb.solution.braid_constraints)
+    for check in _twisted_braids(tb, budget=1, sample_points=32, seed=0):
+        assert check.status == "sampled"
+        assert 0 < check.points <= 32
 
 
-def test_oddmatrix_tensor_checks_run_sampled_under_default_budget():
-    om = odd_matrix_brace()
-    tb = bundle_for(om, 37)
-    checks = lift_commutation_check(tb, sample_points=20_000, seed=1)
-    assert all(c.status == "sampled" for c in checks)
-    checks = cocycle_check(tb, sample_points=20_000, seed=1)
-    assert all(c.status == "sampled" for c in checks)
+def test_oddmatrix_tensor_checks_run_sampled_under_default_budget(monkeypatch):
+    # one swapped pair of sigma entries breaks c1 and c3 but keeps c2: the
+    # checks that follow from c2 alone are proved at n^3 points, and the
+    # others run on the seeded sample, whose failures the oracle confirms
+    s = swap_sigma_entries(build_solution(odd_matrix_brace(), 37), 200, 3, 9)
+    assert [r.ok for r in s.braid_constraints] == [False, True, False]
+    tb = TwistBundle(s)
+    kw = {"sample_points": 20_000, "seed": 1}
+    got = [*lift_commutation_check(tb, **kw), *cocycle_check(tb, **kw)]
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "_compare_chains", brute_compare_chains)
+        assert got == [*lift_commutation_check(tb, **kw), *cocycle_check(tb, **kw)]
+    proved = {
+        "lift-commutation:rc23-with-Fhatstar_1_23",
+        "cocycle:F-closed-form",
+        "cocycle:Fhat-factorizations",
+        "cocycle:Fhat-closed-form",
+    }
+    draws = np.unique(np.random.default_rng(1).integers(0, 256**3, size=20_000)).size
+    for c in got:
+        if c.name in proved:
+            assert (c.status, c.points) == ("pass", 256**3), c
+        else:
+            assert c.status in ("sampled", "fail") and c.points == draws, c
 
 
 def test_export_object_names():
@@ -517,15 +585,10 @@ def _report_checks(tb, **kw):
     return [c for _, c in tensor_checks(tb, TENSOR_FAMILIES, **kw)]
 
 
-def _real_and_forged_bundles():
-    for b in (S3_TRIVIAL, cyclic_unit_brace(4)):
-        for z in range(b.order):
-            yield bundle_for(b, z)
-    yield from _forged_bundles()
-
-
 def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
-    # the oracle decodes 16 points at a time, so witnesses also come from later blocks
+    # the oracle decodes 16 points at a time, so witnesses also come from
+    # later blocks; forged and mirrored tables fail each constraint, so the
+    # checks that follow from it reach the sweep
     kw = {"budget": 1 << 22, "sample_points": 64, "seed": 3}
     chain_checks = []
 
@@ -534,7 +597,7 @@ def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
         chain_checks.append(check)
         return check
 
-    for tb in _real_and_forged_bundles():
+    for tb in _swapped_bundles():
         got = _report_checks(tb, **kw)
         with monkeypatch.context() as m:
             m.setattr(tensor, "_compare_chains", oracle)
@@ -548,16 +611,102 @@ def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
 
 
 def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
-    tb = bundle_for(cyclic_unit_brace(4), 3)
+    tb = _unproved_braided_bundle()
     total = tb.n**3
-    full = braid_matrix_check(tb, budget=total)
+    full = _twisted_braids(tb, budget=total)[0]
     assert full.status == "pass" and full.points == total
     kw = {"budget": total - 1, "sample_points": 200, "seed": 4}
-    got = [braid_matrix_check(tb, **kw), *r_lift_defects(tb, **kw)]
+    got = [*_twisted_braids(tb, **kw), *r_lift_defects(tb, **kw)]
     with monkeypatch.context() as m:
         m.setattr(tensor, "_compare_chains", brute_compare_chains)
-        want = [braid_matrix_check(tb, **kw), *r_lift_defects(tb, **kw)]
+        want = [*_twisted_braids(tb, **kw), *r_lift_defects(tb, **kw)]
     assert got == want
     draws = np.unique(np.random.default_rng(4).integers(0, total, size=200)).size
     assert got[0].status == "sampled" and got[0].points == draws
-    assert got[1].status == "fail" and got[1].witness is not None
+    assert got[2].status == "fail" and got[2].witness is not None
+    # a proved check passes at every point on either side of the boundary
+    real = bundle_for(cyclic_unit_brace(4), 3)
+    for budget in (total, total - 1):
+        assert braid_matrix_check(real, budget=budget) == tensor.TensorCheck("matrix-braid", "pass", total)
+
+
+def _chain_checks(tb, **kw):
+    """The chain checks that braid constraints prove, in report order."""
+    return [
+        braid_matrix_check(tb, **kw),
+        ybe_matrix_check(tb, **kw),
+        *lift_commutation_check(tb, **kw),
+        *cocycle_check(tb, **kw),
+        *_twisted_braids(tb, **kw),
+    ]
+
+
+def _real_bundles():
+    for b in (CYCLIC3, S3_TRIVIAL, cyclic_unit_brace(4)):
+        for z in range(b.order):
+            yield bundle_for(b, z)
+
+
+def test_chain_checks_are_decided_by_their_braid_constraints(monkeypatch):
+    kw = {"budget": 1 << 22, "sample_points": 64, "seed": 3}
+    seen = set()
+    braided_without_constraints = 0
+    for tb in (*_swapped_bundles(), *_random_table_bundles(), *_c1_c2_bundles(), *_real_bundles()):
+        holds = {r.name: r.ok for r in brute_braid_constraints(tb.solution)}
+        got = _chain_checks(tb, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_proved", lambda bundle, name: False)
+            m.setattr(tensor, "_compare_chains", brute_compare_chains)
+            assert got == _chain_checks(tb, **kw)
+        for c in got:
+            premises = all(holds[k] for k in _CHECK_CONSTRAINTS[c.name])
+            if c.name.startswith("twisted-braid:"):
+                assert c.ok or not premises, c
+            else:
+                assert c.ok == premises, c
+        seen.add(tuple(holds.values()))
+        braided_without_constraints += not any(holds.values()) and all(c.ok for c in got[-2:])
+    # each constraint fails while another holds, so a check proved from
+    # the wrong constraints gives the wrong verdict somewhere
+    assert {
+        (False, True, False), (False, True, True), (True, False, False), (True, False, True), (True, True, False),
+    } <= seen
+    # the twisted braids also hold where no constraint does; the sweep decides those
+    assert braided_without_constraints
+
+
+def test_proved_chain_checks_evaluate_no_point(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_row_map", "_chain"):
+        def counted(*args, _fn=getattr(tensor, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(tensor, name, counted)
+    for tb in _real_bundles():
+        # the proof holds beyond the budget too, where the sweep would sample
+        for budget in (1 << 22, 1):
+            calls.clear()
+            checks = _chain_checks(tb, budget=budget, sample_points=64, seed=0)
+            assert all(c.status == "pass" and c.points == tb.n**3 for c in checks)
+            assert not calls
+    # a check whose constraints fail still evaluates points, either way
+    tb = _unproved_braided_bundle()
+    for budget, evaluator in ((1 << 22, "_row_map"), (1, "_chain")):
+        calls.clear()
+        braid_matrix_check(tb, budget=budget, sample_points=64, seed=0)
+        assert calls[evaluator] > 0
+
+
+def test_sample_is_drawn_once_and_shared_read_only(monkeypatch):
+    decoded = []
+    real = tensor._decode3
+    monkeypatch.setattr(tensor, "_decode3", lambda p, n: decoded.append(n) or real(p, n))
+    tensor._sample.cache_clear()
+    tb = _unproved_braided_bundle()
+    checks = _report_checks(tb, budget=1, sample_points=64, seed=5)
+    assert decoded == [tb.n]
+    p, pts = tensor._sample(tb.n, 64, 5)
+    assert not any(a.flags.writeable for a in (p, *pts))
+    # every check that ran on the sample ran on this one
+    assert sum(c.points == p.size for c in checks) > 1
