@@ -66,9 +66,9 @@ def _first_bad_entry(table: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """Half-open row ranges [lo, hi) of 0..n-1 holding at most _BLOCK_ELEMS // n^2 rows each."""
-    step = max(1, _BLOCK_ELEMS // max(1, n * n))
+def row_blocks(n: int, block: int = _BLOCK_ELEMS) -> list[tuple[int, int]]:
+    """Half-open row ranges [lo, hi) of 0..n-1 holding at most block // n^2 rows each (at least one)."""
+    step = max(1, block // max(1, n * n))
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 

@@ -380,10 +380,13 @@ def gv_section(identity_shift: DeformedSolution, timings: bool = False) -> list[
 
 
 def config_int(value: Any, where: str) -> int:
-    """``int(value)`` for a config field; a JSON boolean, or a value int() rejects, raises a one-line ValueError."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError):
-            return int(value)
+    """A config field that must be an integer (a Python or NumPy integer, not a boolean); else a one-line ValueError.
+
+    Floats, even integral ones like 3.0, and numeric strings are rejected,
+    as integer entries of brace tables are.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     raise ValueError(f"{where} must be an integer, got {value!r}")
 
 

@@ -17,29 +17,31 @@ a bijective change of variables, so ``_PREMISES`` names the constraints
 each check follows from, and a check whose constraints hold (decided once
 per solution, ``DeformedSolution.braid_constraints``) passes at all n^3
 points without evaluating one; each check's docstring derives its
-relabelling.  Otherwise, and for the defect probes, the chains are
-compared: within the point budget every operator of a check becomes one
-flat row map, evaluated on the broadcast index grid, and each side is a
-composition of those maps; beyond the budget both chains run on a seeded
-sample of decoded points, drawn once per (n, sample_points, seed).
+relabelling.  Otherwise, and for the defect probes, both chains run on
+the same points and their output legs are compared.  Within the point
+budget the points are the broadcast index grid, one block of rows e at a
+time in row-major order, so a comparison holds a few arrays of at most
+``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample of
+decoded points, drawn once per (n, sample_points, seed).
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .groups import row_blocks
 from .solutions import DeformedSolution
 
 DEFAULT_SAMPLE_POINTS = 100_000
 # Arity-3 checks run exhaustively when n^3 is at most this many points.
 DEFAULT_BUDGET = 1 << 22
+# Points per block of the exhaustive index grid.
+BLOCK_POINTS = 1 << 20
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
 Formula2 = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -146,53 +148,33 @@ def _chain(fns: Sequence[Formula3], pts: Triple) -> Triple:
     return pts
 
 
-def _row_map(fn: Formula3, n: int) -> np.ndarray:
-    """The flat row map of an arity-3 formula, evaluated on the broadcast index grid.
+def _grid(lo: int, hi: int, n: int) -> Triple:
+    """The index grid of rows e in [lo, hi): the three legs as aranges along three broadcast axes.
 
-    The formula sees the three legs as arange(n) along axes 0, 1 and 2, so
-    it gathers only over the shape its legs actually span (n^2 for a lifted
-    pair operator) and no flat index is decoded.  The legs are weighted by
-    their place values and summed into the map itself: first the leg that
-    leaves the smallest sum of the other two, then that sum.  So no n^3
-    intermediate is made beyond a leg that already spans the full grid.
-    Maps are int32 while every index fits.
+    A formula on the grid gathers only over the shape its legs actually
+    span (n^2 for a lifted pair operator) and decodes no flat index.
     """
     i = np.arange(n)
-    legs = fn(i[:, None, None], i[None, :, None], i[None, None, :])
-    weights = (n * n, n, 1)
-
-    def rest_size(k: int) -> int:
-        return math.prod(np.broadcast_shapes(*(leg.shape for j, leg in enumerate(legs) if j != k)))
-
-    k = min(range(3), key=rest_size)
-    x, y = (legs[j] * weights[j] for j in range(3) if j != k)
-    out = np.empty((n, n, n), dtype=np.int32 if n**3 < 2**31 else np.int64)
-    np.multiply(legs[k], weights[k], out=out, casting="unsafe")
-    np.add(out, x + y, out=out, casting="unsafe")
-    return out.ravel()
+    return np.arange(lo, hi)[:, None, None], i[None, :, None], i[None, None, :]
 
 
-def _chain_maps(n: int, lhs: Sequence[Formula3], rhs: Sequence[Formula3]) -> list[np.ndarray]:
-    """Row maps of both chains, composed left to right as in ``PermMatrix.__matmul__``.
+def _block_witness(n: int, lo: int, hi: int, le: Triple, re: Triple) -> dict | None:
+    """The witness at the first point of grid rows [lo, hi) where the output triples differ, or None.
 
-    Each distinct operator is materialized once and released after its
-    last use, so at most the operators still needed, the two sides and
-    one intermediate are alive at a time.
+    The legs are compared broadcast to the block shape, and only the first
+    differing point is encoded.
     """
-    uses = collections.Counter([*lhs, *rhs])
-    maps: dict[Formula3, np.ndarray] = {}
-    sides = []
-    for chain in (lhs, rhs):
-        acc = None
-        for f in chain:
-            if f not in maps:
-                maps[f] = _row_map(f, n)
-            acc = maps[f] if acc is None else maps[f][acc]
-            uses[f] -= 1
-            if not uses[f]:
-                del maps[f]
-        sides.append(acc)
-    return sides
+    shape = (hi - lo, n, n)
+    differs = np.zeros(shape, dtype=bool)
+    for a, b in zip(le, re):
+        differs |= a != b
+    if not differs.any():
+        return None
+    j = int(np.argmax(differs))
+    at = np.unravel_index(j, shape)
+    i = lo * n * n + j
+    lhs, rhs = ([int(np.broadcast_to(a, shape)[at]) for a in t] for t in (le, re))
+    return {"point": i, "triple": [i // (n * n), i // n % n, i % n], "lhs": _encode3(lhs, n), "rhs": _encode3(rhs, n)}
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,24 +208,19 @@ def _compare_chains(
 ) -> TensorCheck:
     """Exact or seeded-sample equality of two left-to-right operator chains.
 
-    Within the budget both chains become flat row maps over all n^3 points
-    and the first differing point is the witness; beyond it the chains
-    run on a seeded sample of decoded points.
+    Within the budget both chains run on the index grid, one block of rows
+    e at a time in row-major order, and the first differing point is the
+    witness; beyond it they run on a seeded sample of decoded points.
     """
     start = time.perf_counter()
     total = n**3
     if total <= budget:
-        le, re = _chain_maps(n, lhs, rhs)
-        if np.array_equal(le, re):
-            return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
-        i = int(np.argmax(le != re))
-        witness = {
-            "point": i,
-            "triple": [i // (n * n), i // n % n, i % n],
-            "lhs": int(le[i]),
-            "rhs": int(re[i]),
-        }
-        return TensorCheck(name, "fail", i + 1, witness, elapsed_ms=_ms_since(start))
+        for lo, hi in row_blocks(n, BLOCK_POINTS):
+            pts = _grid(lo, hi, n)
+            witness = _block_witness(n, lo, hi, _chain(lhs, pts), _chain(rhs, pts))
+            if witness:
+                return TensorCheck(name, "fail", witness["point"] + 1, witness, elapsed_ms=_ms_since(start))
+        return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
 
     p, pts = _sample(n, sample_points, seed)
     le = _encode3(_chain(lhs, pts), n)
@@ -296,8 +273,9 @@ class TwistBundle:
     """All twist-related operators attached to one deformed solution.
 
     Arity-2 members are materialized permutation maps; arity-3 members are
-    pointwise index formulas, which the chain comparison turns into flat
-    row maps or runs on sampled points, and ``materialize3`` into matrices.
+    pointwise index formulas, which the chain comparison runs on blocks of
+    the index grid or on sampled points, and ``materialize3`` on the whole
+    grid.
     """
 
     def __init__(self, s: DeformedSolution):
@@ -460,8 +438,10 @@ class TwistBundle:
         }
 
     def materialize3(self, name: str) -> PermMatrix:
-        """Full arity-3 permutation for a named operator."""
-        return PermMatrix(self.n, 3, _row_map(self._pointwise()[name], self.n))
+        """Full arity-3 permutation for a named operator: its formula on the whole index grid, encoded."""
+        n = self.n
+        legs = self._pointwise()[name](*_grid(0, n, n))
+        return PermMatrix(n, 3, np.broadcast_to(_encode3(legs, n), (n, n, n)).ravel())
 
     # -- iterated coproducts (coassociativity probes) ----------------------
     def iterated_delta_v(self, eta: int, bracketing: str) -> Formula3:
@@ -792,17 +772,6 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
     W_y (x) W_y for every element; the cross-twisted coproducts match
     their displayed closed forms.
 
-    Each family is one flat-index formula per element, read from the
-    sigma/tau tables and their inverses.  Both sides of every identity are
-    permutations of the pair space that agree on one output leg by
-    construction, so comparing the other leg over all n^2 rows decides
-    equality of the full permutations.  For the mixed families the
-    conjugated coproduct is applied backwards to the displayed columns and
-    compared with the displayed rows; agreement also shows that the rows
-    form a bijection.  The witness of the first failing element (or the
-    bijection error of a mixed closed form) comes from its materialized
-    operators.
-
     Each family is a braid constraint relabelled by bijections (every
     sigma_x and tau_y is a permutation), so a family whose constraint
     holds passes without touching an element:
@@ -815,65 +784,34 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
         u = tau_v(tau_{sigma_x(y)}(e)), reads
         tau_y tau_x = tau_{tau_y(x)} tau_{sigma_x(y)}: c2 at (e, x, y);
       * mixed F-on-W at y is c3 at (e, x, y) and mixed Fhat-on-V at eta is
-        c3 at (eta, x, y), as written below.
+        c3 at (eta, x, y).
 
-    A family whose constraint fails runs the per-element test below.
+    A family whose constraint fails compares the materialized
+    twist . Delta(x) . twist^{-1} with the expected operator, element by
+    element, and names the first failing element and its first differing
+    row.  A mixed closed form whose rows are not a bijection raises
+    RuntimeError when it is built.
     """
     n = bundle.n
-    S, TT, Si, Ti = bundle.sigma, bundle.taut, bundle.sigma_inv, bundle.tau_inv
-    tau = bundle.solution.tau  # [y, x] = tau_y(x)
-    ST = np.ascontiguousarray(S.T)  # [y, x] = sigma_x(y)
-    Sf, TTf, Sif, Tif, tauf, STf = (a.ravel() for a in (S, TT, Si, Ti, tau, ST))
-    STn = ST * n
-
-    def group_like_v(eta: int) -> bool:
-        # row (a, b), x = sigma^{-1}_eta(a): second leg
-        # sigma_x(sigma^{-1}_{tau_x(eta)}(sigma^{-1}_a(b))) = sigma^{-1}_eta(b)
-        x = Si[eta]
-        inner = Sif[(TT[eta, x] * n)[:, None] + Si]
-        return np.array_equal(Sf[(x * n)[:, None] + inner], np.broadcast_to(Si[eta], (n, n)))
-
-    def group_like_w(y: int) -> bool:
-        # row (u, v), x = tau^{-1}_y(v), laid out [v, u]: first leg
-        # tau_x(tau^{-1}_{sigma_x(y)}(tau^{-1}_v(u))) = tau^{-1}_y(u)
-        x = Ti[y]
-        e = Tif[(S[x, y] * n)[:, None] + Ti]
-        return np.array_equal(tauf[(x * n)[:, None] + e], np.broadcast_to(Ti[y], (n, n)))
-
-    def mixed_f_on_w(y: int) -> bool:
-        # over (e, x), laid out [x, e]:
-        # sigma_{tau_{sigma_x(y)}(e)}(tau_y(x)) = tau_{sigma_{tau_x(e)}(y)}(sigma_e(x))
-        r1 = tau[ST[y]]  # [x, e] = tau_{sigma_x(y)}(e)
-        lhs = STf[(TT[:, y] * n)[:, None] + r1]
-        return np.array_equal(lhs, TTf[STn + ST[y][tau]])
-
-    def mixed_fhat_on_v(eta: int) -> bool:
-        # over (x, y): tau_{sigma_{tau_x(eta)}(y)}(sigma_eta(x)) = sigma_{tau_{sigma_x(y)}(eta)}(tau_y(x))
-        lhs = TTf[(S[eta] * n)[:, None] + S[TT[eta]]]
-        return np.array_equal(lhs, Sf[TT[eta][S] * n + TT])
-
-    # family -> (fused test, (twist, coproduct, expected) materialized for one element)
+    # family -> (twist, coproduct, expected operator of one element)
     families = (
-        ("group-like:V", "V", group_like_v,
-         lambda x: (bundle.f_twist(), bundle.delta_v(x), bundle.v_op(x).tensor(bundle.v_op(x)))),
-        ("group-like:W", "W", group_like_w,
-         lambda y: (bundle.fhat_twist(), bundle.delta_w(y), bundle.w_op(y).tensor(bundle.w_op(y)))),
-        ("mixed-coproduct:F-on-W", "W", mixed_f_on_w,
-         lambda y: (bundle.f_twist(), bundle.delta_w(y), bundle.delta_f_w_closed(y))),
-        ("mixed-coproduct:Fhat-on-V", "V", mixed_fhat_on_v,
-         lambda eta: (bundle.fhat_twist(), bundle.delta_v(eta), bundle.delta_fhat_v_closed(eta))),
+        ("group-like:V", "V", bundle.f_twist, bundle.delta_v, lambda x: bundle.v_op(x).tensor(bundle.v_op(x))),
+        ("group-like:W", "W", bundle.fhat_twist, bundle.delta_w, lambda y: bundle.w_op(y).tensor(bundle.w_op(y))),
+        ("mixed-coproduct:F-on-W", "W", bundle.f_twist, bundle.delta_w, bundle.delta_f_w_closed),
+        ("mixed-coproduct:Fhat-on-V", "V", bundle.fhat_twist, bundle.delta_v, bundle.delta_fhat_v_closed),
     )
     out: list[TensorCheck] = []
-    for name, tag, holds, operators in families:
+    for name, tag, twist, delta, expected in families:
         start = time.perf_counter()
         bad = None
-        elements = () if _proved(bundle, name) else range(n)
-        for x in elements:
-            if not holds(x):
-                twist, delta, want = operators(x)
-                got = twist @ delta @ twist.inverse()
-                bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
-                break
+        if not _proved(bundle, name):
+            t = twist()
+            t_inv = t.inverse()
+            for x in range(n):
+                got, want = t @ delta(x) @ t_inv, expected(x)
+                if not got.equals(want):
+                    bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
+                    break
         out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad, elapsed_ms=_ms_since(start)))
     return out
 

@@ -566,10 +566,20 @@ def test_report_timings_must_be_a_json_boolean(tmp_path, capsys, value):
         ({"brace": {"family": "cyclic2n", "n": 3}, "threads": False}, "threads"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "seed": True}, "seed"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": [3, True]}, "z[1]"),
+        ({"brace": {"family": "cyclic2n", "n": 3.7}}, "n"),
+        ({"brace": {"family": "cyclic2n", "n": 3.0}}, "n"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": [2.9]}, "z[0]"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": 2.0}}, "z.sample"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "budget": 63.9}, "budget"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "z": ["1"]}, "z[0]"),
+        ({"brace": {"family": "cyclic2n", "n": "3"}}, "n"),
+        ({"brace": {"family": "cyclic2n", "n": 3}, "threads": "2"}, "threads"),
     ],
     ids=[
         "brace-n-list", "seed-list", "z-nested-list", "z-sample-list",
         "budget-bool", "sample-points-bool", "threads-bool", "seed-bool", "z-entry-bool",
+        "brace-n-float", "brace-n-integral-float", "z-entry-float", "z-sample-float", "budget-float",
+        "z-entry-string", "brace-n-string", "threads-string",
     ],
 )
 def test_report_non_integer_numeric_field_is_an_input_error(tmp_path, capsys, cfg, field):

@@ -28,18 +28,19 @@ from oracles import (
 )
 from zbrace import tensor
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
-from zbrace.groups import cyclic_group, symmetric_group
+from zbrace.groups import cyclic_group, row_blocks, symmetric_group
 from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
 from zbrace.solutions import build_solution
 from zbrace.tensor import (
     PermMatrix,
     TwistBundle,
     UnknownObjectError,
+    _encode3,
+    _grid,
     _lift12,
     _lift13,
     _lift23,
     _pair_formula,
-    _row_map,
     braid_matrix_check,
     cocycle_check,
     coproduct_commutation_check,
@@ -570,13 +571,17 @@ def test_row_maps_match_decoded_maps():
         q = random_perm_matrix(rng, n, 2)
         pair = _pair_formula(q)
         formulas.update({"pair12": _lift12(pair), "pair23": _lift23(pair), "pair13": _lift13(pair)})
+
+        def grid_map(fn):
+            # one row e per block, as the exhaustive comparison sees the grid
+            blocks = [_grid(lo, hi, n) for lo, hi in row_blocks(n, n * n)]
+            return np.concatenate([np.broadcast_to(_encode3(fn(*g), n), (1, n, n)).ravel() for g in blocks])
+
         for name, fn in formulas.items():
-            got = _row_map(fn, n)
-            assert got.dtype == np.int32
-            assert np.array_equal(got, brute_row_map(fn, n)), name
+            assert np.array_equal(grid_map(fn), brute_row_map(fn, n)), name
         # the lifted pair formulas are the permutation-level lifts of q
         for lift, oracle in (("pair12", lift12), ("pair23", lift23), ("pair13", lift13)):
-            assert np.array_equal(_row_map(formulas[lift], n), oracle(q).perm), lift
+            assert np.array_equal(grid_map(formulas[lift]), oracle(q).perm), lift
         for name in ("F123", "Fhat123"):
             assert np.array_equal(tb.materialize3(name).perm, brute_row_map(formulas[name], n))
 
@@ -608,6 +613,37 @@ def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
     assert {"matrix-braid", "matrix-ybe", "twisted-braid:F", "twisted-braid:Fhat"} <= failing
     assert any(name.startswith("lift-commutation:") for name in failing)
     assert any(c.witness["point"] >= 16 for c in chain_checks if c.status == "fail")
+
+
+def test_chain_checks_spanning_many_grid_blocks_match_oracle(monkeypatch):
+    # 100-point blocks hold one row of e for n = 8 and two for n = 6, so
+    # the forged bundles' comparisons run over several blocks; with the
+    # proofs off every chain check is compared
+    kw = {"budget": 1 << 22, "sample_points": 64, "seed": 3}
+    compared = []
+    real = tensor._compare_chains
+
+    def recorded(name, n, *args):
+        check = real(name, n, *args)
+        compared.append((n, check))
+        return check
+
+    def checks(tb):
+        defects = [coproduct_defect(tb, eta, **kw) for eta in range(tb.n)]
+        return [*_chain_checks(tb, **kw), *r_lift_defects(tb, **kw), *defects]
+
+    for tb in (*_swapped_bundles(), *_c1_c2_bundles()):
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "BLOCK_POINTS", 100)
+            m.setattr(tensor, "_proved", lambda bundle, name: False)
+            m.setattr(tensor, "_compare_chains", recorded)
+            got = checks(tb)
+            m.setattr(tensor, "_compare_chains", brute_compare_chains)
+            assert got == checks(tb)
+    assert len(compared) > 1000 and all(c.status != "sampled" for _, c in compared)
+    first_block = {n: row_blocks(n, 100)[0][1] * n * n for n, _ in compared}
+    later_witnesses = sum(c.status == "fail" and c.witness["point"] >= first_block[n] for n, c in compared)
+    assert later_witnesses
 
 
 def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
@@ -677,12 +713,13 @@ def test_chain_checks_are_decided_by_their_braid_constraints(monkeypatch):
 
 def test_proved_chain_checks_evaluate_no_point(monkeypatch):
     calls = collections.Counter()
-    for name in ("_row_map", "_chain"):
-        def counted(*args, _fn=getattr(tensor, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    real = tensor._chain
 
-        monkeypatch.setattr(tensor, name, counted)
+    def counted(*args):
+        calls["_chain"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_chain", counted)
     for tb in _real_bundles():
         # the proof holds beyond the budget too, where the sweep would sample
         for budget in (1 << 22, 1):
@@ -692,10 +729,10 @@ def test_proved_chain_checks_evaluate_no_point(monkeypatch):
             assert not calls
     # a check whose constraints fail still evaluates points, either way
     tb = _unproved_braided_bundle()
-    for budget, evaluator in ((1 << 22, "_row_map"), (1, "_chain")):
+    for budget in (1 << 22, 1):
         calls.clear()
         braid_matrix_check(tb, budget=budget, sample_points=64, seed=0)
-        assert calls[evaluator] > 0
+        assert calls["_chain"] > 0
 
 
 def test_sample_is_drawn_once_and_shared_read_only(monkeypatch):
