@@ -3,7 +3,9 @@
 A left skew brace is one carrier with two group structures (+, o) sharing
 the identity and satisfying a o (b + c) = a o b - a + a o c.  All law
 checks here are exact, vectorized over Cayley tables: each proves its law
-at every point or names the first counterexample.
+at every point by a certificate over the additive generators, or names
+the first counterexample by the shared sweep ``groups.first_difference``.
+Size limits (``check_carrier_cap``) are checked before any table is built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 from .groups import (
     FiniteGroup,
     GroupValidationError,
+    NotAssociativeError,
     direct_product,
+    first_difference,
     validate_group,
 )
 
@@ -42,6 +46,12 @@ class NotLeftDistributiveError(BraceError):
 
 class BoundExceededError(BraceError):
     pass
+
+
+def check_carrier_cap(n: int, cap: int = DEFAULT_CARRIER_CAP) -> None:
+    """Raise BoundExceededError when a carrier of size n exceeds the cap; called before any table work."""
+    if n > cap:
+        raise BoundExceededError(f"carrier size {n} exceeds cap {cap}")
 
 
 class NotRadicalError(BraceError):
@@ -108,15 +118,14 @@ def make_skew_brace(
     For fixed a, the c with lambda_a(b + c) = lambda_a(b) + lambda_a(c)
     for every b form a set closed under +, so checking c over the
     generators of (B, +) proves the law at all n^3 triples.  Only on a
-    failure does the per-a sweep run, to name the lexicographically first
-    witness; it coincides with the raw law's (cancel -a on the left).
+    failure does the sweep run (``_first_non_additive``), to name the
+    lexicographically first witness; it coincides with the raw law's
+    (cancel -a on the left).
     The two-sided flag is the same certificate for rho_a(x) = x o a - a.
     """
     if add.order != mul.order:
         raise BraceError(f"group orders differ: {add.order} != {mul.order}")
-    n = add.order
-    if n > cap:
-        raise BoundExceededError(f"carrier size {n} exceeds cap {cap}")
+    check_carrier_cap(add.order, cap)
     if add.identity != mul.identity:
         raise IdentityMismatchError(
             f"additive identity {add.identity} != multiplicative identity {mul.identity}"
@@ -125,7 +134,7 @@ def make_skew_brace(
     A, M, neg = add.table, mul.table, add.inverses
     lam = A[neg[:, None], M]  # [a, x] = -a + a o x
     if not _additive_on_generators(A, lam, add.generators):
-        _raise_first_non_left_distributive(A, lam)
+        raise NotLeftDistributiveError(_first_non_additive(A, lam))
 
     rho = A[M.T, neg[:, None]]  # [a, x] = x o a - a
     two_sided = _additive_on_generators(A, rho, add.generators)
@@ -144,14 +153,11 @@ def _additive_on_generators(A: np.ndarray, maps: np.ndarray, gens: tuple[int, ..
     return all(np.array_equal(maps[:, A[:, g]], A[maps, maps[:, g][:, None]]) for g in gens)
 
 
-def _raise_first_non_left_distributive(A: np.ndarray, lam: np.ndarray) -> None:
-    """Raise NotLeftDistributiveError at the first (a, b, c) with lam[a](b + c) != lam[a](b) + lam[a](c)."""
-    for a in range(A.shape[0]):
-        lhs = lam[a][A]
-        rhs = A[lam[a][:, None], lam[a][None, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            raise NotLeftDistributiveError((a, int(b), int(c)))
+def _first_non_additive(A: np.ndarray, maps: np.ndarray) -> tuple[int, int, int] | None:
+    """The row-major first (a, b, c) with maps[a](b + c) != maps[a](b) + maps[a](c), or None."""
+    return first_difference(
+        A.shape[0], lambda lo, hi: ((maps[lo:hi].take(A, axis=1),), (A[maps[lo:hi, :, None], maps[lo:hi, None, :]],))
+    )
 
 
 def socle(b: SkewBrace) -> np.ndarray:
@@ -219,10 +225,7 @@ def cyclic_unit_brace(n: int, bound: int = DEFAULT_CYCLIC_BOUND) -> SkewBrace:
         raise BraceError(f"modulus exponent must be >= 2, got {n}")
     if n > bound:
         raise BoundExceededError(f"exponent {n} exceeds bound {bound}")
-    if (1 << (n - 1)) > DEFAULT_CARRIER_CAP:
-        raise BoundExceededError(
-            f"carrier size {1 << (n - 1)} exceeds cap {DEFAULT_CARRIER_CAP}"
-        )
+    check_carrier_cap(1 << (n - 1))
     mod = 1 << n
     vals = np.arange(1, mod, 2, dtype=np.int64)
     add_vals = (vals[:, None] + vals[None, :] - 1) % mod
@@ -355,45 +358,37 @@ def from_radical_ring(
 ) -> SkewBrace:
     """Brace (N, +, o) with a o b = a*b + a + b from an associative ring.
 
-    Rejects inputs whose adjoint operation fails the group axioms (the
-    ring is then not radical), and inputs that are not associative
-    distributive rings to begin with.
+    Rejects, in this order: (N, +) not an abelian group; a distributive
+    law failing, left before right (every b -> ab, resp. b -> ba, additive:
+    the certificate of ``make_skew_brace``, swept only to name a witness);
+    the adjoint o failing the group axioms.  Ring associativity needs no
+    check of its own: with (N, +) abelian and both distributive laws,
+    (a o b) o c and a o (b o c) expand to (ab)c + S and a(bc) + S with
+    S = ab + ac + bc + a + b + c.  So the adjoint fails associativity
+    exactly where (ab)c != a(bc), at the same row-major first triple.
     """
     add = validate_group(add_table, labels=labels)
+    n, A = add.order, add.table
+    check_carrier_cap(n)
     if not add.is_abelian:
         raise NotRadicalError("ring addition is not abelian")
     mr = np.asarray(mul_table, dtype=np.int64)
-    if mr.shape != (add.order, add.order):
-        raise NotRadicalError(f"multiplication table shape {mr.shape} does not match order {add.order}")
-    if mr.min() < 0 or mr.max() >= add.order:
+    if mr.shape != (n, n):
+        raise NotRadicalError(f"multiplication table shape {mr.shape} does not match order {n}")
+    if mr.min() < 0 or mr.max() >= n:
         raise NotRadicalError("multiplication table entries out of range")
 
-    n = add.order
-    A = add.table
-    lhs = mr[mr, :]
-    rhs = mr[np.arange(n)[:, None, None], mr[None, :, :]]
-    if not np.array_equal(lhs, rhs):
-        w = tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-        raise NotRadicalError(f"ring multiplication not associative at {w}", witness=w)
-    for a in range(n):
-        left = mr[a, A]
-        if not np.array_equal(left, A[mr[a][:, None], mr[a][None, :]]):
-            bq, cq = np.argwhere(left != A[mr[a][:, None], mr[a][None, :]])[0]
-            raise NotRadicalError(
-                f"ring not left distributive at ({a},{int(bq)},{int(cq)})",
-                witness=(a, int(bq), int(cq)),
-            )
-        right = mr[A, a]
-        if not np.array_equal(right, A[mr[:, a][:, None], mr[:, a][None, :]]):
-            bq, cq = np.argwhere(right != A[mr[:, a][:, None], mr[:, a][None, :]])[0]
-            raise NotRadicalError(
-                f"ring not right distributive at ({int(bq)},{int(cq)},{a})",
-                witness=(int(bq), int(cq), a),
-            )
+    for side, maps in (("left", mr), ("right", mr.T)):
+        if not _additive_on_generators(A, maps, add.generators):
+            a, b, c = _first_non_additive(A, maps)
+            w = (a, b, c) if side == "left" else (b, c, a)
+            raise NotRadicalError(f"ring not {side} distributive at ({w[0]},{w[1]},{w[2]})", witness=w)
 
     circle = A[A[mr, np.arange(n)[:, None]], np.arange(n)[None, :]]
     try:
         mul = validate_group(circle, labels=add.labels)
+    except NotAssociativeError as exc:
+        raise NotRadicalError(f"ring multiplication not associative at {exc.witness}", witness=exc.witness) from exc
     except GroupValidationError as exc:
         raise NotRadicalError(
             f"adjoint operation a*b+a+b is not a group: {exc}", witness=exc.witness
@@ -403,5 +398,6 @@ def from_radical_ring(
 
 def radical_even_brace(modulus: int = 8) -> SkewBrace:
     """Built-in radical-ring brace on the even residues mod ``modulus``."""
+    check_carrier_cap(modulus // 2)
     add, mul, labels = even_residue_ring_tables(modulus)
     return from_radical_ring(add, mul, labels=labels, name=f"radical-even-mod-{modulus}")

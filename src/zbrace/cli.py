@@ -16,6 +16,7 @@ from pathlib import Path
 from .braces import (
     BraceError,
     SkewBrace,
+    check_carrier_cap,
     cyclic_unit_brace,
     is_odd_matrix_brace,
     odd_matrix_brace,
@@ -105,6 +106,7 @@ def _group_by_name(name: str):
         if key[0] == "s":
             return symmetric_group(int(key[1:]))
         if key[0] in "zc":
+            check_carrier_cap(int(key[1:]))
             return cyclic_group(int(key[1:]))
     raise ValueError(f"unknown group {name!r} (use sN or zN)")
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .braces import SkewBrace, make_skew_brace
+from .braces import SkewBrace, check_carrier_cap, make_skew_brace
 from .groups import validate_group
 from .tensor import PermMatrix
 
@@ -78,6 +78,7 @@ def brace_from_dict(doc: Any) -> SkewBrace:
     order = _require(doc, "order", int, "$")
     if order < 1:
         raise SchemaError("$.order", "order must be positive")
+    check_carrier_cap(order)
     labels = _require(doc, "labels", list, "$")
     if len(labels) != order:
         raise SchemaError("$.labels", f"expected {order} labels, got {len(labels)}")

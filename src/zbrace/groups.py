@@ -4,14 +4,17 @@ Every higher layer consumes only this interface.  Elements are integer
 indices; labels are presentation-only.  Validation is eager: a
 ``FiniteGroup`` instance always satisfies all group axioms, so sweeps
 downstream never re-check them.
+
+``first_difference`` is the one exhaustive sweep: every law checked at
+all n^3 points, in any layer, names its row-major first failure with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,6 +73,26 @@ def row_blocks(n: int, block: int = _BLOCK_ELEMS) -> list[tuple[int, int]]:
     """Half-open row ranges [lo, hi) of 0..n-1 holding at most block // n^2 rows each (at least one)."""
     step = max(1, block // max(1, n * n))
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def first_difference(
+    n: int, sides: Callable[[int, int], tuple[Sequence[np.ndarray], ...]], block: int = _BLOCK_ELEMS
+) -> tuple[int, int, int] | None:
+    """The row-major first (a, b, c) in 0..n-1 where two sides of a law differ, or None.
+
+    ``sides(lo, hi)`` gives both sides at the rows a in [lo, hi) as two
+    equal-length tuples of arrays broadcastable to (hi - lo, n, n); they
+    differ where any pair of arrays does.  Rows go in ``row_blocks(n,
+    block)`` order, so one block's sides are the largest arrays a sweep holds.
+    """
+    for lo, hi in row_blocks(n, block):
+        left, right = sides(lo, hi)
+        differs = reduce(np.logical_or, map(np.not_equal, left, right))
+        if differs.any():
+            shape = (hi - lo, n, n)
+            a, b, c = np.unravel_index(int(np.argmax(np.broadcast_to(differs, shape))), shape)
+            return int(a) + lo, int(b), int(c)
+    return None
 
 
 @dataclass(frozen=True)
@@ -157,7 +180,10 @@ def validate_group(
 
     gens = generating_set(t, e)
     if not all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in gens):
-        _raise_first_non_associative(t)
+        a, b, c = first_difference(n, lambda lo, hi: ((t[t[lo:hi]],), (t[lo:hi].take(t, axis=1),)))
+        raise NotAssociativeError(
+            f"associativity fails at (a,b,c)=({a},{b},{c})", witness=(a, b, c)
+        )
 
     inverses = np.full(n, -1, dtype=np.int64)
     for a in range(n):
@@ -203,20 +229,6 @@ def generating_set(t: np.ndarray, e: int) -> tuple[int, ...]:
             reached[frontier] = True
             cols = gens
     return tuple(gens)
-
-
-def _raise_first_non_associative(t: np.ndarray) -> None:
-    """Raise NotAssociativeError at the row-major first triple with (a b) c != a (b c)."""
-    n = t.shape[0]
-    for lo, hi in row_blocks(n):
-        lhs = t[t[lo:hi], :]
-        rhs = t[np.arange(lo, hi)[:, None, None], t[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            a, b, c = np.argwhere(lhs != rhs)[0]
-            raise NotAssociativeError(
-                f"associativity fails at (a,b,c)=({int(a) + lo},{int(b)},{int(c)})",
-                witness=(int(a) + lo, int(b), int(c)),
-            )
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -20,8 +20,8 @@ points without evaluating one; each check's docstring derives its
 relabelling.  Otherwise, and for the defect probes, both chains run on
 the same points and their output legs are compared.  Within the point
 budget the points are the broadcast index grid, one block of rows e at a
-time in row-major order, so a comparison holds a few arrays of at most
-``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample of
+time in row-major order (``groups.first_difference``), so a comparison
+holds a few arrays of at most ``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample of
 decoded points, drawn once per (n, sample_points, seed).
 """
 
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import row_blocks
+from .groups import first_difference
 from .solutions import DeformedSolution
 
 DEFAULT_SAMPLE_POINTS = 100_000
@@ -158,25 +158,6 @@ def _grid(lo: int, hi: int, n: int) -> Triple:
     return np.arange(lo, hi)[:, None, None], i[None, :, None], i[None, None, :]
 
 
-def _block_witness(n: int, lo: int, hi: int, le: Triple, re: Triple) -> dict | None:
-    """The witness at the first point of grid rows [lo, hi) where the output triples differ, or None.
-
-    The legs are compared broadcast to the block shape, and only the first
-    differing point is encoded.
-    """
-    shape = (hi - lo, n, n)
-    differs = np.zeros(shape, dtype=bool)
-    for a, b in zip(le, re):
-        differs |= a != b
-    if not differs.any():
-        return None
-    j = int(np.argmax(differs))
-    at = np.unravel_index(j, shape)
-    i = lo * n * n + j
-    lhs, rhs = ([int(np.broadcast_to(a, shape)[at]) for a in t] for t in (le, re))
-    return {"point": i, "triple": [i // (n * n), i // n % n, i % n], "lhs": _encode3(lhs, n), "rhs": _encode3(rhs, n)}
-
-
 @functools.lru_cache(maxsize=1)
 def _sample(n: int, sample_points: int, seed: int) -> tuple[np.ndarray, Triple]:
     """The seeded sample of distinct flat points in ascending order, with its decoded triples.
@@ -209,20 +190,25 @@ def _compare_chains(
     """Exact or seeded-sample equality of two left-to-right operator chains.
 
     Within the budget both chains run on the index grid, one block of rows
-    e at a time in row-major order, and the first differing point is the
-    witness; beyond it they run on a seeded sample of decoded points.
+    e at a time in row-major order (``first_difference``), and the first
+    point where an output leg differs is the witness, with ``points`` up
+    to it; beyond the budget they run on a seeded sample of decoded
+    points.  Either way the witness's outputs are encoded from its points.
     """
     start = time.perf_counter()
     total = n**3
     if total <= budget:
-        for lo, hi in row_blocks(n, BLOCK_POINTS):
+        def sides(lo: int, hi: int) -> tuple[Triple, Triple]:
             pts = _grid(lo, hi, n)
-            witness = _block_witness(n, lo, hi, _chain(lhs, pts), _chain(rhs, pts))
-            if witness:
-                return TensorCheck(name, "fail", witness["point"] + 1, witness, elapsed_ms=_ms_since(start))
-        return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
+            return _chain(lhs, pts), _chain(rhs, pts)
 
-    p, pts = _sample(n, sample_points, seed)
+        hit = first_difference(n, sides, BLOCK_POINTS)
+        if hit is None:
+            return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
+        # the witness alone, as a one-point sample: both chains run again there
+        p, pts = np.array([_encode3(hit, n)]), tuple(np.array([v]) for v in hit)
+    else:
+        p, pts = _sample(n, sample_points, seed)
     le = _encode3(_chain(lhs, pts), n)
     re = _encode3(_chain(rhs, pts), n)
     if np.array_equal(le, re):
@@ -236,7 +222,8 @@ def _compare_chains(
         "lhs": int(le[i]),
         "rhs": int(re[i]),
     }
-    return TensorCheck(name, "fail", int(p.size), witness, elapsed_ms=_ms_since(start))
+    points = int(p.size) if total > budget else witness["point"] + 1
+    return TensorCheck(name, "fail", points, witness, elapsed_ms=_ms_since(start))
 
 
 def _lift12(f2: Formula2) -> Formula3:

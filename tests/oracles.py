@@ -688,3 +688,35 @@ def cubic_brace_laws(add, mul):
         if not np.array_equal(rho[A], A[rho[:, None], rho[None, :]]):
             return False
     return True
+
+
+def brute_radical_ring_laws(add, mul):
+    """Plain-loop check of a radical ring: the first witness of each law, or None where it holds.
+
+    ``add`` is the table of an abelian group, ``mul`` any table on the same
+    indices (both lists of lists).  Keys, with the order of each scan:
+
+      * "left": (a, b, c) with a(b + c) != ab + ac, row-major;
+      * "right": (b, c, a) with (b + c)a != ba + ca, scanning a first,
+        then (b, c) row-major;
+      * "associative": (a, b, c) with (ab)c != a(bc), row-major;
+      * "adjoint": the first group axiom a o b = ab + a + b fails, as
+        ("identity",), the first non-associative triple, or the first
+        (a,) without a two-sided inverse; None when o is a group.
+    """
+    r = range(len(add))
+    triples = [(a, b, c) for a in r for b in r for c in r]
+    circ = [[add[add[mul[a][b]][a]][b] for b in r] for a in r]
+    e = next((x for x in r if all(circ[x][y] == y == circ[y][x] for y in r)), None)
+    if e is None:
+        adjoint = ("identity",)
+    else:
+        adjoint = next(((a, b, c) for a, b, c in triples if circ[circ[a][b]][c] != circ[a][circ[b][c]]), None)
+        if adjoint is None:
+            adjoint = next(((a,) for a in r if not any(circ[a][b] == e == circ[b][a] for b in r)), None)
+    return {
+        "left": next(((a, b, c) for a, b, c in triples if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]), None),
+        "right": next(((b, c, a) for a, b, c in triples if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]), None),
+        "associative": next(((a, b, c) for a, b, c in triples if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None),
+        "adjoint": adjoint,
+    }

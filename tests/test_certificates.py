@@ -7,11 +7,14 @@ type, message and witness, the same two-sided flag.
 """
 
 import dataclasses
+import random
 
 import numpy as np
+import pytest
 
 from oracles import (
     brute_braid_constraints,
+    brute_radical_ring_laws,
     cubic_brace_laws,
     cubic_validate_group,
     swap_sigma_entries,
@@ -19,8 +22,10 @@ from oracles import (
 from zbrace import braces, groups, solutions
 from zbrace.braces import (
     BraceError,
+    NotRadicalError,
     admissible_z,
     cyclic_unit_brace,
+    from_radical_ring,
     make_skew_brace,
     odd_matrix_brace,
     product_brace,
@@ -278,19 +283,22 @@ def test_greedy_generators_reach_the_whole_carrier():
 
 
 def test_certificates_pass_without_fallback_on_every_built_in_brace(monkeypatch):
-    def no_fallback(*args):
-        raise AssertionError("a certificate fell back to its sweep")
-
-    monkeypatch.setattr(groups, "_raise_first_non_associative", no_fallback)
-    monkeypatch.setattr(braces, "_raise_first_non_left_distributive", no_fallback)
+    # every exhaustive law sweep goes through first_difference; record the sides it is given
     swept = []
-    real_sweep = solutions._first_failing_row
-    monkeypatch.setattr(
-        solutions, "_first_failing_row", lambda n, row: swept.append(row.__name__) or real_sweep(n, row)
-    )
+    real_sweep = groups.first_difference
+
+    def recording_sweep(n, sides, *block):
+        swept.append(sides.__name__)
+        return real_sweep(n, sides, *block)
+
+    for module in (groups, braces, solutions):
+        monkeypatch.setattr(module, "first_difference", recording_sweep)
+    assert radical_even_brace(512).order == 256
+    assert swept == []
     for b in BUILT_IN:
         add, mul = validate_group(b.add.table), validate_group(b.mul.table)
         assert make_skew_brace(add, mul).is_two_sided == b.is_two_sided
+        assert swept == [], b.name
         zs = admissible_z(b).tolist()
         for z in zs if b.order <= 32 else ODD_MATRIX_SHIFTS[:3]:
             s = build_solution(b, z)
@@ -298,3 +306,57 @@ def test_certificates_pass_without_fallback_on_every_built_in_brace(monkeypatch)
             swept.clear()
             assert all(r.ok for r in verify_braid_constraints(s))
             assert swept == ["c2"], (b.name, z)
+        swept.clear()
+
+
+def _klein_product(c):
+    """The bilinear product on (Z/2)^2 (index 2 x + y, addition XOR) with e_i e_j = c[2 i + j]."""
+    bits = [(v >> 1, v & 1) for v in range(4)]
+    table = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for k in range(4):
+                if bits[a][k >> 1] and bits[b][k & 1]:
+                    table[a][b] ^= c[k]
+    return table
+
+
+def _ring_inputs():
+    """Every bilinear product on (Z/2)^2, then seeded tables over Z3, Z4, Z8 and (Z/2)^2.
+
+    A seeded table is a bilinear product (k a b on Z/m) or a product
+    g(a) b that is additive in b only, with up to two entries overwritten,
+    so it breaks the ring laws in few, varied places.
+    """
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    for c in range(256):
+        yield klein, _klein_product([c >> 6, (c >> 4) & 3, (c >> 2) & 3, c & 3])
+    rng = random.Random(2024)
+    for _ in range(1000):
+        m = rng.choice((3, 4, 8, "klein"))
+        if m == "klein":
+            add, mul = klein, _klein_product([rng.randrange(4) for _ in range(4)])
+        else:
+            g = [rng.randrange(m) for _ in range(m)] if rng.random() < 0.3 else [rng.randrange(m) * a for a in range(m)]
+            add = [[(a + b) % m for b in range(m)] for a in range(m)]
+            mul = [[g[a] * b % m for b in range(m)] for a in range(m)]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            mul[rng.randrange(len(add))][rng.randrange(len(add))] = rng.randrange(len(add))
+        yield add, mul
+
+
+def test_radical_ring_verdicts_and_witnesses_match_plain_loops():
+    seen = set()
+    for add, mul in _ring_inputs():
+        laws = brute_radical_ring_laws(add, mul)
+        failed = [law for law in ("left", "right", "associative", "adjoint") if laws[law] is not None]
+        if not failed:
+            b = from_radical_ring(np.array(add), np.array(mul))
+            assert b.mul.table.tolist() == [[add[add[mul[x][y]][x]][y] for y in range(len(add))] for x in range(len(add))]
+            continue
+        with pytest.raises(NotRadicalError) as info:
+            from_radical_ring(np.array(add), np.array(mul))
+        # distributivity is named first, left before right, then associativity, then the adjoint
+        assert info.value.witness == laws[failed[0]], (add, mul)
+        seen.add(failed[0])
+    assert seen == {"left", "right", "associative", "adjoint"}

@@ -12,6 +12,8 @@ from zbrace.groups import (
     NotClosedError,
     cyclic_group,
     direct_product,
+    first_difference,
+    row_blocks,
     symmetric_group,
     validate_group,
 )
@@ -150,3 +152,44 @@ def test_frozen_tables_are_read_only():
     g = cyclic_group(3)
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
+
+
+def _brute_first_difference(n, left, right):
+    """Row-major scan of every point, each leg read at its broadcast index."""
+    def at(leg, a, b, c):
+        return leg[tuple(i if size > 1 else 0 for i, size in zip((a, b, c), leg.shape))]
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if any(at(x, a, b, c) != at(y, a, b, c) for x, y in zip(left, right)):
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_first_difference_matches_row_major_scan(n):
+    rng = np.random.default_rng(n)
+    shapes = [(n, n, n), (n, 1, n), (1, n, 1), (n, n, 1)]
+    # one row, several rows (the last block shorter), all rows
+    blocks = [n * n, 3 * n * n, n**3]
+    for trial in range(40):
+        left = [rng.integers(0, 4, size=shape) for shape in shapes[: 1 + trial % 4]]
+        right = [leg.copy() for leg in left]
+        for _ in range(trial % 3):  # plant up to two differences
+            leg = right[rng.integers(len(right))]
+            leg[tuple(rng.integers(0, size) for size in leg.shape)] += 1
+        expected = _brute_first_difference(n, left, right)
+        assert (expected is None) == (trial % 3 == 0)
+        for block in blocks:
+            calls = []
+
+            def sides(lo, hi):
+                calls.append((lo, hi))
+                return [leg[lo:hi] if leg.shape[0] > 1 else leg for leg in left], [
+                    leg[lo:hi] if leg.shape[0] > 1 else leg for leg in right
+                ]
+
+            assert first_difference(n, sides, block) == expected
+            # blocks in order, and none after the one that holds the witness
+            assert calls == [(lo, hi) for lo, hi in row_blocks(n, block) if expected is None or lo <= expected[0]]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zbrace.braces import cyclic_unit_brace, trivial_skew_brace
+from zbrace.braces import BoundExceededError, cyclic_unit_brace, trivial_skew_brace
 from zbrace.cli import main
 from zbrace.fileio import (
     SchemaError,
@@ -610,3 +610,34 @@ def test_table_entry_out_of_int64_range_is_an_input_error(tmp_path, capsys, bad)
     assert _assert_one_error_line(capsys) == (
         "error: $.add[1]: entries must fit in a signed 64-bit integer\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, builder",
+    [
+        (["--family", "radical", "--modulus", "8194"], "zbrace.braces.even_residue_ring_tables"),
+        (["--family", "trivial", "--group", "z4097"], "zbrace.cli.cyclic_group"),
+    ],
+    ids=["radical", "trivial-cyclic"],
+)
+def test_make_above_the_carrier_cap_is_an_input_error(tmp_path, capsys, monkeypatch, args, builder):
+    def no_tables(*args):
+        raise AssertionError("tables built before the cap was checked")
+
+    monkeypatch.setattr(builder, no_tables)
+    assert main(["make", *args, "-o", str(tmp_path / "x.brace")]) == 2
+    assert _assert_one_error_line(capsys) == "error: carrier size 4097 exceeds cap 4096\n"
+    assert not (tmp_path / "x.brace").exists()
+
+
+def test_brace_file_above_the_carrier_cap_is_rejected_before_table_work(monkeypatch):
+    import zbrace.fileio
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table work started before the cap was checked")
+
+    monkeypatch.setattr(zbrace.fileio, "_table_from_flat", no_work)
+    monkeypatch.setattr(zbrace.fileio, "validate_group", no_work)
+    doc = {**brace_to_dict(cyclic_unit_brace(2)), "order": 4097, "labels": [str(i) for i in range(4097)]}
+    with pytest.raises(BoundExceededError, match="^carrier size 4097 exceeds cap 4096$"):
+        brace_from_dict(doc)
