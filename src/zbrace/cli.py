@@ -52,8 +52,7 @@ _INPUT_ERRORS = (
     BraceError,
     InadmissibleZError,
     UnknownObjectError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ValueError,
 )
 
@@ -178,6 +177,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    config_int(args.seed, "seed", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     report = build_report(
@@ -205,6 +205,7 @@ def cmd_twist(args) -> int:
     for w in wanted:
         if w not in _TWIST_CHECKS:
             raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
+    config_int(args.seed, "seed", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     failed = False
@@ -212,9 +213,9 @@ def cmd_twist(args) -> int:
         bundle = TwistBundle(build_solution(b, z))
         for family, c in tensor_checks(bundle, wanted, args.budget, DEFAULT_SAMPLE_POINTS, args.seed):
             if family == "defect":
-                nz = c.status == "fail"
+                nz = c.witness["defect_nonzero"]
                 print(f"[   info] z={z} {c.name} defect_nonzero={nz}"
-                      + (f" witness={c.witness}" if nz else ""))
+                      + (f" witness={c.witness['witness']}" if nz else ""))
                 continue
             failed |= c.status == "fail"
             print(f"[{c.status:>7}] z={z} {c.name} ({c.points} points)"
@@ -240,6 +241,7 @@ def cmd_report(args) -> int:
     src_doc = cfg.get("brace")
     if not isinstance(src_doc, dict):
         raise SchemaError("$.brace", "missing brace source")
+    seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
     family = src_doc.get("family")
     if "file" in src_doc:
         b = parse_brace(src_doc["file"])
@@ -247,7 +249,6 @@ def cmd_report(args) -> int:
     else:
         b = _make_brace(family, src_doc)
 
-    seed = config_int(cfg.get("seed", 0), "seed")
     timings = cfg.get("timings", False)
     if not isinstance(timings, bool):
         raise ValueError(f"timings must be true or false, got {timings!r}")

@@ -12,7 +12,7 @@ all n^3 points, in any layer, names its row-major first failure with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -87,7 +87,12 @@ def first_difference(
     """
     for lo, hi in row_blocks(n, block):
         left, right = sides(lo, hi)
-        differs = reduce(np.logical_or, map(np.not_equal, left, right))
+        differs = left[0] != right[0]
+        if len(left) > 1:
+            # one array of the full broadcast shape gathers every pair's differences
+            differs = np.broadcast_to(differs, np.broadcast(*left, *right).shape).copy()
+            for lhs, rhs in zip(left[1:], right[1:]):
+                differs |= lhs != rhs
         if differs.any():
             shape = (hi - lo, n, n)
             a, b, c = np.unravel_index(int(np.argmax(np.broadcast_to(differs, shape))), shape)

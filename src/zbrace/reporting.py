@@ -47,14 +47,14 @@ from .braces import (
     odd_matrix_pair_criterion,
 )
 from .solutions import (
+    Check,
     DeformedSolution,
     InadmissibleZError,
-    InverseCheckFailedError,
     build_solution,
     dedup_solutions,
     gv_correspondence_check,
-    inverse_solution,
-    involutivity_witness,
+    inverse_composition_check,
+    involutivity_check,
     product_identity_check,
     sigma_shift_criterion,
     transpose_identity_check,
@@ -62,7 +62,6 @@ from .solutions import (
 from .tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
-    TensorCheck,
     TwistBundle,
     braid_matrix_check,
     cocycle_check,
@@ -92,25 +91,17 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _entry(
-    section: str,
-    name: str,
-    status: str,
-    points: int,
-    z: int | None = None,
-    witness: Any = None,
-    note: str = "",
-    elapsed_ms: float = 0.0,
-) -> dict:
+def _entry(section: str, check: Check, z: int | None, timings: bool) -> dict:
+    """The report entry of one check; its ``elapsed_ms`` is 0.0 without timings."""
     return {
         "section": section,
-        "name": name,
+        "name": check.name,
         "z": z,
-        "status": status,
-        "points": int(points),
-        "witness": _jsonable(witness),
-        "note": note,
-        "elapsed_ms": elapsed_ms,
+        "status": check.status,
+        "points": int(check.points),
+        "witness": _jsonable(check.witness),
+        "note": check.note,
+        "elapsed_ms": entry_ms(check.elapsed_ms, timings),
     }
 
 
@@ -123,136 +114,63 @@ def entry_ms(elapsed_ms: float, timings: bool) -> float:
     return max(math.ceil(elapsed_ms * 1000), 1) / 1000 if timings else 0.0
 
 
-class _Laps:
-    """Per-entry wall times: each ``lap`` is the time since the previous one."""
-
-    def __init__(self, timings: bool):
-        self.timings = timings
-        self.last = time.perf_counter()
-
-    def lap(self) -> float:
-        now = time.perf_counter()
-        elapsed_ms, self.last = (now - self.last) * 1000, now
-        return entry_ms(elapsed_ms, self.timings)
-
-
 def solution_suite(s: DeformedSolution, identity_shift: DeformedSolution, timings: bool = False) -> list[dict]:
     """Map-level checks for one built shift, in fixed order.
 
     ``identity_shift`` is the same brace's solution at the identity.  The
-    two non-degeneracy entries always pass: ``build_solution`` raises
-    before it returns a solution with a sigma or tau row that is not a
-    permutation.  With ``timings`` each entry records the wall time of
-    the work done for it here: each braid constraint its own share of the
-    constraint pass, the others the time since the previous entry.  The
-    admissibility and non-degeneracy entries restate what
-    ``build_solution`` established, so they time only their own entry.
+    admissibility and the two non-degeneracy entries restate what
+    ``build_solution`` established (it raises before it returns a solution
+    with a sigma or tau row that is not a permutation), so they always
+    pass and take no time.  With ``timings`` every other entry records its
+    own check's wall time.
     """
-    b, z, n = s.brace, s.z, s.order
-    out: list[dict] = []
-    laps = _Laps(timings)
-
-    out.append(
-        _entry(
-            "solution",
-            "admissible",
-            "pass",
-            n * n if not b.is_two_sided else 0,
-            z=z,
-            note=(
-                "every shift of a two-sided brace is admissible"
-                if b.is_two_sided
-                else "shift law checked elementwise"
-            ),
-            elapsed_ms=laps.lap(),
-        )
-    )
-    out.append(_entry("solution", "nondegenerate-sigma", "pass", n * n, z=z, elapsed_ms=laps.lap()))
-    out.append(_entry("solution", "nondegenerate-tau", "pass", n * n, z=z, elapsed_ms=laps.lap()))
-    constraints = s.braid_constraints
-    laps.lap()  # the pass is timed per constraint
-    for rep in constraints:
-        out.append(
-            _entry(
-                "solution",
-                f"constraint-{rep.name}",
-                "pass" if rep.ok else "fail",
-                rep.points,
-                z=z,
-                witness=rep.witness,
-                elapsed_ms=entry_ms(rep.elapsed_ms, timings),
-            )
-        )
-    pid = product_identity_check(s)
-    out.append(
-        _entry(
-            "solution", "product-identity", "pass" if pid.ok else "fail", pid.points, z=z,
-            witness=pid.witness, elapsed_ms=laps.lap(),
-        )
-    )
-    tok, collision = transpose_identity_check(s)
-    out.append(
-        _entry(
-            "solution", "transpose-identity", "pass" if tok else "fail", n * n, z=z,
-            witness=collision, elapsed_ms=laps.lap(),
-        )
-    )
-
-    involutive = s.involutive  # raises CriterionMismatchError on a bug
-    in_socle = z in b.socle_members
-    payload: dict[str, Any] = {
-        "involutive": involutive,
-        "left_brace": b.is_left_brace,
-        "socle_member": in_socle,
-    }
-    if not involutive:
-        payload["two_step_witness"] = involutivity_witness(s)
-    out.append(
-        _entry("solution", "involutivity-criterion", "pass", n * n, z=z, witness=payload,
-               note="direct double-application test agrees with the socle criterion", elapsed_ms=laps.lap())
-    )
-    tables_equal, commutes = sigma_shift_criterion(s, identity_shift)
-    out.append(
-        _entry(
-            "solution",
-            "sigma-shift-criterion",
-            "pass" if tables_equal == commutes else "fail",
-            n * n,
-            z=z,
-            witness={"sigma_equals_identity_shift": tables_equal, "shift_commutation": commutes},
-            elapsed_ms=laps.lap(),
-        )
-    )
-    try:
-        inverse_solution(s)
-        out.append(_entry("solution", "inverse-composition", "pass", 2 * n * n, z=z, elapsed_ms=laps.lap()))
-    except InverseCheckFailedError as exc:
-        out.append(
-            _entry(
-                "solution", "inverse-composition", "fail", 2 * n * n, z=z,
-                witness=exc.witness, elapsed_ms=laps.lap(),
-            )
-        )
-    return out
+    n = s.order
+    checks = [
+        Check("admissible", "pass", 0, note="every shift of a two-sided brace is admissible")
+        if s.brace.is_two_sided
+        else Check("admissible", "pass", n * n, note="shift law checked elementwise"),
+        Check("nondegenerate-sigma", "pass", n * n),
+        Check("nondegenerate-tau", "pass", n * n),
+        *(dataclasses.replace(c, name=f"constraint-{c.name}") for c in s.braid_constraints),
+        product_identity_check(s),
+        transpose_identity_check(s),
+        involutivity_check(s),  # raises CriterionMismatchError on a bug
+        sigma_shift_criterion(s, identity_shift),
+        inverse_composition_check(s),
+    ]
+    return [_entry("solution", c, s.z, timings) for c in checks]
 
 
-def _defect_probes(bundle: TwistBundle, **kw: Any) -> list[TensorCheck]:
-    """Coassociativity defects of V_eta at the identity and the next element, then the r lifts."""
+def _defect_probes(bundle: TwistBundle, **kw: Any) -> list[Check]:
+    """Coassociativity defects of V_eta at the identity and the next element, then the r lifts.
+
+    The probes are informational: a nonzero defect is expected content
+    away from the involutive case, never a failure.  So a probe that
+    finds one passes, and its witness records the defect.
+    """
     b = bundle.solution.brace
     etas = [b.identity] + [i for i in range(b.order) if i != b.identity][:1]
     probes = []
     for eta in etas:
         check = coproduct_defect(bundle, eta, **kw)
         probes.append(dataclasses.replace(check, name=f"{check.name}:eta={eta}"))
-    return probes + r_lift_defects(bundle, **kw)
+    return [
+        dataclasses.replace(
+            probe,
+            status="sampled" if probe.status == "sampled" else "pass",
+            witness={"defect_nonzero": probe.status == "fail", "witness": probe.witness},
+            note="informational defect probe",
+        )
+        for probe in probes + r_lift_defects(bundle, **kw)
+    ]
 
 
 # Matrix-level check families, in report order.  Each entry looks its
 # check functions up when called, so a wrapper installed on the module
 # sees every call.  "braid" (the braid relation and the YBE) runs only in
 # reports; ``twist --check`` chooses among the others.  "defect" holds the
-# informational probes, whose "fail" means a nonzero defect.
-_TENSOR_FAMILIES: dict[str, Callable[..., list[TensorCheck]]] = {
+# informational probes.
+_TENSOR_FAMILIES: dict[str, Callable[..., list[Check]]] = {
     "braid": lambda bundle, **kw: [braid_matrix_check(bundle, **kw), ybe_matrix_check(bundle, **kw)],
     "commute": lambda bundle, **kw: [coproduct_commutation_check(bundle), *lift_commutation_check(bundle, **kw)],
     "cocycle": lambda bundle, **kw: cocycle_check(bundle, **kw),
@@ -269,7 +187,7 @@ def tensor_checks(
     budget: int,
     sample_points: int,
     seed: int,
-) -> Iterator[tuple[str, TensorCheck]]:
+) -> Iterator[tuple[str, Check]]:
     """Yield (family, check) for the selected families, in ``TENSOR_FAMILIES`` order."""
     for family, run in _TENSOR_FAMILIES.items():
         if family in families:
@@ -282,24 +200,10 @@ def tensor_suite(
 ) -> list[dict]:
     """Matrix-level report entries for one shift's bundle, in fixed order.
 
-    Defect probes are informational: a nonzero defect is expected content
-    away from the involutive case, never a failure.  With ``timings`` each
-    entry records its check's own wall time; otherwise 0.0.
+    With ``timings`` each entry records its check's own wall time; otherwise 0.0.
     """
-    out: list[dict] = []
-    for family, check in tensor_checks(bundle, TENSOR_FAMILIES, budget, sample_points, seed):
-        status, witness, note = check.status, check.witness, check.note
-        if family == "defect":
-            status = "sampled" if check.status == "sampled" else "pass"
-            witness = {"defect_nonzero": check.status == "fail", "witness": check.witness}
-            note = "informational defect probe"
-        out.append(
-            _entry(
-                "tensor", check.name, status, check.points, z=bundle.solution.z,
-                witness=witness, note=note, elapsed_ms=entry_ms(check.elapsed_ms, timings),
-            )
-        )
-    return out
+    checks = tensor_checks(bundle, TENSOR_FAMILIES, budget, sample_points, seed)
+    return [_entry("tensor", c, bundle.solution.z, timings) for _, c in checks]
 
 
 _CYCLIC3_NOTE = (
@@ -343,51 +247,21 @@ def dedup_section(b: SkewBrace, solutions: Iterable[DeformedSolution]) -> dict:
 
 def gv_section(identity_shift: DeformedSolution, timings: bool = False) -> list[dict]:
     """Correspondence entries; with ``timings`` each records its own comparison's wall time."""
-    rep = gv_correspondence_check(identity_shift)
-    n2 = identity_shift.order ** 2
-    conj_ms, inverse_ms, tables_ms = (entry_ms(ms, timings) for ms in rep.elapsed_ms)
-    out = [
-        _entry(
-            "gv",
-            "gv-conjugation-identity",
-            "pass" if rep.conjugation_ok else "fail",
-            n2,
-            witness=rep.conjugation_witness,
-            elapsed_ms=conj_ms,
-        ),
-        _entry(
-            "gv",
-            "gv-inverse-relation",
-            "pass" if rep.inverse_ok else "fail",
-            n2,
-            witness=rep.inverse_witness,
-            note="undeformed map composes with the identity-shift deformation to the identity",
-            elapsed_ms=inverse_ms,
-        ),
-    ]
-    if rep.tables_equal is not None:
-        out.append(
-            _entry(
-                "gv",
-                "gv-tables-equal-at-identity-shift",
-                "pass" if rep.tables_equal else "fail",
-                n2,
-                witness=rep.tables_witness,
-                elapsed_ms=tables_ms,
-            )
-        )
-    return out
+    return [_entry("gv", c, None, timings) for c in gv_correspondence_check(identity_shift)]
 
 
-def config_int(value: Any, where: str) -> int:
+def config_int(value: Any, where: str, minimum: int | None = None) -> int:
     """A config field that must be an integer (a Python or NumPy integer, not a boolean); else a one-line ValueError.
 
     Floats, even integral ones like 3.0, and numeric strings are rejected,
-    as integer entries of brace tables are.
+    as integer entries of brace tables are.  With ``minimum``, a smaller
+    integer is rejected too.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{where} must be an integer, got {value!r}")
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{where} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
@@ -400,9 +274,7 @@ def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     if selection == "all" or selection is None:
         return [int(z) for z in admissible]
     if isinstance(selection, dict) and "sample" in selection:
-        k = config_int(selection["sample"], "z.sample")
-        if k < 1:
-            raise ValueError(f"z.sample must be >= 1, got {k}")
+        k = config_int(selection["sample"], "z.sample", minimum=1)
         rng = np.random.default_rng(seed)
         if k >= len(admissible):
             return [int(z) for z in admissible]
@@ -442,22 +314,15 @@ def build_report(
     # the brace-level work done here, the socle and the admissible shifts
     soc = sorted(b.socle_members)
     adm = admissible_z(b)
-    brace_ms = entry_ms((time.perf_counter() - t_start) * 1000, timings)
-    checks: list[dict] = [
-        _entry(
-            "brace",
-            "construction",
-            "pass",
-            b.order * b.order * b.order,
-            witness={
-                "is_left_brace": b.is_left_brace,
-                "is_two_sided": b.is_two_sided,
-                "identity": b.identity,
-            },
-            note="group axioms, shared identity and left distributivity verified eagerly",
-            elapsed_ms=brace_ms,
-        )
-    ]
+    construction = Check(
+        "construction",
+        "pass",
+        b.order**3,
+        {"is_left_brace": b.is_left_brace, "is_two_sided": b.is_two_sided, "identity": b.identity},
+        "group axioms, shared identity and left distributivity verified eagerly",
+        (time.perf_counter() - t_start) * 1000,
+    )
+    checks = [_entry("brace", construction, None, timings)]
 
     zs = [int(z) for z in zs]
     threads = max(1, min(threads, len(zs), os.cpu_count() or 1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class DeformedSolution:
     sigma: np.ndarray
     tau: np.ndarray
     combined: np.ndarray
-    variant: str = "deformed"
 
     @property
     def order(self) -> int:
@@ -72,7 +71,7 @@ class DeformedSolution:
         return is_involutive(self)
 
     @cached_property
-    def braid_constraints(self) -> tuple[ConstraintReport, ...]:
+    def braid_constraints(self) -> tuple[Check, ...]:
         """``verify_braid_constraints(self)``, decided once per solution.
 
         The map-level suite reports these verdicts, and the tensor checks
@@ -82,13 +81,41 @@ class DeformedSolution:
 
 
 @dataclass(frozen=True)
-class ConstraintReport:
+class Check:
+    """The verdict of one check, at any level: what a report entry shows.
+
+    ``status`` is "pass", "fail" or "sampled"; ``points`` counts the points
+    examined, and a failure names its first ``witness``.
+    """
+
     name: str
-    ok: bool
-    witness: tuple[int, int, int] | None
+    status: str
     points: int
-    # wall time of deciding this constraint; not part of its verdict
+    witness: Any = None
+    note: str = ""
+    # wall time of this check alone; not part of its verdict
     elapsed_ms: float = field(default=0.0, compare=False)
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "fail"
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000
+
+
+def _verdict(name: str, points: int, witness: Any, start: float, note: str = "") -> Check:
+    """A check that fails exactly when it has a ``witness``, timed from ``start``."""
+    return Check(name, "pass" if witness is None else "fail", points, witness, note, _ms_since(start))
+
+
+def _first_pair(differs: np.ndarray) -> tuple[int, int] | None:
+    """The row-major first (x, y) where an n x n boolean array is set, or None."""
+    if not differs.any():
+        return None
+    x, y = np.unravel_index(int(np.argmax(differs)), differs.shape)
+    return int(x), int(y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +191,18 @@ def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
         if not np.array_equal(composed, idx):
             p = int(np.flatnonzero(composed != idx)[0])
             raise InverseCheckFailedError((p // b.order, p % b.order))
-    return DeformedSolution(brace=b, z=z, sigma=shat, tau=that, combined=comb, variant="inverse")
+    return DeformedSolution(brace=b, z=z, sigma=shat, tau=that, combined=comb)
+
+
+def inverse_composition_check(s: DeformedSolution) -> Check:
+    """``inverse_solution(s)`` composes with ``s`` to the identity in both orders; else the first pair where not."""
+    start = time.perf_counter()
+    witness = None
+    try:
+        inverse_solution(s)
+    except InverseCheckFailedError as exc:
+        witness = exc.witness
+    return _verdict("inverse-composition", 2 * s.order**2, witness, start)
 
 
 def sigma_is_left_action(s: DeformedSolution) -> bool:
@@ -182,7 +220,7 @@ def _lap_ms(laps: list[float]) -> list[float]:
     return [(b - a) * 1000 for a, b in zip(laps, laps[1:])]
 
 
-def verify_braid_constraints(s: DeformedSolution) -> list[ConstraintReport]:
+def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
     """Decide the three braid constraints at all n^3 triples.
 
     Constraint 1: sigma_e(sigma_x(y)) = sigma_{sigma_e(x)}(sigma_{tau_x(e)}(y))
@@ -239,41 +277,34 @@ def verify_braid_constraints(s: DeformedSolution) -> list[ConstraintReport]:
     laps.append(time.perf_counter())
 
     return [
-        ConstraintReport(name=name, ok=True, witness=None, points=n**3, elapsed_ms=ms)
+        Check(name, "pass", n**3, elapsed_ms=ms)
         if hit is None
-        else ConstraintReport(
-            name=name, ok=False, witness=hit, points=next(hi for _, hi in row_blocks(n) if hit[0] < hi) * n * n,
-            elapsed_ms=ms,
-        )
+        else Check(name, "fail", next(hi for _, hi in row_blocks(n) if hit[0] < hi) * n * n, hit, elapsed_ms=ms)
         for (name, hit), ms in zip(hits.items(), _lap_ms(laps))
     ]
 
 
-def product_identity_check(s: DeformedSolution) -> ConstraintReport:
-    """sigma_x(y) o tau_y(x) = x o y at every pair."""
+def product_identity_check(s: DeformedSolution) -> Check:
+    """sigma_x(y) o tau_y(x) = x o y at every pair; the witness is the first failing (x, y, -1)."""
+    start = time.perf_counter()
     M = s.brace.mul.table
-    TT = s.tau.T
-    lhs = M[s.sigma, TT]
-    n = s.order
-    if np.array_equal(lhs, M):
-        return ConstraintReport("product-identity", True, None, n * n)
-    x, y = np.argwhere(lhs != M)[0]
-    return ConstraintReport("product-identity", False, (int(x), int(y), -1), n * n)
+    hit = _first_pair(M[s.sigma, s.tau.T] != M)
+    return _verdict("product-identity", s.order**2, None if hit is None else (*hit, -1), start)
 
 
-def transpose_identity_check(s: DeformedSolution) -> tuple[bool, tuple[int, int] | None]:
+def transpose_identity_check(s: DeformedSolution) -> Check:
     """Bijectivity of the pair map; equivalently M M^T = I for the 0/1 matrix.
 
-    Returns (ok, colliding_preimages) where the collision, if any, is the
-    smallest pair of distinct pair-indices with equal images.
+    The witness of a failure is the smallest pair of distinct pair-indices
+    with equal images.
     """
-    n2 = s.order * s.order
-    counts = np.bincount(s.combined, minlength=n2)
-    if counts.max() <= 1:
-        return True, None
-    image = int(np.flatnonzero(counts > 1)[0])
-    pre = np.flatnonzero(s.combined == image)[:2]
-    return False, (int(pre[0]), int(pre[1]))
+    start = time.perf_counter()
+    counts = np.bincount(s.combined, minlength=s.order**2)
+    witness = None
+    if counts.max() > 1:
+        image = int(np.flatnonzero(counts > 1)[0])
+        witness = tuple(int(p) for p in np.flatnonzero(s.combined == image)[:2])
+    return _verdict("transpose-identity", s.order**2, witness, start)
 
 
 def is_involutive(s: DeformedSolution) -> bool:
@@ -309,17 +340,45 @@ def involutivity_witness(s: DeformedSolution) -> tuple[tuple[int, int], tuple[in
     return ((p // n, p % n), (q // n, q % n), (r // n, r % n))
 
 
-def sigma_shift_criterion(s: DeformedSolution, identity_shift: DeformedSolution) -> tuple[bool, bool]:
+def involutivity_check(s: DeformedSolution) -> Check:
+    """Involutivity of ``s`` with the inputs of the socle criterion.
+
+    ``s.involutive`` raises ``CriterionMismatchError`` unless the direct
+    test agrees with the criterion, so the check passes whenever it
+    returns.  The witness of a non-involutive shift adds the two-step
+    witness.
+    """
+    start = time.perf_counter()
+    b = s.brace
+    payload: dict[str, Any] = {
+        "involutive": s.involutive,
+        "left_brace": b.is_left_brace,
+        "socle_member": s.z in b.socle_members,
+    }
+    if not payload["involutive"]:
+        payload["two_step_witness"] = involutivity_witness(s)
+    return Check(
+        "involutivity-criterion", "pass", s.order**2, payload,
+        note="direct double-application test agrees with the socle criterion", elapsed_ms=_ms_since(start),
+    )
+
+
+def sigma_shift_criterion(s: DeformedSolution, identity_shift: DeformedSolution) -> Check:
     """Evaluate both sides of: sigma^z = sigma^1  iff  a o z = z + a for all a.
 
     ``s`` is the solution at shift z and ``identity_shift`` the one at the
-    identity, both built from the same brace.  Returns (tables_equal,
-    commutation_holds); the two must agree.
+    identity, both built from the same brace.  The witness holds both
+    sides; the check fails when they disagree.
     """
+    start = time.perf_counter()
     b, z = s.brace, s.z
     tables_equal = bool(np.array_equal(s.sigma, identity_shift.sigma))
     commutation = bool(np.array_equal(b.mul.table[:, z], b.add.table[z, :]))
-    return tables_equal, commutation
+    return Check(
+        "sigma-shift-criterion", "pass" if tables_equal == commutation else "fail", s.order**2,
+        {"sigma_equals_identity_shift": tables_equal, "shift_commutation": commutation},
+        elapsed_ms=_ms_since(start),
+    )
 
 
 def dedup_solutions(
@@ -370,20 +429,6 @@ def dedup_solutions(
     return DedupPartition(classes=tuple(classes), criterion_pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class GvReport:
-    """Results of comparing the deformation at the identity with the undeformed map."""
-
-    conjugation_ok: bool
-    conjugation_witness: tuple[int, int] | None
-    inverse_ok: bool
-    inverse_witness: tuple[int, int] | None
-    tables_equal: bool | None
-    tables_witness: tuple[int, int] | None
-    # wall time of each comparison, the shared tables counted with the first
-    elapsed_ms: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0), compare=False)
-
-
 def gv_tables(b: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     """Tables of the undeformed map (a,b) -> (-a + a o b, (-a + a o b)^{-1} o a o b)."""
     A, M, neg = b.add.table, b.mul.table, b.add.inverses
@@ -392,14 +437,19 @@ def gv_tables(b: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     return sgv, tgv
 
 
-def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
+def gv_correspondence_check(s1: DeformedSolution) -> list[Check]:
     """Compare the undeformed map against the identity-shift deformation ``s1``.
 
-    Three independent comparisons:
-      * the substitution identity r_1(a, -a^{-1} + b + a^{-1}) = r_gv(a, b)
-        at every pair (a^{-1} multiplicative, - additive);
-      * r_gv composed with r_1 is the identity in both orders;
-      * for left braces, exact table equality r_gv = r_1.
+    Three independent comparisons, one check each, at n^2 pairs; a
+    failure's witness is the first failing pair (the shared tables are
+    timed with the first):
+      * gv-conjugation-identity: the substitution identity
+        r_1(a, -a^{-1} + b + a^{-1}) = r_gv(a, b) at every pair (a^{-1}
+        multiplicative, - additive);
+      * gv-inverse-relation: r_gv composed with r_1 is the identity in
+        both orders;
+      * gv-tables-equal-at-identity-shift, for left braces only: exact
+        table equality r_gv = r_1.
 
     The substitution identity holds at every pair exactly when (B,+) is
     abelian, whatever the substituted argument: both maps satisfy
@@ -415,8 +465,8 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
     if s1.z != b.identity:
         raise ValueError(f"gv correspondence needs the identity shift, got z={s1.z}")
     n = b.order
-    A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
-    laps = [time.perf_counter()]
+    A, neg, minv = b.add.table, b.add.inverses, b.mul.inverses
+    start = time.perf_counter()
     sgv, tgv = gv_tables(b)
     tt1 = s1.tau.T
 
@@ -424,43 +474,20 @@ def gv_correspondence_check(s1: DeformedSolution) -> GvReport:
     c = A[A[neg[minv][:, None], idx[None, :]], minv[:, None]]
     lhs_sigma = s1.sigma[idx[:, None], c]
     lhs_tau = tt1[idx[:, None], c]
-    conj = np.array_equal(lhs_sigma, sgv) and np.array_equal(lhs_tau, tgv.T)
-    conj_witness = None
-    if not conj:
-        mism = (lhs_sigma != sgv) | (lhs_tau != tgv.T)
-        a, bb = np.argwhere(mism)[0]
-        conj_witness = (int(a), int(bb))
-    laps.append(time.perf_counter())
+    conj = _first_pair((lhs_sigma != sgv) | (lhs_tau != tgv.T))
+    checks = [_verdict("gv-conjugation-identity", n * n, conj, start)]
 
-    comb_gv = pair_map(sgv, tgv)
-    pairs = np.arange(n * n)
-    inv_ok = np.array_equal(comb_gv[s1.combined], pairs) and np.array_equal(
-        s1.combined[comb_gv], pairs
-    )
-    inv_witness = None
-    if not inv_ok:
-        p = int(np.flatnonzero(comb_gv[s1.combined] != pairs)[0])
-        inv_witness = (p // n, p % n)
-    laps.append(time.perf_counter())
+    # r_gv after r_1 is the identity exactly when r_gv is the inverse of
+    # the bijection r_1, so one order decides both
+    start = time.perf_counter()
+    not_inverse = pair_map(sgv, tgv)[s1.combined] != np.arange(n * n)
+    checks.append(_verdict(
+        "gv-inverse-relation", n * n, _first_pair(not_inverse.reshape(n, n)), start,
+        note="undeformed map composes with the identity-shift deformation to the identity",
+    ))
 
-    tables_equal: bool | None = None
-    tables_witness = None
     if b.is_left_brace:
-        tables_equal = bool(
-            np.array_equal(sgv, s1.sigma) and np.array_equal(tgv, s1.tau)
-        )
-        if not tables_equal:
-            mism = (sgv != s1.sigma) | (tgv.T != tt1)
-            a, bb = np.argwhere(mism)[0]
-            tables_witness = (int(a), int(bb))
-    laps.append(time.perf_counter())
-
-    return GvReport(
-        conjugation_ok=bool(conj),
-        conjugation_witness=conj_witness,
-        inverse_ok=bool(inv_ok),
-        inverse_witness=inv_witness,
-        tables_equal=tables_equal,
-        tables_witness=tables_witness,
-        elapsed_ms=tuple(_lap_ms(laps)),
-    )
+        start = time.perf_counter()
+        unequal = _first_pair((sgv != s1.sigma) | (tgv.T != tt1))
+        checks.append(_verdict("gv-tables-equal-at-identity-shift", n * n, unequal, start))
+    return checks

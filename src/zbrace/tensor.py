@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .groups import first_difference
-from .solutions import DeformedSolution
+from .solutions import Check, DeformedSolution, _ms_since, _verdict
 
 DEFAULT_SAMPLE_POINTS = 100_000
 # Arity-3 checks run exhaustively when n^3 is at most this many points.
@@ -113,25 +113,6 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     return perm
 
 
-@dataclass(frozen=True)
-class TensorCheck:
-    name: str
-    status: str  # pass | fail | sampled
-    points: int
-    witness: dict | None = None
-    note: str = ""
-    # wall time of this check alone; not part of its verdict
-    elapsed_ms: float = field(default=0.0, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-
-def _ms_since(start: float) -> float:
-    return (time.perf_counter() - start) * 1000
-
-
 def _decode3(p: np.ndarray, n: int) -> Triple:
     e, r = np.divmod(p, n * n)
     u, v = np.divmod(r, n)
@@ -186,7 +167,7 @@ def _compare_chains(
     budget: int,
     sample_points: int,
     seed: int,
-) -> TensorCheck:
+) -> Check:
     """Exact or seeded-sample equality of two left-to-right operator chains.
 
     Within the budget both chains run on the index grid, one block of rows
@@ -204,7 +185,7 @@ def _compare_chains(
 
         hit = first_difference(n, sides, BLOCK_POINTS)
         if hit is None:
-            return TensorCheck(name, "pass", total, elapsed_ms=_ms_since(start))
+            return _verdict(name, total, None, start)
         # the witness alone, as a one-point sample: both chains run again there
         p, pts = np.array([_encode3(hit, n)]), tuple(np.array([v]) for v in hit)
     else:
@@ -212,7 +193,7 @@ def _compare_chains(
     le = _encode3(_chain(lhs, pts), n)
     re = _encode3(_chain(rhs, pts), n)
     if np.array_equal(le, re):
-        return TensorCheck(
+        return Check(
             name, "sampled", int(p.size), None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start)
         )
     i = int(np.flatnonzero(le != re)[0])
@@ -223,7 +204,7 @@ def _compare_chains(
         "rhs": int(re[i]),
     }
     points = int(p.size) if total > budget else witness["point"] + 1
-    return TensorCheck(name, "fail", points, witness, elapsed_ms=_ms_since(start))
+    return _verdict(name, points, witness, start)
 
 
 def _lift12(f2: Formula2) -> Formula3:
@@ -520,14 +501,14 @@ def _proved_or_compared(
     budget: int,
     sample_points: int,
     seed: int,
-) -> TensorCheck:
+) -> Check:
     """``pass`` at all n^3 points when the check's constraints hold, else ``_compare_chains``.
 
     The proof evaluates no point and holds whatever the budget.
     """
     start = time.perf_counter()
     if _proved(bundle, name):
-        return TensorCheck(name, "pass", bundle.n**3, elapsed_ms=_ms_since(start))
+        return _verdict(name, bundle.n**3, None, start)
     return _compare_chains(name, bundle.n, lhs, rhs, budget, sample_points, seed)
 
 
@@ -536,7 +517,7 @@ def braid_matrix_check(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> TensorCheck:
+) -> Check:
     """rc12 rc23 rc12 = rc23 rc12 rc23 on the triple space.
 
     At row (e, x, y) the first, middle and last legs of the two sides are
@@ -553,7 +534,7 @@ def ybe_matrix_check(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> TensorCheck:
+) -> Check:
     """r12 r13 r23 = r23 r13 r12 for r = P . rcheck.
 
     r maps (a, b) to (sigma_b(a), tau_a(b)), so at row (a, b, c) the
@@ -573,7 +554,7 @@ def ybe_matrix_check(
     )
 
 
-def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
+def coproduct_commutation_check(bundle: TwistBundle) -> Check:
     """Delta(V_x) and Delta(W_x) commute with the solution matrix, every x.
 
     Delta(V_eta) is the row map of D_eta^{-1}, where D_eta(x, y) =
@@ -594,7 +575,7 @@ def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
     start = time.perf_counter()
     n = bundle.n
     if _proved(bundle, "coproduct-commutation"):
-        return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n, elapsed_ms=_ms_since(start))
+        return _verdict("coproduct-commutation", 2 * n * n * n, None, start)
     rc = bundle.rcheck().perm
     for x in range(n):
         for tag, delta in (("V", bundle.delta_v), ("W", bundle.delta_w)):
@@ -602,15 +583,9 @@ def coproduct_commutation_check(bundle: TwistBundle) -> TensorCheck:
             left = rc[op]
             right = op[rc]
             if not np.array_equal(left, right):
-                i = int(np.flatnonzero(left != right)[0])
-                return TensorCheck(
-                    "coproduct-commutation",
-                    "fail",
-                    2 * n * n * n,
-                    {"family": tag, "element": x, "point": i},
-                    elapsed_ms=_ms_since(start),
-                )
-    return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n, elapsed_ms=_ms_since(start))
+                witness = {"family": tag, "element": x, "point": int(np.flatnonzero(left != right)[0])}
+                return _verdict("coproduct-commutation", 2 * n * n * n, witness, start)
+    return _verdict("coproduct-commutation", 2 * n * n * n, None, start)
 
 
 _LIFT_RELATIONS = (
@@ -626,7 +601,7 @@ def lift_commutation_check(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> list[TensorCheck]:
+) -> list[Check]:
     """The four commutation relations between lifted twists and the solution.
 
     Each is braid constraints at relabelled points:
@@ -662,7 +637,7 @@ def cocycle_check(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> list[TensorCheck]:
+) -> list[Check]:
     """Both cocycle factorizations agree and match their closed forms.
 
     F12 . Fstar_12,3 = F23 . F_1,23 = F123 and
@@ -695,12 +670,10 @@ def cocycle_check(
     ]
 
 
-def _equality_check(name: str, got: PermMatrix, want: PermMatrix, start: float) -> TensorCheck:
+def _equality_check(name: str, got: PermMatrix, want: PermMatrix, start: float) -> Check:
     """Equality of two arity-2 operators over their n^2 rows; the witness is the first differing row."""
-    if got.equals(want):
-        return TensorCheck(name, "pass", got.size, elapsed_ms=_ms_since(start))
-    i = int(np.flatnonzero(got.perm != want.perm)[0])
-    return TensorCheck(name, "fail", got.size, {"point": i}, elapsed_ms=_ms_since(start))
+    witness = None if got.equals(want) else {"point": int(np.flatnonzero(got.perm != want.perm)[0])}
+    return _verdict(name, got.size, witness, start)
 
 
 def twisted_solution_check(
@@ -708,7 +681,7 @@ def twisted_solution_check(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> list[TensorCheck]:
+) -> list[Check]:
     """Conjugated solution matrices match their closed forms and stay braided.
 
     In the involutive case both twisted matrices must equal the flip
@@ -727,7 +700,7 @@ def twisted_solution_check(
     comparison decides it.
     """
     rc = bundle.rcheck()
-    out: list[TensorCheck] = []
+    out: list[Check] = []
 
     for tag, twist, closed in (
         ("F", bundle.f_twist, bundle.rcheck_f_closed),
@@ -752,7 +725,7 @@ def twisted_solution_check(
     return out
 
 
-def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
+def twisted_coproduct_check(bundle: TwistBundle) -> list[Check]:
     """Group-likeness after twisting, plus the mixed closed forms.
 
     F Delta(V_x) F^{-1} = V_x (x) V_x and Fhat Delta(W_y) Fhat^{-1} =
@@ -787,7 +760,7 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
         ("mixed-coproduct:F-on-W", "W", bundle.f_twist, bundle.delta_w, bundle.delta_f_w_closed),
         ("mixed-coproduct:Fhat-on-V", "V", bundle.fhat_twist, bundle.delta_v, bundle.delta_fhat_v_closed),
     )
-    out: list[TensorCheck] = []
+    out: list[Check] = []
     for name, tag, twist, delta, expected in families:
         start = time.perf_counter()
         bad = None
@@ -799,7 +772,7 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[TensorCheck]:
                 if not got.equals(want):
                     bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
                     break
-        out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad, elapsed_ms=_ms_since(start)))
+        out.append(_verdict(name, n * n * n, bad, start))
     return out
 
 
@@ -809,7 +782,7 @@ def coproduct_defect(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> TensorCheck:
+) -> Check:
     """Difference of the two iterated coproducts of V_eta.
 
     A "fail" status records a nonzero defect (expected away from the
@@ -831,7 +804,7 @@ def r_lift_defects(
     budget: int = DEFAULT_BUDGET,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
-) -> list[TensorCheck]:
+) -> list[Check]:
     """Split-leg lifts of r against the bialgebra laws r13 r23 and r13 r12.
 
     These comparisons are element-independent; "fail" records a nonzero

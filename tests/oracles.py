@@ -24,13 +24,13 @@ from zbrace.groups import (
     row_blocks,
 )
 from zbrace.solutions import (
-    ConstraintReport,
+    Check,
     build_solution,
     pair_map,
     sigma_table,
     tau_table_from_sigma,
 )
-from zbrace.tensor import PermMatrix, TensorCheck, _decode3, _encode3
+from zbrace.tensor import PermMatrix, _decode3, _encode3
 
 SPARSE_ENTRY_LIMIT = 4096
 
@@ -311,10 +311,10 @@ def brute_coproduct_commutation(bundle):
             right = (rc @ op).perm
             if not np.array_equal(left, right):
                 i = int(np.flatnonzero(left != right)[0])
-                return TensorCheck(
+                return Check(
                     "coproduct-commutation", "fail", 2 * n * n * n, {"family": tag, "element": x, "point": i}
                 )
-    return TensorCheck("coproduct-commutation", "pass", 2 * n * n * n)
+    return Check("coproduct-commutation", "pass", 2 * n * n * n)
 
 
 def brute_twisted_coproduct(bundle):
@@ -342,7 +342,7 @@ def brute_twisted_coproduct(bundle):
             if not got.equals(want):
                 bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
                 break
-        out.append(TensorCheck(name, "fail" if bad else "pass", n * n * n, bad))
+        out.append(Check(name, "fail" if bad else "pass", n * n * n, bad))
     return out
 
 
@@ -433,8 +433,8 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
                     "lhs": int(le[i]),
                     "rhs": int(re[i]),
                 }
-                return TensorCheck(name, "fail", int(p[i]) + 1, witness)
-        return TensorCheck(name, "pass", total)
+                return Check(name, "fail", int(p[i]) + 1, witness)
+        return Check(name, "pass", total)
 
     rng = np.random.default_rng(seed)
     p = np.unique(rng.integers(0, total, size=min(sample_points, total)))
@@ -442,7 +442,7 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
     le = _encode3(_chain(lhs, pts), n)
     re = _encode3(_chain(rhs, pts), n)
     if np.array_equal(le, re):
-        return TensorCheck(name, "sampled", int(p.size), None, note="seeded sample, not exhaustive")
+        return Check(name, "sampled", int(p.size), None, note="seeded sample, not exhaustive")
     i = int(np.flatnonzero(le != re)[0])
     witness = {
         "point": int(p[i]),
@@ -450,7 +450,7 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
         "lhs": int(le[i]),
         "rhs": int(re[i]),
     }
-    return TensorCheck(name, "fail", int(p.size), witness)
+    return Check(name, "fail", int(p.size), witness)
 
 
 def swap_sigma_entries(s, x, y1, y2):
@@ -458,7 +458,7 @@ def swap_sigma_entries(s, x, y1, y2):
     sigma = s.sigma.copy()
     sigma.setflags(write=True)
     sigma[x, y1], sigma[x, y2] = sigma[x, y2], sigma[x, y1]
-    return dataclasses.replace(s, sigma=sigma, combined=pair_map(sigma, s.tau), variant="corrupted")
+    return dataclasses.replace(s, sigma=sigma, combined=pair_map(sigma, s.tau))
 
 
 def brute_braid_constraints(s):
@@ -513,9 +513,9 @@ def brute_braid_constraints(s):
     for name in ("c1", "c2", "c3"):
         hit = state[name]
         if hit is None:
-            reports.append(ConstraintReport(name=name, ok=True, witness=None, points=total))
+            reports.append(Check(name, "pass", total))
         else:
-            reports.append(ConstraintReport(name=name, ok=False, witness=hit[0], points=hit[1]))
+            reports.append(Check(name, "fail", hit[1], hit[0]))
     return reports
 
 

@@ -181,12 +181,14 @@ def test_criterion_06_gv_correspondence(instances):
     verdicts = []
     ok = True
     for name, b in list(small) + [("oddmatrix", om)]:
-        rep = gv_correspondence_check(build_solution(b, b.identity))
-        verdicts.append((name, rep.conjugation_ok, rep.conjugation_witness))
-        ok &= rep.conjugation_ok is b.is_left_brace
-        ok &= rep.conjugation_witness == brute_gv_conjugation_witness(b)
-        ok &= rep.inverse_ok and rep.inverse_witness is None
-        ok &= rep.tables_equal is (True if b.is_left_brace else None)
+        rep = {c.name: c for c in gv_correspondence_check(build_solution(b, b.identity))}
+        conj, inverse = rep["gv-conjugation-identity"], rep["gv-inverse-relation"]
+        verdicts.append((name, conj.ok, conj.witness))
+        ok &= conj.ok is b.is_left_brace
+        ok &= conj.witness == brute_gv_conjugation_witness(b)
+        ok &= inverse.ok and inverse.witness is None
+        tables = rep.get("gv-tables-equal-at-identity-shift")
+        ok &= (tables is not None and tables.ok) if b.is_left_brace else tables is None
     abelian = {b.is_left_brace for _, b in small}
     ok &= abelian == {True, False}  # both sides of the equivalence are exercised
     detail = "identity holds iff (B,+) is abelian; " + ", ".join(

@@ -87,7 +87,7 @@ def _brute_reports(s):
 def _with_sigma(s, sigma):
     """``s`` with a replaced sigma and the tau that the product identity forces."""
     tau = tau_table_from_sigma(s.brace, sigma)
-    return dataclasses.replace(s, sigma=sigma, tau=tau, combined=pair_map(sigma, tau), variant="forged")
+    return dataclasses.replace(s, sigma=sigma, tau=tau, combined=pair_map(sigma, tau))
 
 
 def _closure(table, identity, gens):

@@ -17,6 +17,7 @@ from zbrace.fileio import (
 from zbrace.groups import cyclic_group
 from zbrace.reporting import (
     build_report,
+    config_int,
     dedup_section,
     entry_ms,
     report_failed,
@@ -641,3 +642,48 @@ def test_brace_file_above_the_carrier_cap_is_rejected_before_table_work(monkeypa
     doc = {**brace_to_dict(cyclic_unit_brace(2)), "order": 4097, "labels": [str(i) for i in range(4097)]}
     with pytest.raises(BoundExceededError, match="^carrier size 4097 exceeds cap 4096$"):
         brace_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{path}"], ["make", "--family", "cyclic2n", "--n", "3", "-o", "{path}"]],
+    ids=["validate", "make"],
+)
+def test_path_through_a_file_is_an_input_error(tmp_path, capsys, argv):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory\n")
+    assert main([arg.format(path=plain / "x") for arg in argv]) == 2
+    assert "Not a directory" in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{brace}", "--seed", "-1", "--level", "all"],
+        ["twist", "{brace}", "--seed", "-1"],
+        ["report", "--config", "{cfg}"],
+    ],
+    ids=["verify", "twist", "report"],
+)
+def test_negative_seed_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
+    import zbrace.cli
+
+    paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
+    write_brace(cyclic_unit_brace(3), paths["brace"])
+    paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "seed": -1, "z": {"sample": 2}}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == "error: seed must be >= 0, got -1\n"
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        config_int(-1, "seed", minimum=0)
+
+
+def test_solve_still_accepts_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "c3.brace"
+    write_brace(cyclic_unit_brace(3), path)
+    assert main(["solve", str(path), "--seed", "-1"]) == 0

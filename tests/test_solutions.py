@@ -17,6 +17,7 @@ from zbrace.braces import (
     trivial_skew_brace,
 )
 from zbrace.groups import cyclic_group, symmetric_group, validate_group
+from zbrace.reporting import solution_suite
 from zbrace.solutions import (
     CriterionMismatchError,
     InadmissibleZError,
@@ -167,26 +168,31 @@ def test_inverse_solution_frozen_value():
 
 def test_transpose_identity_detects_duplicate_images():
     s = build_solution(CYCLIC3, 1)
-    ok, collision = transpose_identity_check(s)
-    assert ok and collision is None
+    check = transpose_identity_check(s)
+    assert check.ok and check.witness is None
     combined = s.combined.copy()
     combined.setflags(write=True)
     combined[3] = combined[0]
     broken = dataclasses.replace(s, combined=combined)
-    ok, collision = transpose_identity_check(broken)
-    assert not ok and collision == (0, 3)
+    check = transpose_identity_check(broken)
+    assert not check.ok and check.witness == (0, 3)
 
 
 def test_transpose_identity_oddmatrix_sampled_shift():
     om = odd_matrix_brace()
-    ok, collision = transpose_identity_check(build_solution(om, 123))
-    assert ok and collision is None
+    check = transpose_identity_check(build_solution(om, 123))
+    assert check.ok and check.witness is None
+
+
+def _gv_checks(s1):
+    return {c.name: c for c in gv_correspondence_check(s1)}
 
 
 def test_gv_on_one_element_brace_is_trivially_true():
     one = trivial_skew_brace(cyclic_group(1), name="one")
-    rep = gv_correspondence_check(build_solution(one, one.identity))
-    assert rep.conjugation_ok and rep.inverse_ok and rep.tables_equal
+    rep = _gv_checks(build_solution(one, one.identity))
+    assert rep["gv-conjugation-identity"].ok and rep["gv-inverse-relation"].ok
+    assert rep["gv-tables-equal-at-identity-shift"].ok
 
 
 def test_product_identity_everywhere():
@@ -250,25 +256,25 @@ def test_socle_shifts_share_one_solution():
 
 def test_gv_tables_equal_for_left_braces():
     for b in (CYCLIC3, RADICAL, cyclic_unit_brace(2)):
-        rep = gv_correspondence_check(build_solution(b, b.identity))
-        assert rep.tables_equal is True
-        assert rep.conjugation_ok
+        rep = _gv_checks(build_solution(b, b.identity))
+        assert rep["gv-tables-equal-at-identity-shift"].status == "pass"
+        assert rep["gv-conjugation-identity"].ok
 
 
 def test_gv_inverse_relation_holds_everywhere():
     for b in SMALL_BRACES + [product_brace(cyclic_unit_brace(2), S3_TRIVIAL)]:
-        rep = gv_correspondence_check(build_solution(b, b.identity))
-        assert rep.inverse_ok
+        rep = _gv_checks(build_solution(b, b.identity))
+        assert rep["gv-inverse-relation"].ok
 
 
 def test_gv_conjugation_fails_for_nonabelian_addition():
     # computed ground truth: the substitution identity cannot hold once the
     # additive group is nonabelian (equal images force the substituted
     # argument to equal b); the checker must report the failure honestly.
-    rep = gv_correspondence_check(build_solution(S3_TRIVIAL, S3_TRIVIAL.identity))
-    assert rep.conjugation_ok is False
-    assert rep.conjugation_witness is not None
-    a, bb = rep.conjugation_witness
+    conj = _gv_checks(build_solution(S3_TRIVIAL, S3_TRIVIAL.identity))["gv-conjugation-identity"]
+    assert conj.ok is False
+    assert conj.witness is not None
+    a, bb = conj.witness
     b = S3_TRIVIAL
     s1 = build_solution(b, b.identity)
     c = b.plus(b.plus(b.neg(b.circ_inv(a)), bb), b.circ_inv(a))
@@ -284,8 +290,10 @@ def test_sigma_shift_criterion_agreement_and_socle_equivalence():
         soc = set(socle(b).tolist())
         s1 = build_solution(b, b.identity)
         for z in range(b.order):
-            tables_equal, commutes = sigma_shift_criterion(build_solution(b, z), s1)
-            assert tables_equal == commutes
+            check = sigma_shift_criterion(build_solution(b, z), s1)
+            tables_equal = check.witness["sigma_equals_identity_shift"]
+            commutes = check.witness["shift_commutation"]
+            assert tables_equal == commutes and check.ok
             if b.is_left_brace:
                 assert tables_equal == (z in soc)
 
@@ -338,3 +346,63 @@ def test_product_solution_acts_coordinatewise_at_paired_shift():
                     u1, t1 = sl.apply(a, d)
                     u2, t2 = sr.apply(c, e)
                     assert got == (u1 * n2 + u2, t1 * n2 + t2)
+
+
+# Map-level entries of forged shifts (oracles.swap_sigma_entries), whose
+# involutivity cross-check agrees with the socle criterion: pins the
+# failing entries of a report, which no built-in shift produces.
+_FORGED_SUITES = [
+    (
+        (cyclic_unit_brace(3), 1, 1, 0, 1),
+        [
+            ("admissible", "pass", 0, None, "every shift of a two-sided brace is admissible"),
+            ("nondegenerate-sigma", "pass", 16, None, ""),
+            ("nondegenerate-tau", "pass", 16, None, ""),
+            ("constraint-c1", "fail", 64, [1, 0, 0], ""),
+            ("constraint-c2", "fail", 64, [1, 1, 0], ""),
+            ("constraint-c3", "fail", 64, [1, 0, 0], ""),
+            ("product-identity", "fail", 16, [1, 0, -1], ""),
+            ("transpose-identity", "fail", 16, [4, 13], ""),
+            (
+                "involutivity-criterion", "pass", 16,
+                {"involutive": False, "left_brace": True, "socle_member": False,
+                 "two_step_witness": [[0, 1], [1, 0], [1, 3]]},
+                "direct double-application test agrees with the socle criterion",
+            ),
+            ("sigma-shift-criterion", "pass", 16,
+             {"sigma_equals_identity_shift": False, "shift_commutation": False}, ""),
+            ("inverse-composition", "fail", 32, [1, 0], ""),
+        ],
+    ),
+    (
+        (S3_TRIVIAL, 0, 0, 0, 1),
+        [
+            ("admissible", "pass", 0, None, "every shift of a two-sided brace is admissible"),
+            ("nondegenerate-sigma", "pass", 36, None, ""),
+            ("nondegenerate-tau", "pass", 36, None, ""),
+            ("constraint-c1", "fail", 216, [0, 0, 0], ""),
+            ("constraint-c2", "pass", 216, None, ""),
+            ("constraint-c3", "pass", 216, None, ""),
+            ("product-identity", "fail", 36, [0, 0, -1], ""),
+            ("transpose-identity", "pass", 36, None, ""),
+            (
+                "involutivity-criterion", "pass", 36,
+                {"involutive": False, "left_brace": False, "socle_member": True,
+                 "two_step_witness": [[0, 0], [1, 0], [0, 1]]},
+                "direct double-application test agrees with the socle criterion",
+            ),
+            ("sigma-shift-criterion", "fail", 36,
+             {"sigma_equals_identity_shift": False, "shift_commutation": True}, ""),
+            ("inverse-composition", "fail", 72, [0, 0], ""),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("forge, expected", _FORGED_SUITES, ids=["cyclic2n-3-z1", "trivial-S3-z0"])
+def test_solution_suite_failure_entries_on_forged_shifts(forge, expected):
+    b, z, x, y1, y2 = forge
+    forged = swap_sigma_entries(build_solution(b, z), x, y1, y2)
+    entries = solution_suite(forged, build_solution(b, b.identity))
+    assert all(e["section"] == "solution" and e["z"] == z and e["elapsed_ms"] == 0.0 for e in entries)
+    assert [(e["name"], e["status"], e["points"], e["witness"], e["note"]) for e in entries] == expected

@@ -30,7 +30,7 @@ from zbrace import tensor
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.groups import cyclic_group, row_blocks, symmetric_group
 from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
-from zbrace.solutions import build_solution
+from zbrace.solutions import Check, build_solution
 from zbrace.tensor import (
     PermMatrix,
     TwistBundle,
@@ -663,7 +663,7 @@ def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
     # a proved check passes at every point on either side of the boundary
     real = bundle_for(cyclic_unit_brace(4), 3)
     for budget in (total, total - 1):
-        assert braid_matrix_check(real, budget=budget) == tensor.TensorCheck("matrix-braid", "pass", total)
+        assert braid_matrix_check(real, budget=budget) == Check("matrix-braid", "pass", total)
 
 
 def _chain_checks(tb, **kw):
