@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -178,6 +179,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     config_int(args.seed, "seed", minimum=0)
+    config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     report = build_report(
@@ -206,6 +208,7 @@ def cmd_twist(args) -> int:
         if w not in _TWIST_CHECKS:
             raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
     config_int(args.seed, "seed", minimum=0)
+    config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     failed = False
@@ -242,6 +245,7 @@ def cmd_report(args) -> int:
     if not isinstance(src_doc, dict):
         raise SchemaError("$.brace", "missing brace source")
     seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
+    budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
     family = src_doc.get("family")
     if "file" in src_doc:
         b = parse_brace(src_doc["file"])
@@ -259,7 +263,7 @@ def cmd_report(args) -> int:
         level=str(cfg.get("level", "all")),
         family=family,
         params={k: v for k, v in src_doc.items() if k != "family"} or None,
-        budget=config_int(cfg.get("budget", DEFAULT_BUDGET), "budget"),
+        budget=budget,
         sample_points=config_int(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS), "sample_points"),
         seed=seed,
         timings=timings,
@@ -343,7 +347,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closes stdout early is met here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # not an input error; send the output still buffered to devnull so
+        # that the final flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

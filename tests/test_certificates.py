@@ -7,6 +7,7 @@ type, message and witness, the same two-sided flag.
 """
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -35,14 +36,18 @@ from zbrace.braces import (
 from zbrace.groups import (
     GroupValidationError,
     cyclic_group,
+    direct_product,
     generating_set,
     symmetric_group,
     validate_group,
 )
 from zbrace.solutions import (
+    DeformedSolution,
     build_solution,
+    derived_rack_certificate,
     pair_map,
     sigma_is_left_action,
+    sigma_table,
     tau_table_from_sigma,
     verify_braid_constraints,
 )
@@ -162,6 +167,8 @@ def _forged_solutions():
         s = build_solution(b, z)
         yield _conjugated_action(s, seed=z)
         yield _action_off_last_generator(s)
+    # a constant sigma is an action with the product identity, but no sigma_x is a bijection
+    yield _with_sigma(build_solution(S3_TRIVIAL, 2), np.zeros((6, 6), dtype=np.int64))
     # random permutation rows: sigma is no action, and nothing holds
     rng = np.random.default_rng(7)
     for b in (cyclic_unit_brace(3), S3_TRIVIAL):
@@ -194,6 +201,176 @@ def test_action_check_needs_every_generator():
         forged = _action_off_last_generator(build_solution(b, z))
         assert not sigma_is_left_action(forged)
         assert not brute_braid_constraints(forged)[0].ok
+
+
+def _endomorphisms(g):
+    """Every endomorphism of the group g, as image lists: generator images extended along right products."""
+    n = g.order
+    found = []
+    for images in itertools.product(range(n), repeat=len(g.generators)):
+        f = {g.identity: g.identity}
+        frontier = [g.identity]
+        while frontier:
+            reached = []
+            for a in frontier:
+                for x, y in zip(g.generators, images):
+                    ax = g.op(a, x)
+                    if ax not in f:
+                        f[ax] = g.op(f[a], y)
+                        reached.append(ax)
+            frontier = reached
+        if all(f[g.op(a, b)] == g.op(f[a], f[b]) for a in range(n) for b in range(n)):
+            found.append([f[a] for a in range(n)])
+    return found
+
+
+def _rack(g, h):
+    """x <| u = u + h(x - u) on the group g, as a plain table."""
+    return [[g.op(u, h[g.op(x, g.inv(u))]) for u in range(g.order)] for x in range(g.order)]
+
+
+def test_closed_form_rack_is_self_distributive_for_every_endomorphism():
+    carriers = [
+        cyclic_group(4),
+        cyclic_group(6),
+        direct_product(cyclic_group(2), cyclic_group(2)),
+        direct_product(cyclic_group(2), cyclic_group(4)),
+        symmetric_group(3),
+        direct_product(symmetric_group(3), cyclic_group(2)),
+    ]
+    rng = random.Random(5)
+    broken = 0
+    for g in carriers:
+        n = g.order
+        endos = _endomorphisms(g)
+        assert len(endos) >= 2, n
+        for h in endos:
+            rack = _rack(g, h)
+            for x, y, w in itertools.product(range(n), repeat=3):
+                assert rack[rack[x][y]][w] == rack[rack[x][w]][rack[y][w]], (n, h, x, y, w)
+        # a map that is no endomorphism breaks the law somewhere
+        h = [rng.randrange(n) for _ in range(n)]
+        rack = _rack(g, h)
+        triples = itertools.product(range(n), repeat=3)
+        broken += any(rack[rack[x][y]][w] != rack[rack[x][w]][rack[y][w]] for x, y, w in triples)
+    assert broken
+
+
+def _shift_map(b, z):
+    """h(w) = -z + (w o z - z) + z, the map of the closed-form rack at shift z, as a list."""
+    return [b.plus(b.plus(b.neg(z), b.plus(b.circ(w, z), b.neg(z))), z) for w in range(b.order)]
+
+
+def _with_rack(s, sigma):
+    """``s`` with a replaced sigma and tau read back from the closed-form rack.
+
+    tau_y(x) = sigma_u^{-1}(x <| u) with u = sigma_x(y), so the derived
+    table is u + h(x - u) whatever sigma is.
+    """
+    n = s.order
+    rack = _rack(s.brace.add, _shift_map(s.brace, s.z))
+    inverse = np.argsort(sigma, axis=1)
+    tau = np.empty_like(sigma)
+    for x, y in itertools.product(range(n), repeat=2):
+        u = sigma[x, y]
+        tau[y, x] = inverse[u, rack[x][u]]
+    return dataclasses.replace(s, sigma=sigma, tau=tau, combined=pair_map(sigma, tau))
+
+
+def _rack_premises(s):
+    """c1's certificate and the three derived-rack premises, by plain loops over every element.
+
+    (c1 certified, h additive, derived table = u + h(x - u), every sigma_x
+    an endomorphism of the derived table).
+    """
+    b, n = s.brace, s.order
+    S, T = s.sigma.tolist(), s.tau.tolist()
+    product = all(b.circ(S[x][y], T[y][x]) == b.circ(x, y) for x, y in itertools.product(range(n), repeat=2))
+    h = _shift_map(b, s.z)
+    additive = all(h[b.plus(a, c)] == b.plus(h[a], h[c]) for a, c in itertools.product(range(n), repeat=2))
+    inverse = [{S[x][y]: y for y in range(n)} for x in range(n)]
+    derived = [[S[u][T[inverse[x][u]][x]] for u in range(n)] for x in range(n)]
+    closed = derived == _rack(b.add, h)
+    respected = all(
+        S[x][derived[y][w]] == derived[S[x][y]][S[x][w]] for x, y, w in itertools.product(range(n), repeat=3)
+    )
+    return product and sigma_is_left_action(s), additive, closed, respected
+
+
+# A left action of S3 on its own six elements (labels 012, 021, 102, 120,
+# 201, 210), found by search over the homomorphisms S3 -> Sym(6): with tau
+# from the product identity at z = 1, c1 is certified and the derived table
+# is the closed-form rack, but sigma_021 is no endomorphism of it, and c2 fails.
+_S3_ACTION_OFF_THE_RACK = np.array([
+    [0, 1, 2, 3, 4, 5],
+    [0, 2, 1, 4, 3, 5],
+    [4, 2, 1, 3, 0, 5],
+    [4, 1, 2, 0, 3, 5],
+    [3, 1, 2, 4, 0, 5],
+    [3, 2, 1, 0, 4, 5],
+])
+
+
+def _rack_forgeries():
+    # other actions, tau from the product identity: c1 certified, the closed form fails, c2 holds
+    s = build_solution(cyclic_unit_brace(3), 1)
+    for seed in (0, 2):
+        yield _conjugated_action(s, seed)
+    # inadmissible shifts, built past build_solution: h is not additive
+    for z in (1, 2, 4, 5):
+        sigma = sigma_table(Z6_DIHEDRAL, z)
+        tau = tau_table_from_sigma(Z6_DIHEDRAL, sigma)
+        yield DeformedSolution(Z6_DIHEDRAL, z, sigma, tau, pair_map(sigma, tau))
+    # only the rack endomorphism premise fails
+    yield _with_sigma(build_solution(S3_TRIVIAL, 1), _S3_ACTION_OFF_THE_RACK)
+    # the units mod 8 acting through their two factors of order 2, by (0 1)
+    # and (2 3): every sigma_g respects the closed-form rack, but the
+    # derived table is not that rack, and c2 fails
+    klein = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]])
+    yield _with_sigma(build_solution(cyclic_unit_brace(3), 0), klein)
+    # identity sigma, tau from the rack of an inadmissible shift: of the
+    # certificate's own premises only additivity fails (c2 holds all the same:
+    # h(w) = w, or w - 2z for odd w, still gives a self-distributive rack)
+    identity = build_solution(Z6_DIHEDRAL, 0)
+    yield _with_rack(dataclasses.replace(identity, z=1), np.tile(np.arange(6), (6, 1)))
+    # on the units mod 16, sigma_x swaps the elements 1 and 5 when x = 3 mod 4
+    # and is the identity otherwise, tau from the rack: c1 holds, though not
+    # by its certificate, and the rack is the closed form
+    b = cyclic_unit_brace(4)
+    swap = np.array([2, 1, 0, 3, 4, 5, 6, 7])
+    odd = np.array([int(label) % 4 == 3 for label in b.labels])
+    for z in (1, 3):
+        yield _with_rack(build_solution(b, z), np.where(odd[:, None], swap, np.arange(8)))
+    # the same swap for x outside the subgroup {1, 3, 9, 11} generated by the
+    # first generator 3: only the last generator, 5, breaks the rack
+    outside = np.array([int(label) not in (1, 3, 9, 11) for label in b.labels])
+    yield _with_rack(build_solution(b, 3), np.where(outside[:, None], swap, np.arange(8)))
+
+
+def test_derived_rack_fallback_matches_block_sweep(monkeypatch):
+    swept = []
+    real_sweep = groups.first_difference
+
+    def recording_sweep(n, sides, *block):
+        swept.append(sides.__name__)
+        return real_sweep(n, sides, *block)
+
+    monkeypatch.setattr(solutions, "first_difference", recording_sweep)
+    patterns = set()
+    for s in _rack_forgeries():
+        swept.clear()
+        got = [(r.name, r.status, r.witness, r.points) for r in verify_braid_constraints(s)]
+        assert got == [(r.name, r.status, r.witness, r.points) for r in brute_braid_constraints(s)], (s.brace.name, s.z)
+        assert "c2" in swept and not derived_rack_certificate(s), (s.brace.name, s.z)
+        patterns.add(_rack_premises(s) + (got[1][1],))
+    assert patterns == {
+        (True, True, False, True, "pass"),
+        (True, False, False, False, "fail"),
+        (True, True, True, False, "fail"),
+        (True, True, False, False, "fail"),
+        (False, False, True, True, "pass"),
+        (False, True, True, False, "fail"),
+    }
 
 
 # (b) group and brace validation: certificate and fallback against the cubic sweeps
@@ -302,10 +479,10 @@ def test_certificates_pass_without_fallback_on_every_built_in_brace(monkeypatch)
         zs = admissible_z(b).tolist()
         for z in zs if b.order <= 32 else ODD_MATRIX_SHIFTS[:3]:
             s = build_solution(b, z)
-            assert sigma_is_left_action(s)
+            assert sigma_is_left_action(s) and derived_rack_certificate(s)
             swept.clear()
             assert all(r.ok for r in verify_braid_constraints(s))
-            assert swept == ["c2"], (b.name, z)
+            assert swept == [], (b.name, z)
         swept.clear()
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -687,3 +691,61 @@ def test_solve_still_accepts_a_negative_seed(tmp_path, capsys):
     path = tmp_path / "c3.brace"
     write_brace(cyclic_unit_brace(3), path)
     assert main(["solve", str(path), "--seed", "-1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{brace}", "--budget", "-1", "--level", "matrices"],
+        ["twist", "{brace}", "--budget", "-1"],
+        ["report", "--config", "{cfg}"],
+    ],
+    ids=["verify", "twist", "report"],
+)
+def test_negative_budget_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
+    import zbrace.cli
+
+    paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
+    write_brace(cyclic_unit_brace(3), paths["brace"])
+    paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "budget": -1, "level": "matrices"}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == "error: budget must be >= 0, got -1\n"
+
+
+def test_budget_zero_is_accepted(tmp_path, capsys, cyclic3_file):
+    # zero is the smallest budget: every arity-3 check the braid constraints do not prove is sampled
+    assert main(["verify", str(cyclic3_file), "--z", "3", "--level", "matrices", "--budget", "0"]) == 0
+    assert "sampled=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_1_without_an_error_line(tmp_path, unbuffered):
+    # buffered, the broken pipe shows at the final flush; unbuffered, at the first print
+    import zbrace
+
+    path = tmp_path / "c3.brace"
+    write_brace(cyclic_unit_brace(3), path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(zbrace.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zbrace.cli", "twist", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
