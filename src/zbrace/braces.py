@@ -316,28 +316,32 @@ def is_odd_matrix_brace(b: SkewBrace) -> bool:
 def odd_matrix_pair_criterion(z1: int, z2: int) -> bool:
     """Published equality test for two odd-matrix shifts: (D-I)(B-A) = 0 mod 8 for all D.
 
-    The statement depends on the shifts only through their difference
-    matrix mod 8 (even entries, so at most 256 values).  The verdict is
-    memoised on that difference; each new difference is still decided by
-    brute force over all 256 choices of D, never by a derived closed form.
+    Read from the table of every pair's verdict (``_odd_matrix_pair_verdicts``).
     Reported next to (never merged with) exact table comparison.
     """
-    e1 = odd_matrix_entries(z1)
-    e2 = odd_matrix_entries(z2)
-    return _published_criterion_holds(tuple((v2 - v1) % _OM_MOD for v1, v2 in zip(e1, e2)))
+    return bool(_odd_matrix_pair_verdicts()[z1, z2])
 
 
-@functools.lru_cache(maxsize=256)
-def _published_criterion_holds(diff: tuple[int, int, int, int]) -> bool:
-    """(D-I) @ diff = 0 mod 8 for every odd matrix D; diff holds entries (a, b, c, d) mod 8."""
-    dm = np.array([[diff[0], diff[1]], [diff[2], diff[3]]], dtype=np.int64)
-    eye = np.eye(2, dtype=np.int64)
-    for idx in range(256):
-        ea, eb, ec, ed = odd_matrix_entries(idx)
-        dmat = np.array([[ea, eb], [ec, ed]], dtype=np.int64)
-        if ((dmat - eye) @ dm % _OM_MOD).any():
-            return False
-    return True
+@functools.lru_cache(maxsize=1)
+def _odd_matrix_pair_verdicts() -> np.ndarray:
+    """[z1, z2] = the published criterion for odd-matrix shifts z1 and z2, computed once.
+
+    The statement depends on the shifts only through their difference
+    matrix B - A mod 8, whose entries are even, so it has at most 256
+    values.  Each difference is decided by brute force over all 256 odd
+    matrices D (vectorised over D), never by a derived closed form, and
+    every pair reads the verdict of its difference.
+    """
+    entries = np.array([odd_matrix_entries(i) for i in range(256)], dtype=np.int64)
+    d_minus_i = (entries - [1, 0, 0, 1]).reshape(256, 2, 2)
+    diffs = (entries[None, :, :] - entries[:, None, :]) % _OM_MOD  # [z1, z2] = entries of B - A
+    # code the even entries (a, b, c, d) in base 4, so each difference has one of 256 codes
+    codes = (diffs // 2) @ np.array([64, 16, 4, 1])
+    by_code = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+    holds = [not (d_minus_i @ (2 * c).reshape(2, 2) % _OM_MOD).any() for c in by_code]
+    verdicts = np.array(holds)[codes]
+    verdicts.flags.writeable = False  # one cached table serves every caller
+    return verdicts
 
 
 def even_residue_ring_tables(modulus: int = 8) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -34,11 +34,12 @@ from .reporting import (
     build_report,
     config_int,
     report_failed,
+    sample_points_setting,
     select_shifts,
     serialize_report,
     tensor_checks,
 )
-from .solutions import InadmissibleZError, build_solution, dedup_solutions, is_involutive
+from .solutions import InadmissibleZError, build_solution, cross_check_involutive, dedup_solutions, is_involutive
 from .tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
@@ -154,21 +155,27 @@ def cmd_socle(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """One involutive= line per shift, then with ``--dedup`` the classes.
+
+    Shifts with the same map form one class (``dedup_solutions``, which
+    builds nothing), and one solution is built per class: its
+    non-degeneracy checks and its direct r o r = id test decide the map
+    once, and each shift's line cross-checks that verdict against its own
+    socle criterion.  Only the solution in flight is held.
+    """
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
-
-    def solved():
-        for z in zs:
-            s = build_solution(b, z)
-            print(f"z={z} (label {b.labels[z]}): involutive={is_involutive(s)}")
-            yield s
-
+    criterion = odd_matrix_pair_criterion if args.dedup and is_odd_matrix_brace(b) else None
+    partition = dedup_solutions(b, zs, pair_criterion=criterion)
+    first = {z: cls[0] for cls in partition.classes for z in cls}
+    involutive: dict[int, bool] = {}  # class's first member -> r o r = id
+    for z in zs:
+        rep = first[z]
+        if rep not in involutive:
+            involutive[rep] = is_involutive(build_solution(b, rep))
+        print(f"z={z} (label {b.labels[z]}): involutive={cross_check_involutive(b, z, involutive[rep])}")
     if not args.dedup:
-        for _ in solved():
-            pass
         return 0
-    criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
-    partition = dedup_solutions(solved(), pair_criterion=criterion)
     for cls in partition.classes:
         print("class {" + ",".join(b.labels[z] for z in cls) + "}")
     if partition.criterion_pairs:
@@ -180,6 +187,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     config_int(args.seed, "seed", minimum=0)
     config_int(args.budget, "budget", minimum=0)
+    config_int(args.threads, "threads", minimum=1)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     report = build_report(
@@ -246,6 +254,8 @@ def cmd_report(args) -> int:
         raise SchemaError("$.brace", "missing brace source")
     seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
     budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
+    sample_points = sample_points_setting(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS))
+    threads = config_int(cfg.get("threads", 1), "threads", minimum=1)
     family = src_doc.get("family")
     if "file" in src_doc:
         b = parse_brace(src_doc["file"])
@@ -264,10 +274,10 @@ def cmd_report(args) -> int:
         family=family,
         params={k: v for k, v in src_doc.items() if k != "family"} or None,
         budget=budget,
-        sample_points=config_int(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS), "sample_points"),
+        sample_points=sample_points,
         seed=seed,
         timings=timings,
-        threads=config_int(cfg.get("threads", 1), "threads"),
+        threads=threads,
     )
     text = serialize_report(report)
     if args.output:

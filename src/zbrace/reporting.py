@@ -14,11 +14,12 @@ per executed check, run in a fixed documented order:
   5. per-shift matrix-level suite (braid/YBE, commutations, cocycle,
      twisted forms, group-likeness, coassociativity defects)
 
-Each shift is built once: its solution feeds the map-level suite, one
-twist bundle for the matrix-level suite, and then the dedup pass, which
-keeps only class representatives.  The identity shift, which the
-sigma-shift criterion and the correspondence section compare against, is
-built once per report.
+Each shift is built once: its solution feeds the map-level suite and one
+twist bundle for the matrix-level suite, and is then dropped.  The dedup
+pass builds no solution: it keys each shift by an n-entry vector that
+decides table equality exactly (``solutions.dedup_solutions``).  The
+identity shift, which the sigma-shift criterion and the correspondence
+section compare against, is built once per report.
 
 Reports are byte-stable for fixed inputs and seed: timings are recorded
 as 0.0 unless explicitly requested, and no other nondeterministic data
@@ -214,14 +215,14 @@ _CYCLIC3_NOTE = (
 )
 
 
-def dedup_section(b: SkewBrace, solutions: Iterable[DeformedSolution]) -> dict:
-    """Equality classes of the given solutions of ``b``, consumed once.
+def dedup_section(b: SkewBrace, zs: Iterable[int]) -> dict:
+    """Equality classes of the solutions of ``b`` at the shifts ``zs``.
 
     The pair criterion and the cyclic2n n=3 discrepancy note are chosen
     from the tables and labels, never from the brace's name.
     """
     criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
-    partition = dedup_solutions(solutions, pair_criterion=criterion)
+    partition = dedup_solutions(b, zs, pair_criterion=criterion)
     class_labels = [[b.labels[z] for z in cls] for cls in partition.classes]
     notes: list[str] = []
     # The note names labels, so it also needs them: the radical brace mod 8
@@ -261,6 +262,13 @@ def config_int(value: Any, where: str, minimum: int | None = None) -> int:
         raise ValueError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{where} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def sample_points_setting(value: Any) -> int:
+    """A ``sample_points`` setting: an integer of at least 1; else a one-line ValueError."""
+    if config_int(value, "sample_points") < 1:
+        raise ValueError("sample_points must be >= 1")
     return int(value)
 
 
@@ -306,8 +314,8 @@ def build_report(
     """Run the selected suites in fixed order and assemble the report."""
     if level not in ("maps", "matrices", "all"):
         raise ValueError(f"unknown level {level!r}")
-    if sample_points < 1:
-        raise ValueError("sample_points must be >= 1")
+    sample_points = sample_points_setting(sample_points)
+    config_int(threads, "threads", minimum=1)
     t_start = time.perf_counter()
 
     # the brace was built and validated before the report; its entry times
@@ -325,45 +333,39 @@ def build_report(
     checks = [_entry("brace", construction, None, timings)]
 
     zs = [int(z) for z in zs]
-    threads = max(1, min(threads, len(zs), os.cpu_count() or 1))
+    threads = min(threads, len(zs), os.cpu_count() or 1)
     maps = level in ("maps", "all")
     matrices = level in ("matrices", "all")
     identity_shift = build_solution(b, b.identity) if maps else None
 
-    def run_shift(z: int) -> tuple[DeformedSolution, list[dict], list[dict], float, float]:
+    def run_shift(z: int) -> tuple[list[dict], list[dict], float, float]:
         start = time.perf_counter()
         s = build_solution(b, z)
         maps_out = solution_suite(s, identity_shift, timings) if maps else []
         mid = time.perf_counter() if maps else start
         tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings) if matrices else []
-        return s, maps_out, tensors_out, mid - start, time.perf_counter() - mid
+        return maps_out, tensors_out, mid - start, time.perf_counter() - mid
 
-    # Section timings are sums over shifts (wall time at one thread).
-    map_entries: list[dict] = []
+    # Section timings are sums over shifts (wall time at one thread); the
+    # dedup and gv sections count towards the map-level time.
     tensor_entries: list[dict] = []
-    spent = [0.0, 0.0]
-
-    def solutions(results: Iterable) -> Iterator[DeformedSolution]:
-        for s, maps_out, tensors_out, maps_s, matrices_s in results:
-            map_entries.extend(maps_out)
-            tensor_entries.extend(tensors_out)
-            spent[0] += maps_s
-            spent[1] += matrices_s
-            yield s
-
+    maps_s = matrices_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
-        shifts = solutions(map(run_shift, zs) if pool is None else pool.map(run_shift, zs))
-        if maps:
-            dedup = dedup_section(b, shifts)
-        else:
-            dedup = None
-            for _ in shifts:
-                pass
-    checks.extend(map_entries)
+        for maps_out, tensors_out, shift_maps_s, shift_matrices_s in (
+            map(run_shift, zs) if pool is None else pool.map(run_shift, zs)
+        ):
+            checks.extend(maps_out)
+            tensor_entries.extend(tensors_out)
+            maps_s += shift_maps_s
+            matrices_s += shift_matrices_s
+    dedup = None
     if maps:
+        start = time.perf_counter()
+        dedup = dedup_section(b, zs)
         checks.extend(gv_section(identity_shift, timings))
+        maps_s += time.perf_counter() - start
     checks.extend(tensor_entries)
-    maps_ms, matrices_ms = spent[0] * 1000, spent[1] * 1000
+    maps_ms, matrices_ms = maps_s * 1000, matrices_s * 1000
 
     counts = {"pass": 0, "fail": 0, "sampled": 0}
     for c in checks:

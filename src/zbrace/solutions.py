@@ -40,7 +40,7 @@ class CriterionMismatchError(RuntimeError):
 
 
 class TableMismatchError(RuntimeError):
-    """Sigma tables matched but tau tables did not: a construction bug."""
+    """A built sigma, tau or pair-map table is not a permutation: a construction bug."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,15 @@ class DedupPartition:
     criterion_pairs: tuple[tuple[int, int, bool, bool], ...]
 
 
-def sigma_table(b: SkewBrace, z: int) -> np.ndarray:
+def shift_key(b: SkewBrace, z: int) -> np.ndarray:
+    """The n-vector g_z(x) = -(x o z) + z, which determines sigma^z (``dedup_solutions``)."""
     A, M, neg = b.add.table, b.mul.table, b.add.inverses
-    mz = M[:, z]
-    return A[A[M, neg[mz][:, None]], z]
+    return A[neg[M[:, z]], z]
+
+
+def sigma_table(b: SkewBrace, z: int) -> np.ndarray:
+    """sigma[x][y] = x o y - x o z + z = x o y + g_z(x), by associativity of +."""
+    return b.add.table[b.mul.table, shift_key(b, z)[:, None]]
 
 
 def tau_table_from_sigma(b: SkewBrace, sigma: np.ndarray) -> np.ndarray:
@@ -153,14 +158,18 @@ def _check_nondegenerate(sigma: np.ndarray, tau: np.ndarray, combined: np.ndarra
         raise TableMismatchError("pair map is not a bijection")
 
 
-def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
-    """Materialize the deformed solution at shift z; rejects inadmissible z."""
+def _require_admissible(b: SkewBrace, z: int) -> None:
     if not (0 <= z < b.order):
         raise InadmissibleZError(f"element index {z} out of range")
     if not b.is_two_sided and right_distributes_at(b, z) is not None:
         raise InadmissibleZError(
             f"z={z} ({b.labels[z]}) does not right-distribute; deformation undefined"
         )
+
+
+def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
+    """Materialize the deformed solution at shift z; rejects inadmissible z."""
+    _require_admissible(b, z)
     sigma = sigma_table(b, z)
     tau = tau_table_from_sigma(b, sigma)
     combined = pair_map(sigma, tau)
@@ -399,17 +408,26 @@ def transpose_identity_check(s: DeformedSolution) -> Check:
 def is_involutive(s: DeformedSolution) -> bool:
     """True iff applying the map twice is the identity on the pair space.
 
-    The result is cross-checked against the socle criterion (involutive
-    iff the additive group is abelian and z lies in the socle);
-    disagreement is an internal error.
+    The result is cross-checked against the socle criterion at ``s.z``
+    (``cross_check_involutive``); disagreement is an internal error.
     """
     idx = np.arange(s.order * s.order)
-    direct = bool(np.array_equal(s.combined[s.combined], idx))
-    criterion = bool(s.brace.is_left_brace and s.z in s.brace.socle_members)
+    return cross_check_involutive(s.brace, s.z, bool(np.array_equal(s.combined[s.combined], idx)))
+
+
+def cross_check_involutive(b: SkewBrace, z: int, direct: bool) -> bool:
+    """``direct``, the r o r = id verdict for the map at shift z, once the socle criterion agrees.
+
+    The criterion: the map is involutive iff (B, +) is abelian and z lies
+    in the socle.  A verdict decided on one shift's tables holds for every
+    shift with the same map, and each such shift is cross-checked here;
+    disagreement raises ``CriterionMismatchError``.
+    """
+    criterion = bool(b.is_left_brace and z in b.socle_members)
     if direct != criterion:
         raise CriterionMismatchError(
             f"direct involutivity test ({direct}) disagrees with socle criterion "
-            f"({criterion}) for z={s.z} on {s.brace.name}"
+            f"({criterion}) for z={z} on {b.name}"
         )
     return direct
 
@@ -471,19 +489,28 @@ def sigma_shift_criterion(s: DeformedSolution, identity_shift: DeformedSolution)
 
 
 def dedup_solutions(
-    solutions: Iterable[DeformedSolution],
+    b: SkewBrace,
+    zs: Iterable[int],
     pair_criterion: Callable[[int, int], bool] | None = None,
 ) -> DedupPartition:
-    """Partition solutions of one brace by exact equality of their sigma tables.
+    """Partition the shifts ``zs`` of ``b`` by exact equality of their sigma tables, building none.
 
-    ``solutions`` is consumed once, so it may be a generator that builds
-    each shift on demand; only the tau table of one representative per
-    class is kept.  Classes are keyed by ``sigma.tobytes()``: all tables
-    of one brace share shape and dtype, so equal bytes mean equal tables,
-    and a dict hit compares the full bytes, never just the hash.  Each
-    later member's tau table is compared with its representative's; a
-    sigma match with a tau mismatch would mean the construction is broken
-    and raises ``TableMismatchError``.  A shift given twice is counted once.
+    Each shift is keyed by the n-vector g_z(x) = -(x o z) + z
+    (``shift_key``).  By associativity of +,
+
+        sigma^z_x(y) = x o y - x o z + z = x o y + g_z(x).
+
+    So g_z = g_z' gives sigma^z = sigma^z'; conversely, if
+    sigma^z_x(y) = sigma^z'_x(y) for any one y, then
+    x o y + g_z(x) = x o y + g_z'(x), and left cancellation in (B, +)
+    gives g_z(x) = g_z'(x).  Hence sigma^z = sigma^z' iff g_z = g_z': the
+    key decides table equality exactly, in n lookups per shift.  The tau
+    table and the pair map are computed from sigma alone
+    (``tau_table_from_sigma``, ``pair_map``), so shifts of one class have
+    equal solutions.  Keys are compared by their full bytes (all keys of
+    one brace share shape and dtype, and a dict hit compares the bytes,
+    never just the hash).  Each shift is checked for admissibility, as
+    ``build_solution`` does; a shift given twice is counted once.
 
     When ``pair_criterion`` is given (odd-matrix family), every pair of
     shifts z1 < z2 is also scored by the published criterion and reported
@@ -491,19 +518,16 @@ def dedup_solutions(
     (equality is transitive, so this is exact).
     """
     class_index: dict[int, int] = {}
-    by_sigma: dict[bytes, tuple[int, np.ndarray]] = {}
+    by_key: dict[bytes, int] = {}
     members: list[list[int]] = []
-    for s in solutions:
-        z = int(s.z)
+    for z in zs:
+        z = int(z)
         if z in class_index:
             continue
-        cls, rep_tau = by_sigma.setdefault(s.sigma.tobytes(), (len(members), s.tau))
+        _require_admissible(b, z)
+        cls = by_key.setdefault(shift_key(b, z).tobytes(), len(members))
         if cls == len(members):
             members.append([])
-        elif not np.array_equal(rep_tau, s.tau):
-            raise TableMismatchError(
-                f"sigma tables equal but tau tables differ for z={members[cls][0]}, z={z}"
-            )
         class_index[z] = cls
         members[cls].append(z)
     classes = sorted(tuple(sorted(cls)) for cls in members)

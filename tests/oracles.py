@@ -15,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zbrace.braces import NotLeftDistributiveError, odd_matrix_entries
+from zbrace.braces import NotLeftDistributiveError, make_skew_brace, odd_matrix_entries
 from zbrace.groups import (
     MissingInverseError,
     NoIdentityError,
     NotAssociativeError,
     NotClosedError,
+    cyclic_group,
     row_blocks,
+    validate_group,
 )
 from zbrace.solutions import (
     Check,
-    build_solution,
     pair_map,
     sigma_table,
     tau_table_from_sigma,
@@ -33,6 +34,14 @@ from zbrace.solutions import (
 from zbrace.tensor import PermMatrix, _decode3, _encode3
 
 SPARSE_ENTRY_LIMIT = 4096
+
+# (Z/6, +) with the dihedral circle a o b = a + (-1)^a b: a left brace that is
+# not two-sided, so only the shifts 0 and 3 are admissible
+Z6_DIHEDRAL = make_skew_brace(
+    cyclic_group(6),
+    validate_group([[(a + (-1) ** a * b) % 6 for b in range(6)] for a in range(6)]),
+    name="z6-dihedral",
+)
 
 
 @dataclass(frozen=True)
@@ -238,18 +247,23 @@ def brute_lazy_constraints(lb, z, samples, seed):
 
 
 def brute_dedup(b, zs, pair_criterion=None):
-    """(classes, criterion_pairs) by pairwise comparison of freshly built tables.
+    """(classes, criterion_pairs) by pairwise comparison of full sigma tables.
 
-    The former dedup loop: every shift is built, each is compared with the
-    representative of every earlier class, and every pair z1 < z2 gets its
-    own full sigma-table comparison next to the criterion's verdict.
+    The former dedup loop: each shift's table is computed from its
+    definition x o y - x o z + z, each is compared with the representative
+    of every earlier class, and every pair z1 < z2 gets its own full table
+    comparison next to the criterion's verdict.  Tables are held in the
+    smallest unsigned dtype that holds every index, so all 256 odd-matrix
+    shifts fit in 16 MB.
     """
+    A, M, neg = b.add.table, b.mul.table, b.add.inverses
+    dtype = np.min_scalar_type(b.order - 1)
     zs_sorted = sorted(set(int(v) for v in zs))
-    sols = {z: build_solution(b, z) for z in zs_sorted}
+    sigmas = {z: A[A[M, neg[M[:, z]][:, None]], z].astype(dtype) for z in zs_sorted}
     classes = []
     for z in zs_sorted:
         for cls in classes:
-            if np.array_equal(sols[cls[0]].sigma, sols[z].sigma):
+            if np.array_equal(sigmas[cls[0]], sigmas[z]):
                 cls.append(z)
                 break
         else:
@@ -258,7 +272,7 @@ def brute_dedup(b, zs, pair_criterion=None):
     if pair_criterion is not None:
         for i, z1 in enumerate(zs_sorted):
             for z2 in zs_sorted[i + 1 :]:
-                equal = bool(np.array_equal(sols[z1].sigma, sols[z2].sigma))
+                equal = bool(np.array_equal(sigmas[z1], sigmas[z2]))
                 pairs.append((z1, z2, bool(pair_criterion(z1, z2)), equal))
     return tuple(tuple(cls) for cls in classes), tuple(pairs)
 

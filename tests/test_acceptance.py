@@ -103,7 +103,7 @@ def test_criterion_01_braid_constraints(instances):
 
 def test_criterion_02_cyclic2_single_dedup_class():
     b = cyclic_unit_brace(2)
-    part = dedup_solutions(build_solution(b, z) for z in range(2))
+    part = dedup_solutions(b, range(2))
     labels = [[b.labels[z] for z in cls] for cls in part.classes]
     ok = labels == [["1", "3"]]
     _report(2, "dedup-n2-single-class", ok, str(labels))
@@ -128,7 +128,7 @@ def test_criterion_03_involutivity_criterion(instances):
     # reproducible; the suite asserts the computed ground truth and the
     # report must carry the discrepancy annotation
     b3 = cyclic_unit_brace(3)
-    part = dedup_solutions(build_solution(b3, z) for z in range(4))
+    part = dedup_solutions(b3, range(4))
     labels = [tuple(b3.labels[z] for z in cls) for cls in part.classes]
     ok &= labels == [("1", "5"), ("3", "7")]
     report = build_report(b3, select_shifts(b3, "all", seed=0), level="maps", family="cyclic2n")

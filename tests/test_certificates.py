@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Z6_DIHEDRAL,
     brute_braid_constraints,
     brute_radical_ring_laws,
     cubic_brace_laws,
@@ -53,13 +54,6 @@ from zbrace.solutions import (
 )
 
 S3_TRIVIAL = trivial_skew_brace(symmetric_group(3), name="trivial-S3")
-# (Z/6, +) with the dihedral circle a o b = a + (-1)^a b: a left brace that is
-# not two-sided, so only the shifts 0 and 3 are admissible
-Z6_DIHEDRAL = make_skew_brace(
-    cyclic_group(6),
-    validate_group([[(a + (-1) ** a * b) % 6 for b in range(6)] for a in range(6)]),
-    name="z6-dihedral",
-)
 SMALL_BRACES = [
     cyclic_unit_brace(2),
     cyclic_unit_brace(3),

@@ -1,11 +1,9 @@
 """Dedup classes and the published odd-matrix pair criterion against their oracles."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from oracles import brute_dedup, brute_odd_matrix_pair_criterion
+from oracles import Z6_DIHEDRAL, brute_dedup, brute_odd_matrix_pair_criterion
 from zbrace.braces import (
     admissible_z,
     cyclic_unit_brace,
@@ -17,13 +15,16 @@ from zbrace.braces import (
     trivial_skew_brace,
 )
 from zbrace.groups import symmetric_group
-from zbrace.solutions import TableMismatchError, build_solution, dedup_solutions
+from zbrace.solutions import InadmissibleZError, build_solution, dedup_solutions
 
 S3_TRIVIAL = trivial_skew_brace(symmetric_group(3), name="trivial-S3")
-SMALL = [cyclic_unit_brace(n) for n in range(2, 6)] + [
+SMALL = [cyclic_unit_brace(n) for n in range(2, 7)] + [
     radical_even_brace(8),
+    radical_even_brace(16),
     S3_TRIVIAL,
+    trivial_skew_brace(symmetric_group(4), name="trivial-S4"),
     product_brace(cyclic_unit_brace(2), S3_TRIVIAL),
+    Z6_DIHEDRAL,
 ]
 
 
@@ -40,13 +41,34 @@ def _parity_criterion(z1, z2):
 def _assert_matches_oracle(b, zs, criterion):
     expected = brute_dedup(b, zs, pair_criterion=criterion)
     for order in (list(zs), list(reversed(zs))):
-        part = dedup_solutions((build_solution(b, z) for z in order), pair_criterion=criterion)
+        part = dedup_solutions(b, order, pair_criterion=criterion)
         assert (part.classes, part.criterion_pairs) == expected
+
+
+def _assert_members_build_their_representative(b, classes):
+    for cls in classes:
+        rep = build_solution(b, cls[0])
+        for z in cls[1:]:
+            s = build_solution(b, z)
+            assert np.array_equal(s.sigma, rep.sigma), (cls[0], z)
+            assert np.array_equal(s.tau, rep.tau), (cls[0], z)
+            assert np.array_equal(s.combined, rep.combined), (cls[0], z)
 
 
 @pytest.mark.parametrize("b", SMALL, ids=lambda b: b.name)
 def test_dedup_matches_pairwise_oracle_on_small_braces(b):
-    _assert_matches_oracle(b, admissible_z(b).tolist(), _parity_criterion)
+    zs = admissible_z(b).tolist()
+    _assert_matches_oracle(b, zs, _parity_criterion)
+    _assert_members_build_their_representative(b, dedup_solutions(b, zs).classes)
+
+
+def test_dedup_matches_pairwise_oracle_on_every_odd_matrix_shift():
+    om = odd_matrix_brace()
+    zs = list(range(256))
+    _assert_matches_oracle(om, zs, odd_matrix_pair_criterion)
+    classes = dedup_solutions(om, zs).classes
+    assert len(classes) == 16
+    _assert_members_build_their_representative(om, classes)
 
 
 def test_dedup_matches_pairwise_oracle_on_sampled_odd_matrix_shifts():
@@ -70,19 +92,15 @@ def test_memoised_pair_criterion_matches_brute_force_on_every_difference():
             assert odd_matrix_pair_criterion(*pair) is brute_odd_matrix_pair_criterion(*pair), (pair, diff)
 
 
-def test_sigma_match_with_tau_mismatch_still_raises():
-    b = cyclic_unit_brace(3)
-    s = build_solution(b, 0)
-    tau = s.tau.copy()
-    tau[1, [0, 1]] = tau[1, [1, 0]]
-    forged = dataclasses.replace(s, z=2, tau=tau)
-    with pytest.raises(TableMismatchError):
-        dedup_solutions([s, forged])
-    with pytest.raises(TableMismatchError):
-        dedup_solutions([forged, s])
-
-
 def test_repeated_shift_is_counted_once():
     b = cyclic_unit_brace(3)
-    part = dedup_solutions(build_solution(b, z) for z in (1, 0, 1, 3, 0))
+    part = dedup_solutions(b, (1, 0, 1, 3, 0))
     assert part.classes == brute_dedup(b, [0, 1, 3])[0]
+
+
+def test_inadmissible_shift_is_rejected():
+    # 1 is not admissible on the dihedral brace, as build_solution says too
+    with pytest.raises(InadmissibleZError):
+        build_solution(Z6_DIHEDRAL, 1)
+    with pytest.raises(InadmissibleZError):
+        dedup_solutions(Z6_DIHEDRAL, [0, 1])

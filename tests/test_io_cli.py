@@ -326,7 +326,7 @@ def test_report_config_without_settings_uses_library_defaults(tmp_path, capsys):
     assert config["timings"] is False
 
 
-def test_cli_solve_dedup_builds_each_shift_once(tmp_path, capsys, monkeypatch):
+def test_cli_solve_dedup_builds_one_solution_per_distinct_map(tmp_path, capsys, monkeypatch):
     import zbrace.cli
     import zbrace.reporting
     import zbrace.solutions
@@ -342,8 +342,23 @@ def test_cli_solve_dedup_builds_each_shift_once(tmp_path, capsys, monkeypatch):
     for module in (zbrace.cli, zbrace.reporting, zbrace.solutions):
         monkeypatch.setattr(module, "build_solution", counted)
     assert main(["solve", str(out), "--z", "all", "--dedup"]) == 0
-    assert sorted(calls) == list(range(8))
+    assert sorted(calls) == [0, 1, 2, 3]  # the first member of each class {1,9}, {3,11}, ...
     assert "class {1,9}" in capsys.readouterr().out
+
+
+def test_cli_solve_cross_checks_every_member_of_a_class(tmp_path, capsys, monkeypatch):
+    from zbrace.braces import SkewBrace
+    from zbrace.solutions import CriterionMismatchError
+
+    out = tmp_path / "c3.brace"
+    main(["make", "--family", "cyclic2n", "--n", "3", "-o", str(out)])
+    capsys.readouterr()
+    # a socle without label 5, which shares its map with label 1: only the
+    # cross-check of shift 2 itself, not its class's build, can see it
+    monkeypatch.setattr(SkewBrace, "socle_members", frozenset({0}))
+    with pytest.raises(CriterionMismatchError, match="z=2"):
+        main(["solve", str(out), "--z", "all"])
+    assert capsys.readouterr().out == "z=0 (label 1): involutive=True\nz=1 (label 3): involutive=False\n"
 
 
 def test_report_builds_each_shift_once_plus_the_identity(monkeypatch):
@@ -410,6 +425,29 @@ def test_report_map_entries_time_their_own_check_only_with_timings():
             assert all(t == 0.0 for t in times)
 
 
+def test_report_counts_dedup_and_gv_in_the_maps_section_time(monkeypatch):
+    import time
+
+    from zbrace import reporting
+
+    def slowed(fn):
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return fn(*args, **kwargs)
+
+        return slow
+
+    for name in ("dedup_section", "gv_section"):
+        monkeypatch.setattr(reporting, name, slowed(getattr(reporting, name)))
+    b = cyclic_unit_brace(3)
+    zs = select_shifts(b, "all", seed=0)
+    timed = build_report(b, zs, level="maps", family="cyclic2n", timings=True)["elapsed_ms"]
+    assert timed["maps"] >= 400
+    assert timed["total"] >= timed["maps"]
+    untimed = build_report(b, zs, level="maps", family="cyclic2n")["elapsed_ms"]
+    assert untimed == {"maps": 0.0, "matrices": 0.0, "total": 0.0}
+
+
 def test_entry_times_round_up_to_the_microsecond():
     assert entry_ms(0.0, True) == 0.001
     assert entry_ms(0.0004, True) == 0.001
@@ -446,8 +484,7 @@ def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     assert "class {1,33}" in printed
     assert "pair criterion" not in printed
     b = parse_brace(renamed)
-    solutions = (build_solution(b, z) for z in select_shifts(b, "all", seed=0))
-    assert "criterion_pairs" not in dedup_section(b, solutions)
+    assert "criterion_pairs" not in dedup_section(b, select_shifts(b, "all", seed=0))
 
     genuine = tmp_path / "om.brace"
     assert main(["make", "--family", "oddmatrix", "-o", str(genuine)]) == 0
@@ -716,6 +753,41 @@ def test_negative_budget_is_rejected_before_any_check(tmp_path, capsys, monkeypa
         monkeypatch.setattr(zbrace.cli, name, no_work)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == "error: budget must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{brace}", "--threads", "-4"], "threads must be >= 1, got -4"),
+        (["verify", "{brace}", "--threads", "0"], "threads must be >= 1, got 0"),
+        (["report", "--config", "{cfg}"], "threads must be >= 1, got -2"),
+        (["report", "--config", "{points_cfg}"], "sample_points must be >= 1"),
+    ],
+    ids=["verify-negative", "verify-zero", "report-threads", "report-sample-points"],
+)
+def test_threads_and_sample_points_below_one_are_rejected_before_any_check(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    import zbrace.cli
+
+    paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json", "points_cfg": tmp_path / "points.json"}
+    write_brace(cyclic_unit_brace(3), paths["brace"])
+    paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "threads": -2}))
+    paths["points_cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "sample_points": 0}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the setting was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_report_threads_below_one_is_rejected_by_the_library():
+    b = cyclic_unit_brace(3)
+    with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
+        build_report(b, [3], threads=0)
 
 
 def test_budget_zero_is_accepted(tmp_path, capsys, cyclic3_file):

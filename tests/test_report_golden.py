@@ -18,6 +18,11 @@ from zbrace.reporting import build_report, select_shifts, serialize_report
 CYCLIC3_REPORT = "7a13681e28f950ca32263ba8be574663c5545c5ca3961b1cfe0aa318247d9607"
 TRIVIAL_S3_REPORT = "f50aa8e40cb78941e3b61da838676b9b863c2609901a27ee12056ac3b0324350"
 CYCLIC4_SOLVE_DEDUP = "c58809211a92eb0e46f449ebdcd2550cddb6dbf3704dc86a44b134c8be91c138"
+# `solve --z all --dedup` on the odd-matrix brace: 256 involutive= lines,
+# 16 classes and the pair-criterion line
+ODDMATRIX_SOLVE_DEDUP = "0125976c5e8fe3c7bbef6a792bf78cba2c8faa825b4c260de930dfb983eb0a8a"
+# `solve --z all` on trivial-S3, whose shifts are all one map
+TRIVIAL_S3_SOLVE = "ea54752e40b85432446063b9865140e8121be1fba774de55a556ad35fd300af4"
 # budget 256 < 8^3 sends every arity-3 check of cyclic2n n=4 that no braid
 # constraint proves (the coassociativity probes) down the sampled path
 CYCLIC4_SAMPLED_REPORT = "59bb231146c0384e41d6de93a5ba2fbb789a9483ddc49f20c40a9519ef76ab67"
@@ -71,6 +76,20 @@ def test_cyclic4_solve_dedup_stdout(tmp_path, capsys):
     write_brace(cyclic_unit_brace(4), path)
     assert main(["solve", str(path), "--z", "all", "--dedup"]) == 0
     assert _sha(capsys.readouterr().out) == CYCLIC4_SOLVE_DEDUP
+
+
+def test_oddmatrix_solve_dedup_stdout(tmp_path, capsys):
+    path = tmp_path / "om.brace"
+    write_brace(odd_matrix_brace(), path)
+    assert main(["solve", str(path), "--z", "all", "--dedup"]) == 0
+    assert _sha(capsys.readouterr().out) == ODDMATRIX_SOLVE_DEDUP
+
+
+def test_trivial_s3_solve_stdout(tmp_path, capsys):
+    path = tmp_path / "s3.brace"
+    write_brace(trivial_skew_brace(symmetric_group(3), name="trivial-S3"), path)
+    assert main(["solve", str(path), "--z", "all"]) == 0
+    assert _sha(capsys.readouterr().out) == TRIVIAL_S3_SOLVE
 
 
 def test_twist_stdout_and_exit_codes(tmp_path, capsys):

@@ -204,19 +204,19 @@ def test_product_identity_everywhere():
 
 def test_dedup_cyclic2_single_class():
     b = cyclic_unit_brace(2)
-    part = dedup_solutions(build_solution(b, z) for z in range(2))
+    part = dedup_solutions(b, range(2))
     assert [[b.labels[z] for z in cls] for cls in part.classes] == [["1", "3"]]
 
 
 def test_dedup_cyclic3_two_classes():
-    part = dedup_solutions(build_solution(CYCLIC3, z) for z in range(4))
+    part = dedup_solutions(CYCLIC3, range(4))
     labels = [[CYCLIC3.labels[z] for z in cls] for cls in part.classes]
     assert labels == [["1", "5"], ["3", "7"]]
 
 
 def test_dedup_cyclic4_classes_congruent_mod8():
     b = cyclic_unit_brace(4)
-    part = dedup_solutions(build_solution(b, z) for z in range(8))
+    part = dedup_solutions(b, range(8))
     labels = [tuple(b.labels[z] for z in cls) for cls in part.classes]
     assert labels == [("1", "9"), ("3", "11"), ("5", "13"), ("7", "15")]
 
@@ -224,17 +224,15 @@ def test_dedup_cyclic4_classes_congruent_mod8():
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(4))))
 def test_dedup_invariant_under_reordering(order):
-    base = dedup_solutions(build_solution(CYCLIC3, z) for z in range(4)).classes
-    assert dedup_solutions(build_solution(CYCLIC3, z) for z in order).classes == base
+    base = dedup_solutions(CYCLIC3, range(4)).classes
+    assert dedup_solutions(CYCLIC3, order).classes == base
 
 
 def test_dedup_oddmatrix_criterion_agrees_with_table_equality():
     om = odd_matrix_brace()
     rng = np.random.default_rng(0)
     zs = sorted(int(z) for z in rng.choice(256, size=10, replace=False))
-    part = dedup_solutions(
-        (build_solution(om, z) for z in zs), pair_criterion=odd_matrix_pair_criterion
-    )
+    part = dedup_solutions(om, zs, pair_criterion=odd_matrix_pair_criterion)
     assert part.criterion_pairs  # evaluated for every pair
     for z1, z2, crit, equal in part.criterion_pairs:
         assert crit == equal
@@ -250,7 +248,7 @@ def test_dedup_oddmatrix_criterion_agrees_with_table_equality():
 def test_socle_shifts_share_one_solution():
     for b in (CYCLIC3, RADICAL):
         soc = socle(b).tolist()
-        part = dedup_solutions(build_solution(b, z) for z in soc)
+        part = dedup_solutions(b, soc)
         assert len(part.classes) == 1
 
 
