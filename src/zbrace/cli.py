@@ -30,9 +30,11 @@ from .braces import (
 from .fileio import SchemaError, parse_brace, write_brace, write_matrix
 from .groups import GroupValidationError, cyclic_group, symmetric_group
 from .reporting import (
+    LEVELS,
     TENSOR_FAMILIES,
     build_report,
     config_int,
+    level_setting,
     report_failed,
     sample_points_setting,
     select_shifts,
@@ -256,21 +258,21 @@ def cmd_report(args) -> int:
     budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
     sample_points = sample_points_setting(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS))
     threads = config_int(cfg.get("threads", 1), "threads", minimum=1)
+    timings = cfg.get("timings", False)
+    if not isinstance(timings, bool):
+        raise ValueError(f"timings must be true or false, got {timings!r}")
+    level = level_setting(cfg.get("level", "all"))
     family = src_doc.get("family")
     if "file" in src_doc:
         b = parse_brace(src_doc["file"])
         family = family or _family_of(b)
     else:
         b = _make_brace(family, src_doc)
-
-    timings = cfg.get("timings", False)
-    if not isinstance(timings, bool):
-        raise ValueError(f"timings must be true or false, got {timings!r}")
     zs = select_shifts(b, cfg.get("z", "all"), seed=seed)
     report = build_report(
         b,
         zs,
-        level=str(cfg.get("level", "all")),
+        level=level,
         family=family,
         params={k: v for k, v in src_doc.items() if k != "family"} or None,
         budget=budget,
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites and report pass/fail")
     p.add_argument("file")
     p.add_argument("--z", default="all")
-    p.add_argument("--level", choices=["maps", "matrices", "all"], default="maps")
+    p.add_argument("--level", choices=LEVELS, default="maps")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

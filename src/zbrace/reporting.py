@@ -34,7 +34,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -265,6 +264,16 @@ def config_int(value: Any, where: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+LEVELS = ("maps", "matrices", "all")
+
+
+def level_setting(value: Any) -> str:
+    """A ``level`` setting: one of ``LEVELS``; else a one-line ValueError."""
+    if value not in LEVELS:
+        raise ValueError(f"unknown level {value!r}")
+    return value
+
+
 def sample_points_setting(value: Any) -> int:
     """A ``sample_points`` setting: an integer of at least 1; else a one-line ValueError."""
     if config_int(value, "sample_points") < 1:
@@ -312,8 +321,7 @@ def build_report(
     threads: int = 1,
 ) -> dict:
     """Run the selected suites in fixed order and assemble the report."""
-    if level not in ("maps", "matrices", "all"):
-        raise ValueError(f"unknown level {level!r}")
+    level = level_setting(level)
     sample_points = sample_points_setting(sample_points)
     config_int(threads, "threads", minimum=1)
     t_start = time.perf_counter()
@@ -350,7 +358,13 @@ def build_report(
     # dedup and gv sections count towards the map-level time.
     tensor_entries: list[dict] = []
     maps_s = matrices_s = 0.0
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+    pool_context = contextlib.nullcontext()
+    if threads > 1:
+        # imported here, so that a single-threaded run never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool_context = ThreadPoolExecutor(max_workers=threads)
+    with pool_context as pool:
         for maps_out, tensors_out, shift_maps_s, shift_matrices_s in (
             map(run_shift, zs) if pool is None else pool.map(run_shift, zs)
         ):
@@ -407,7 +421,7 @@ def build_report(
             "total": round((time.perf_counter() - t_start) * 1000, 3) if timings else 0.0,
         },
     }
-    return _jsonable(report)
+    return report
 
 
 def report_failed(report: dict) -> bool:

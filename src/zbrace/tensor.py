@@ -17,12 +17,19 @@ a bijective change of variables, so ``_PREMISES`` names the constraints
 each check follows from, and a check whose constraints hold (decided once
 per solution, ``DeformedSolution.braid_constraints``) passes at all n^3
 points without evaluating one; each check's docstring derives its
-relabelling.  Otherwise, and for the defect probes, both chains run on
-the same points and their output legs are compared.  Within the point
-budget the points are the broadcast index grid, one block of rows e at a
-time in row-major order (``groups.first_difference``), so a comparison
-holds a few arrays of at most ``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample of
-decoded points, drawn once per (n, sample_points, seed).
+relabelling.  Otherwise both chains run on the same points and their
+output legs are compared.  Within the point budget the points are the
+broadcast index grid, one block of rows e at a time in row-major order
+(``groups.first_difference``), so a comparison holds a few arrays of at
+most ``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample
+of decoded points, drawn once per (n, sample_points, seed).
+
+The coassociativity defect probes are compared with no sweep: whether a
+defect exists, and its row-major first point, are decided exactly in
+O(n^2) steps from the sigma and tau tables (``coproduct_defect`` and
+``r_lift_defects`` derive the reductions).  The probes return the verdict
+a comparison would, on the grid or the sample, and run their chains only
+at the witness.
 """
 
 from __future__ import annotations
@@ -35,17 +42,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import first_difference
-from .solutions import Check, DeformedSolution, _ms_since, _verdict
+from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict
 
 DEFAULT_SAMPLE_POINTS = 100_000
 # Arity-3 checks run exhaustively when n^3 is at most this many points.
 DEFAULT_BUDGET = 1 << 22
 # Points per block of the exhaustive index grid.
 BLOCK_POINTS = 1 << 20
+# Sampled points per block of a defect probe's search for its first sampled defect.
+SAMPLE_BLOCK = 1 << 12
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
 Formula2 = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Formula3 = Callable[[np.ndarray, np.ndarray, np.ndarray], Triple]
+# where two chains differ, at the points given by three legs
+Mask3 = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class UnknownObjectError(KeyError):
@@ -776,6 +787,58 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[Check]:
     return out
 
 
+def _decided_probe(
+    name: str,
+    bundle: TwistBundle,
+    lhs: Sequence[Formula3],
+    rhs: Sequence[Formula3],
+    first: Callable[[], tuple[int, int, int] | None],
+    differs: Mask3,
+    budget: int,
+    sample_points: int,
+    seed: int,
+) -> Check:
+    """The check ``_compare_chains`` gives for two chains, from a probe's exact reduction.
+
+    ``first()`` is the row-major first point where the chains differ, or
+    None, found in O(n^2) steps; ``differs(a, b, c)`` says at which points
+    they differ.  Within the budget ``first()`` decides the check.  Beyond
+    it a probe without a defect is ``sampled`` on the shared sample with
+    no point evaluated; otherwise the first sampled point where the
+    chains differ, found ``SAMPLE_BLOCK`` points at a time, is the
+    witness, and a sample that misses every defect reads ``sampled``.
+    Both chains run at the witness alone, to encode its outputs.
+    """
+    start = time.perf_counter()
+    n = bundle.n
+    hit = first()
+    if n**3 <= budget:
+        if hit is None:
+            return _verdict(name, n**3, None, start)
+        points = _encode3(hit, n) + 1
+    else:
+        p, pts = _sample(n, sample_points, seed)
+        points = int(p.size)
+        if hit is not None:
+            hit = None
+            for lo in range(0, points, SAMPLE_BLOCK):
+                block = differs(*(a[lo : lo + SAMPLE_BLOCK] for a in pts))
+                if block.any():
+                    i = lo + int(np.argmax(block))
+                    hit = tuple(int(a[i]) for a in pts)
+                    break
+        if hit is None:
+            return Check(name, "sampled", points, None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start))
+    one = tuple(np.array([v]) for v in hit)
+    witness = {
+        "point": _encode3(hit, n),
+        "triple": list(hit),
+        "lhs": int(_encode3(_chain(lhs, one), n)[0]),
+        "rhs": int(_encode3(_chain(rhs, one), n)[0]),
+    }
+    return _verdict(name, points, witness, start)
+
+
 def coproduct_defect(
     bundle: TwistBundle,
     eta: int,
@@ -783,16 +846,44 @@ def coproduct_defect(
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> Check:
-    """Difference of the two iterated coproducts of V_eta.
+    """Difference of the two iterated coproducts of V_eta, decided in O(n^2) steps.
+
+    At row (u, v, t) let x = sigma_eta^{-1}(u), z1 = tau_x(eta),
+    y = sigma_{z1}^{-1}(v) and z2 = tau_y(z1).  Both bracketings give
+    (x, y, .), and their last legs are sigma_{z2}^{-1}(t) and
+    sigma_{z1}^{-1}(t).  As every sigma row is a permutation, some t
+    tells them apart iff sigma_{z1} != sigma_{z2}, which one class label
+    per sigma row decides.  So the first (u, v) whose z1 and z2 labels
+    differ, with the first t where the two inverse rows differ, is the
+    row-major first defect.
 
     A "fail" status records a nonzero defect (expected away from the
     involutive case).
     """
-    return _compare_chains(
+    S, TT, Si = bundle.sigma, bundle.taut, bundle.sigma_inv
+
+    def first():
+        classes: dict[bytes, int] = {}
+        label = np.array([classes.setdefault(row.tobytes(), len(classes)) for row in S])
+        z1 = TT[eta, Si[eta]]  # [u]
+        z2 = TT[z1[:, None], Si[z1]]  # [u, v]
+        hit = _first_pair(label[z1][:, None] != label[z2])
+        if hit is None:
+            return None
+        u, v = hit
+        return u, v, int(np.argmax(Si[z1[u]] != Si[z2[u, v]]))
+
+    def differs(u, v, t):
+        z1 = TT[eta, Si[eta, u]]
+        return Si[z1, t] != Si[TT[z1, Si[z1, v]], t]
+
+    return _decided_probe(
         "coassociativity:V-iterated-coproduct",
-        bundle.n,
+        bundle,
         [bundle.iterated_delta_v(eta, "right")],
         [bundle.iterated_delta_v(eta, "left")],
+        first,
+        differs,
         budget,
         sample_points,
         seed,
@@ -805,31 +896,59 @@ def r_lift_defects(
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
 ) -> list[Check]:
-    """Split-leg lifts of r against the bialgebra laws r13 r23 and r13 r12.
+    """Split-leg lifts of r against the bialgebra laws r13 r23 and r13 r12, decided in O(n^2) steps.
+
+      * split-r-left at (y1, y2, x): both sides give
+        (sigma_x(y1), sigma_t(y2), .) with t = tau_{y1}(x), and the last
+        legs are t against tau_{y2}(t).  A defect exists iff some tau_y is
+        not the identity; as x -> tau_0(x) is a bijection, the first one
+        is (0, y2, x) for the first such y2 and the first x with
+        tau_{y2}(tau_0(x)) != tau_0(x).  That x is the first point
+        tau_{y2} moves: either tau_0 is the identity, or y2 = 0 and
+        tau_0 moves tau_0(x) iff it moves x.
+      * split-r-right at (y, x1, x2): both sides give
+        (., tau_{x1}(s), tau_{x2}(y)) with s = sigma_{x2}(y), and the
+        first legs are s against sigma_{x1}(s).  So the sides differ iff
+        sigma_{x1} moves s: the first y whose column sigma_.(y) reaches a
+        moved point, then the first (x1, x2) there, is the first defect.
 
     These comparisons are element-independent; "fail" records a nonzero
     defect, the expected outcome away from the involutive case.
     """
+    S, TT = bundle.sigma, bundle.taut
+    idx = np.arange(bundle.n)
     fns = bundle._pointwise()
+
+    def left():
+        moves = TT != idx[:, None]  # [x, y]: tau_y moves x
+        if not moves.any():
+            return None
+        y2 = int(np.argmax(moves.any(axis=0)))
+        return 0, y2, int(np.argmax(moves[:, y2]))
+
+    def left_differs(y1, y2, x):
+        t = TT[x, y1]
+        return TT[t, y2] != t
+
+    def right():
+        moves = S != idx  # [x, s]: sigma_x moves s
+        reached = moves.any(axis=0)[S].any(axis=0)  # [y]: some sigma_x2(y) is moved
+        if not reached.any():
+            return None
+        y = int(np.argmax(reached))
+        return (y, *_first_pair(moves[:, S[:, y]]))
+
+    def right_differs(y, x1, x2):
+        s = S[x2, y]
+        return S[x1, s] != s
+
+    probes = (
+        ("coassociativity:split-r-left-vs-r13r23", "left", [fns["r13"], fns["r23"]], left, left_differs),
+        ("coassociativity:split-r-right-vs-r13r12", "right", [fns["r13"], fns["r12"]], right, right_differs),
+    )
     return [
-        _compare_chains(
-            "coassociativity:split-r-left-vs-r13r23",
-            bundle.n,
-            [bundle.split_r("left")],
-            [fns["r13"], fns["r23"]],
-            budget,
-            sample_points,
-            seed,
-        ),
-        _compare_chains(
-            "coassociativity:split-r-right-vs-r13r12",
-            bundle.n,
-            [bundle.split_r("right")],
-            [fns["r13"], fns["r12"]],
-            budget,
-            sample_points,
-            seed,
-        ),
+        _decided_probe(name, bundle, [bundle.split_r(side)], rhs, first, differs, budget, sample_points, seed)
+        for name, side, rhs, first, differs in probes
     ]
 
 

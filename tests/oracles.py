@@ -31,7 +31,7 @@ from zbrace.solutions import (
     sigma_table,
     tau_table_from_sigma,
 )
-from zbrace.tensor import PermMatrix, _decode3, _encode3
+from zbrace.tensor import DEFAULT_BUDGET, DEFAULT_SAMPLE_POINTS, PermMatrix, _decode3, _encode3
 
 SPARSE_ENTRY_LIMIT = 4096
 
@@ -465,6 +465,34 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
         "rhs": int(re[i]),
     }
     return Check(name, "fail", int(p.size), witness)
+
+
+def brute_coproduct_defect(
+    bundle, eta, budget=DEFAULT_BUDGET, sample_points=DEFAULT_SAMPLE_POINTS, seed=0, block=1 << 22
+):
+    """The former ``coproduct_defect``: the two bracketings of V_eta compared point by point."""
+    return brute_compare_chains(
+        "coassociativity:V-iterated-coproduct",
+        bundle.n,
+        [bundle.iterated_delta_v(eta, "right")],
+        [bundle.iterated_delta_v(eta, "left")],
+        budget,
+        sample_points,
+        seed,
+        block,
+    )
+
+
+def brute_r_lift_defects(bundle, budget=DEFAULT_BUDGET, sample_points=DEFAULT_SAMPLE_POINTS, seed=0, block=1 << 22):
+    """The former ``r_lift_defects``: each split-leg lift of r compared point by point with its law."""
+    fns = bundle._pointwise()
+    return [
+        brute_compare_chains(name, bundle.n, [bundle.split_r(side)], rhs, budget, sample_points, seed, block)
+        for name, side, rhs in (
+            ("coassociativity:split-r-left-vs-r13r23", "left", [fns["r13"], fns["r23"]]),
+            ("coassociativity:split-r-right-vs-r13r12", "right", [fns["r13"], fns["r12"]]),
+        )
+    ]
 
 
 def swap_sigma_entries(s, x, y1, y2):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zbrace.braces import BoundExceededError, cyclic_unit_brace, trivial_skew_brace
+from zbrace.braces import BoundExceededError, cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.cli import main
 from zbrace.fileio import (
     SchemaError,
@@ -133,6 +133,8 @@ def test_report_threads_do_not_change_output():
 
 
 def test_report_threads_clamped_to_shifts_and_cpus(monkeypatch):
+    import concurrent.futures
+
     from zbrace import reporting
 
     seen = []
@@ -150,7 +152,8 @@ def test_report_threads_clamped_to_shifts_and_cpus(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(reporting, "ThreadPoolExecutor", SerialPool)
+    # build_report imports the pool class from its module when it first needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(reporting.os, "cpu_count", lambda: 3)
     b = cyclic_unit_brace(3)
     zs = select_shifts(b, "all", seed=0)
@@ -782,6 +785,52 @@ def test_threads_and_sample_points_below_one_are_rejected_before_any_check(
         monkeypatch.setattr(zbrace.cli, name, no_work)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"timings": "yes"}, "timings must be true or false, got 'yes'"),
+        ({"level": "everything"}, "unknown level 'everything'"),
+    ],
+    ids=["timings", "level"],
+)
+@pytest.mark.parametrize("source", ["file", "family"])
+def test_report_timings_and_level_are_rejected_before_the_brace_is_read(
+    tmp_path, capsys, monkeypatch, setting, message, source
+):
+    import zbrace.cli
+
+    brace = {"file": str(tmp_path / "missing.brace")} if source == "file" else {"family": "oddmatrix"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": brace, **setting}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the setting was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+def _python_values_only(obj) -> bool:
+    if type(obj) is dict:
+        return all(type(k) is str and _python_values_only(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(_python_values_only(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+def test_report_holds_only_python_values():
+    # a report is serialized as built: no NumPy scalar, array or tuple may reach it
+    b = cyclic_unit_brace(3)
+    report = build_report(b, select_shifts(b, "all", seed=0), family="cyclic2n", params={"n": 3}, timings=True)
+    assert _python_values_only(report)
+    odd = odd_matrix_brace()
+    report = build_report(odd, [37, 106, 168], level="maps", family="oddmatrix", budget=10, sample_points=5)
+    assert report["dedup"]["criterion_pairs"]
+    assert _python_values_only(report)
 
 
 def test_report_threads_below_one_is_rejected_by_the_library():

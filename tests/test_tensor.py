@@ -8,8 +8,10 @@ from oracles import (
     brute_braid_constraints,
     brute_compare_chains,
     brute_coproduct_commutation,
+    brute_coproduct_defect,
     brute_delta_v,
     brute_delta_w,
+    brute_r_lift_defects,
     brute_row_map,
     brute_twisted_coproduct,
     dense_add,
@@ -26,7 +28,7 @@ from oracles import (
     sparse_perm_difference,
     swap_sigma_entries,
 )
-from zbrace import tensor
+from zbrace import reporting, tensor
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.groups import cyclic_group, row_blocks, symmetric_group
 from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
@@ -602,10 +604,20 @@ def test_exhaustive_report_checks_match_block_oracle(monkeypatch):
         chain_checks.append(check)
         return check
 
+    def probe_oracle(brute):
+        def run(*args, **kwargs):
+            checks = brute(*args, **kwargs, block=16)
+            chain_checks.extend(checks if isinstance(checks, list) else [checks])
+            return checks
+        return run
+
     for tb in _swapped_bundles():
         got = _report_checks(tb, **kw)
         with monkeypatch.context() as m:
             m.setattr(tensor, "_compare_chains", oracle)
+            # the probes decide their chains without comparing them; the report reaches them by name
+            m.setattr(reporting, "coproduct_defect", probe_oracle(brute_coproduct_defect))
+            m.setattr(reporting, "r_lift_defects", probe_oracle(brute_r_lift_defects))
             want = _report_checks(tb, **kw)
         assert got == want
         assert all(c.status != "sampled" for c in got)
@@ -628,9 +640,9 @@ def test_chain_checks_spanning_many_grid_blocks_match_oracle(monkeypatch):
         compared.append((n, check))
         return check
 
-    def checks(tb):
-        defects = [coproduct_defect(tb, eta, **kw) for eta in range(tb.n)]
-        return [*_chain_checks(tb, **kw), *r_lift_defects(tb, **kw), *defects]
+    def checks(tb, defect=coproduct_defect, lifts=r_lift_defects):
+        defects = [defect(tb, eta, **kw) for eta in range(tb.n)]
+        return [*_chain_checks(tb, **kw), *lifts(tb, **kw), *defects]
 
     for tb in (*_swapped_bundles(), *_c1_c2_bundles()):
         with monkeypatch.context() as m:
@@ -639,7 +651,7 @@ def test_chain_checks_spanning_many_grid_blocks_match_oracle(monkeypatch):
             m.setattr(tensor, "_compare_chains", recorded)
             got = checks(tb)
             m.setattr(tensor, "_compare_chains", brute_compare_chains)
-            assert got == checks(tb)
+            assert got == checks(tb, brute_coproduct_defect, brute_r_lift_defects)
     assert len(compared) > 1000 and all(c.status != "sampled" for _, c in compared)
     first_block = {n: row_blocks(n, 100)[0][1] * n * n for n, _ in compared}
     later_witnesses = sum(c.status == "fail" and c.witness["point"] >= first_block[n] for n, c in compared)
@@ -655,7 +667,7 @@ def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
     got = [*_twisted_braids(tb, **kw), *r_lift_defects(tb, **kw)]
     with monkeypatch.context() as m:
         m.setattr(tensor, "_compare_chains", brute_compare_chains)
-        want = [*_twisted_braids(tb, **kw), *r_lift_defects(tb, **kw)]
+        want = [*_twisted_braids(tb, **kw), *brute_r_lift_defects(tb, **kw)]
     assert got == want
     draws = np.unique(np.random.default_rng(4).integers(0, total, size=200)).size
     assert got[0].status == "sampled" and got[0].points == draws
@@ -747,3 +759,99 @@ def test_sample_is_drawn_once_and_shared_read_only(monkeypatch):
     assert not any(a.flags.writeable for a in (p, *pts))
     # every check that ran on the sample ran on this one
     assert sum(c.points == p.size for c in checks) > 1
+
+
+def _transposition_table_bundles():
+    """Bundles whose sigma and tau rows are each the identity or one random transposition, 20 per brace.
+
+    Most points are fixed, so a probe's defects are sparse: a small sample
+    can miss every one, and the first one seldom sits at the start of a row.
+    """
+    rng = np.random.default_rng(12)
+
+    def rows(n):
+        out = np.tile(np.arange(n), (n, 1))
+        for row in out:
+            if rng.random() < 0.7:
+                i, j = rng.choice(n, size=2, replace=False)
+                row[[i, j]] = row[[j, i]]
+        return out
+
+    for b in (CYCLIC3, S3_TRIVIAL):
+        base = build_solution(b, 0)
+        for _ in range(20):
+            yield TwistBundle(dataclasses.replace(base, sigma=rows(b.order), tau=rows(b.order)))
+
+
+def _probes_with_oracles(tb, **kw):
+    """Every eta's V probe and both r lifts, each paired with the oracle run on that probe's own chains."""
+    pairs = [(coproduct_defect(tb, eta, **kw), brute_coproduct_defect(tb, eta, **kw)) for eta in range(tb.n)]
+    return pairs + list(zip(r_lift_defects(tb, **kw), brute_r_lift_defects(tb, **kw)))
+
+
+def test_defect_probes_match_oracle_on_forged_and_real_bundles(monkeypatch):
+    # 16-point blocks, so a sampled defect is also found past the first block
+    monkeypatch.setattr(tensor, "SAMPLE_BLOCK", 16)
+    seen = set()
+    later_blocks = 0
+    bundles = (*_swapped_bundles(), *_random_table_bundles(), *_transposition_table_bundles(), *_c1_c2_bundles())
+    for tb in (*bundles, *_real_bundles()):
+        exact = None
+        for kw in (
+            {"budget": 1 << 22, "sample_points": 64, "seed": 3},
+            {"budget": 1, "sample_points": 5, "seed": 3},
+            {"budget": 1, "sample_points": 50, "seed": 3},
+            {"budget": 1, "sample_points": 5000, "seed": 3},
+        ):
+            pairs = _probes_with_oracles(tb, **kw)
+            for got, want in pairs:
+                assert got == want, (got, want)
+            exact = exact or [got.status for got, _ in pairs]
+            seen.update((kw["budget"], got.status, status) for (got, _), status in zip(pairs, exact))
+            if kw["budget"] == 1:
+                p, _ = tensor._sample(tb.n, kw["sample_points"], kw["seed"])
+                failed = [got.witness["point"] for got, _ in pairs if got.status == "fail"]
+                later_blocks += sum(np.searchsorted(p, failed) >= 16)
+    # (budget, status, exhaustive status): beyond the budget a probe without
+    # a defect, a defect the sample misses and one it finds all occur
+    assert seen == {
+        (1 << 22, "pass", "pass"), (1 << 22, "fail", "fail"),
+        (1, "sampled", "pass"), (1, "sampled", "fail"), (1, "fail", "fail"),
+    }
+    assert later_blocks
+
+
+def test_defect_probes_match_oracle_on_odd_matrix_shifts():
+    b = odd_matrix_brace()
+    etas = (b.identity, next(i for i in range(b.order) if i != b.identity))
+    for z in (37, 106, 168):
+        tb = bundle_for(b, z)
+        got = [*(coproduct_defect(tb, eta) for eta in etas), *r_lift_defects(tb)]
+        assert got == [*(brute_coproduct_defect(tb, eta) for eta in etas), *brute_r_lift_defects(tb)]
+        assert {c.status for c in got} == {"sampled", "fail"}
+
+
+def test_defect_probes_compare_no_chains_and_run_them_at_one_point(monkeypatch):
+    sizes = []
+    real = tensor._chain
+
+    def counted(fns, pts):
+        sizes.append(np.broadcast(*pts).size)
+        return real(fns, pts)
+
+    def no_comparison(*args):
+        raise AssertionError("a defect probe compared its chains")
+
+    monkeypatch.setattr(tensor, "_chain", counted)
+    monkeypatch.setattr(tensor, "_compare_chains", no_comparison)
+    odd = odd_matrix_brace()
+    for tb in (*_real_bundles(), bundle_for(odd, 37)):
+        for budget in (1 << 22, 1):
+            for eta in range(min(tb.n, 2)):
+                sizes.clear()
+                check = coproduct_defect(tb, eta, budget=budget)
+                # both chains run at the witness alone, and only for a defect
+                assert sizes == [1, 1] * (check.status == "fail")
+            sizes.clear()
+            checks = r_lift_defects(tb, budget=budget)
+            assert sizes == [1, 1] * sum(c.status == "fail" for c in checks)
