@@ -46,7 +46,6 @@ from .tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
     TwistBundle,
-    UnknownObjectError,
     export_object,
 )
 
@@ -55,7 +54,6 @@ _INPUT_ERRORS = (
     GroupValidationError,
     BraceError,
     InadmissibleZError,
-    UnknownObjectError,
     OSError,
     ValueError,
 )

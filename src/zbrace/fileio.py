@@ -106,12 +106,24 @@ def parse_brace(path: str | Path) -> SkewBrace:
     return brace_from_dict(doc)
 
 
+# Coordinate lines formatted per block: text of at most this many rows is held at once.
+COO_BLOCK_ROWS = 1 << 16
+
+
+def _coo_blocks(m: PermMatrix):
+    """The header line, then the coordinate lines of one block of rows at a time."""
+    yield f"{m.size} {m.size} {m.size}\n"
+    for lo in range(0, m.size, COO_BLOCK_ROWS):
+        cols = m.perm[lo : lo + COO_BLOCK_ROWS].tolist()
+        yield "".join(f"{i} {j} 1\n" for i, j in enumerate(cols, lo))
+
+
 def matrix_coo_text(m: PermMatrix) -> str:
     """Coordinate text form of a permutation matrix: all-ones values."""
-    lines = [f"{m.size} {m.size} {m.size}"]
-    lines.extend(f"{i} {j} {v}" for i, j, v in m.coo_entries())
-    return "\n".join(lines) + "\n"
+    return "".join(_coo_blocks(m))
 
 
 def write_matrix(m: PermMatrix, path: str | Path) -> None:
-    Path(path).write_text(matrix_coo_text(m), encoding="utf-8")
+    """Write ``matrix_coo_text(m)`` one block of rows at a time, never holding the whole text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_coo_blocks(m))

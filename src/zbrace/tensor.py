@@ -11,6 +11,30 @@ dimension n encodes to i1*n^(k-1) + ... + ik, leftmost factor most
 significant.  Leg subscripts 12, 23, 13 and the split subscripts (1,23),
 (12,3) all refer to this encoding.
 
+Each operator has one definition: an index formula in the table
+``TwistBundle.ops``, from the legs of a row to the legs of its column, of
+arity 1 to 3.  A parametric family (V_x, W_y, Delta(V_eta), Delta(W_y),
+the mixed closed forms and the iterated coproducts) takes its element
+first.  Formulas are built from each other in three ways only:
+
+  * lifts put a pair operator on legs 12, 23 or 13 of the triple space;
+  * products apply one formula after another, left to right
+    (r = P rcheck, Fstar_12,3 = F13 F23, F123 = F12 Fstar_12,3, ...);
+  * the coproduct splitting rule, written once in four primitives:
+    D_p(a, b) = (sigma_p(a), sigma_{tau_a(p)}(b)) splits a V_p leg,
+    D'_q(e, x) = (tau_{sigma_x(q)}(e), tau_q(x)) splits a W_q leg, and
+    Delta(V_p), Delta(W_q) are their inverses.  F_1,23, Fhat_12,3, both
+    bracketings of the iterated coproduct of V_eta and both split-leg
+    lifts of r call them.
+
+The twisted r-matrices rF, rFhat and the two mixed coproducts are the
+paper's closed forms, written apart from the chains they are checked
+against.  A mixed form is written from columns to rows; its matrix is
+that map's inverse, and RuntimeError where the map is not a bijection.
+``TwistBundle.matrix`` is the one materializer: it evaluates a formula on
+the index grid one block of rows at a time.  Export, the per-element
+fallbacks and the n^2 equality checks all call it.
+
 Arity-3 identities compare two chains of operators given as index
 formulas.  Most of them are braid constraints c1-c3 of the solution under
 a bijective change of variables, so ``_PREMISES`` names the constraints
@@ -41,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import first_difference
+from .groups import first_difference, row_blocks
 from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict
 
 DEFAULT_SAMPLE_POINTS = 100_000
@@ -53,13 +77,15 @@ BLOCK_POINTS = 1 << 20
 SAMPLE_BLOCK = 1 << 12
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
+# a row-to-column index formula: row legs in, column legs out
+Formula = Callable[..., tuple[np.ndarray, ...]]
 Formula2 = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 Formula3 = Callable[[np.ndarray, np.ndarray, np.ndarray], Triple]
 # where two chains differ, at the points given by three legs
 Mask3 = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-class UnknownObjectError(KeyError):
+class UnknownObjectError(ValueError):
     pass
 
 
@@ -84,8 +110,12 @@ class PermMatrix:
         return PermMatrix(self.dim, self.arity, other.perm[self.perm])
 
     def inverse(self) -> "PermMatrix":
-        inv = np.empty_like(self.perm)
+        """The inverse matrix; RuntimeError unless the row map is a bijection."""
+        inv = np.full(self.size, -1, dtype=np.int64)
         inv[self.perm] = np.arange(self.size, dtype=np.int64)
+        # a row map that repeats a column leaves some column unreached
+        if (inv < 0).any():
+            raise RuntimeError("operator rows do not form a bijection")
         return PermMatrix(self.dim, self.arity, inv)
 
     def tensor(self, other: "PermMatrix") -> "PermMatrix":
@@ -101,28 +131,6 @@ class PermMatrix:
             and np.array_equal(self.perm, other.perm)
         )
 
-    def coo_entries(self):
-        """Yield (row, col, 1) in ascending row-major order."""
-        for i, j in enumerate(self.perm):
-            yield i, int(j), 1
-
-
-def permutation_p(n: int) -> PermMatrix:
-    """The flip operator: basis pair (x, y) -> (y, x)."""
-    idx = np.arange(n)
-    perm = (idx[None, :] * n + idx[:, None]).ravel()
-    return PermMatrix(n, 2, perm.astype(np.int64))
-
-
-def _scatter(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
-    """Assemble a row map from matching (row, col) index arrays."""
-    r = rows.ravel()
-    perm = np.full(size, -1, dtype=np.int64)
-    perm[r] = cols.ravel()
-    if (perm < 0).any() or np.bincount(r, minlength=size).max() != 1:
-        raise RuntimeError("operator rows do not form a bijection")
-    return perm
-
 
 def _decode3(p: np.ndarray, n: int) -> Triple:
     e, r = np.divmod(p, n * n)
@@ -130,24 +138,35 @@ def _decode3(p: np.ndarray, n: int) -> Triple:
     return e, u, v
 
 
-def _encode3(t: Triple, n: int) -> np.ndarray:
-    return (t[0] * n + t[1]) * n + t[2]
+def _encode(legs: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The flat index of a tuple of legs, leftmost leg most significant."""
+    flat = legs[0]
+    for leg in legs[1:]:
+        flat = flat * n + leg
+    return flat
+
+
+def _product(*fns: Formula) -> Formula:
+    """The formula of the matrix product of ``fns``: their row maps applied left to right."""
+    def g(*legs):
+        for f in fns:
+            legs = f(*legs)
+        return legs
+    return g
 
 
 def _chain(fns: Sequence[Formula3], pts: Triple) -> Triple:
-    for f in fns:
-        pts = f(*pts)
-    return pts
+    return _product(*fns)(*pts)
 
 
-def _grid(lo: int, hi: int, n: int) -> Triple:
-    """The index grid of rows e in [lo, hi): the three legs as aranges along three broadcast axes.
+def _grid(lo: int, hi: int, n: int, arity: int = 3) -> tuple[np.ndarray, ...]:
+    """The index grid of rows in [lo, hi): one arange per leg, each along its own broadcast axis.
 
     A formula on the grid gathers only over the shape its legs actually
     span (n^2 for a lifted pair operator) and decodes no flat index.
     """
-    i = np.arange(n)
-    return np.arange(lo, hi)[:, None, None], i[None, :, None], i[None, None, :]
+    legs = (np.arange(lo, hi), *(np.arange(n),) * (arity - 1))
+    return tuple(leg.reshape((1,) * k + (-1,) + (1,) * (arity - 1 - k)) for k, leg in enumerate(legs))
 
 
 @functools.lru_cache(maxsize=1)
@@ -198,11 +217,11 @@ def _compare_chains(
         if hit is None:
             return _verdict(name, total, None, start)
         # the witness alone, as a one-point sample: both chains run again there
-        p, pts = np.array([_encode3(hit, n)]), tuple(np.array([v]) for v in hit)
+        p, pts = np.array([_encode(hit, n)]), tuple(np.array([v]) for v in hit)
     else:
         p, pts = _sample(n, sample_points, seed)
-    le = _encode3(_chain(lhs, pts), n)
-    re = _encode3(_chain(rhs, pts), n)
+    le = _encode(_chain(lhs, pts), n)
+    re = _encode(_chain(rhs, pts), n)
     if np.array_equal(le, re):
         return Check(
             name, "sampled", int(p.size), None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start)
@@ -248,13 +267,27 @@ def _pair_formula(op: PermMatrix) -> Formula2:
     return op2
 
 
-class TwistBundle:
-    """All twist-related operators attached to one deformed solution.
+@dataclass(frozen=True)
+class Operator:
+    """A tensor operator: its row-to-column index formula on ``arity`` legs.
 
-    Arity-2 members are materialized permutation maps; arity-3 members are
-    pointwise index formulas, which the chain comparison runs on blocks of
-    the index grid or on sampled points, and ``materialize3`` on the whole
-    grid.
+    A parametric operator's formula takes its element before the legs.  An
+    inverted operator's formula maps columns to rows, and its matrix is the
+    checked inverse of that map.
+    """
+
+    arity: int
+    formula: Formula
+    parametric: bool = False
+    inverted: bool = False
+
+
+class TwistBundle:
+    """Every twist-related operator of one deformed solution, as one table of index formulas.
+
+    ``ops`` maps each operator name to its ``Operator``; ``formula`` reads
+    one off and ``matrix`` materializes it.  The chain comparison runs
+    arity-3 formulas on blocks of the index grid or on sampled points.
     """
 
     def __init__(self, s: DeformedSolution):
@@ -270,205 +303,140 @@ class TwistBundle:
         for name, table, inv in (("sigma", s.sigma, self.sigma_inv), ("tau", s.tau, self.tau_inv)):
             if not np.array_equal(np.take_along_axis(table, inv, axis=1), np.broadcast_to(idx, table.shape)):
                 raise RuntimeError(f"a {name} row is not a permutation")
+        self.ops = _operators(self.sigma, self.taut, self.sigma_inv, self.tau_inv)
 
-    # -- arity 1 families ------------------------------------------------
-    def v_op(self, x: int) -> PermMatrix:
-        """V_x = sum_y E[sigma_x(y), y]."""
-        return PermMatrix(self.n, 1, self.sigma_inv[x].copy())
+    def formula(self, name: str, element: int | None = None) -> Formula:
+        """The row formula of operator ``name``, at ``element`` if it is parametric."""
+        op = self.ops[name]
+        return functools.partial(op.formula, element) if op.parametric else op.formula
 
-    def w_op(self, y: int) -> PermMatrix:
-        """W_y = sum_e E[tau_y(e), e]."""
-        return PermMatrix(self.n, 1, self.tau_inv[y].copy())
+    def matrix(self, name: str, element: int | None = None) -> PermMatrix:
+        """The permutation matrix of operator ``name``: its formula over ``_grid`` row blocks, encoded.
 
-    # -- arity 2 operators -----------------------------------------------
-    def rcheck(self) -> PermMatrix:
-        """The solution matrix: row (x,y) -> column (sigma_x(y), tau_y(x))."""
-        return PermMatrix(self.n, 2, (self.sigma * self.n + self.taut).ravel().copy())
-
-    def p(self) -> PermMatrix:
-        return permutation_p(self.n)
-
-    def r_matrix(self) -> PermMatrix:
-        """r = P . rcheck; row (y,x) -> column (sigma_x(y), tau_y(x))."""
-        return PermMatrix(self.n, 2, (self.sigma * self.n + self.taut).T.ravel().copy())
-
-    def f_twist(self) -> PermMatrix:
-        """F = sum_x E[x,x] (x) V_x; rows (x, sigma_x(y)) -> columns (x, y)."""
-        n = self.n
-        grid = np.arange(n)
-        rows = grid[:, None] * n + self.sigma
-        cols = grid[:, None] * n + grid[None, :]
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
-
-    def fhat_twist(self) -> PermMatrix:
-        """Fhat = sum_y W_y (x) E[y,y]; rows (tau_y(e), y) -> columns (e, y)."""
-        n = self.n
-        grid = np.arange(n)
-        rows = self.taut * n + grid[None, :]
-        cols = grid[:, None] * n + grid[None, :]
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
-
-    def delta_v(self, eta: int) -> PermMatrix:
-        """Coproduct of V_eta: rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
-        n = self.n
-        x = self.sigma_inv[eta]  # [a] = x with sigma_eta(x) = a
-        y = self.sigma_inv[self.taut[eta, x]]  # [a, b] = y with sigma_{tau_x(eta)}(y) = b
-        return PermMatrix(n, 2, (x[:, None] * n + y).ravel())
-
-    def delta_w(self, y: int) -> PermMatrix:
-        """Coproduct of W_y: rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
-        n = self.n
-        x = self.tau_inv[y]  # [b] = x with tau_y(x) = b
-        e = self.tau_inv[self.sigma[x, y]]  # [b, a] = e with tau_{sigma_x(y)}(e) = a
-        return PermMatrix(n, 2, (e * n + x[:, None]).T.ravel())
-
-    def rcheck_f_closed(self) -> PermMatrix:
-        """Twisted matrix under F: rows (x, sigma_x(y)) -> (sigma_x(y), sigma_{sigma_x(y)}(tau_y(x)))."""
-        n = self.n
-        rows = np.arange(n)[:, None] * n + self.sigma
-        cols = self.sigma * n + self.sigma[self.sigma, self.taut]
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
-
-    def rcheck_fhat_closed(self) -> PermMatrix:
-        """Twisted matrix under Fhat: rows (tau_y(x), y) -> (tau_{tau_y(x)}(sigma_x(y)), tau_y(x))."""
-        n = self.n
-        rows = self.taut * n + np.arange(n)[None, :]
-        cols = self.taut[self.sigma, self.taut] * n + self.taut
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
-
-    def delta_f_w_closed(self, y: int) -> PermMatrix:
-        """Closed form of the F-twisted coproduct of W_y (mixed family).
-
-        Rows (tau_{sigma_x(y)}(e), tau_{sigma_{tau_x(e)}(y)}(sigma_e(x)))
-        map to columns (e, sigma_e(x)) over the (e, x) grid.
+        A block holds at most ``BLOCK_POINTS`` points, so an arity-3 map
+        is filled with no n^3-sized temporary.  An inverted operator's
+        formula runs over the column grid, and its map is inverted.
         """
-        n = self.n
-        inner = self.sigma[self.taut, y]  # [e, x] = sigma_{tau_x(e)}(y)
-        rows = self.taut[:, self.sigma[:, y]] * n + self.taut[self.sigma, inner]
-        cols = np.arange(n)[:, None] * n + self.sigma
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+        op, fn, n = self.ops[name], self.formula(name, element), self.n
+        k = op.arity
+        inner = n ** (k - 1)
+        perm = np.empty(n**k, dtype=np.int64)
+        for lo, hi in row_blocks(n, BLOCK_POINTS * n * n // inner):
+            block = perm[lo * inner : hi * inner].reshape(hi - lo, *(n,) * (k - 1))
+            block[...] = _encode(fn(*_grid(lo, hi, n, k)), n)
+        m = PermMatrix(n, k, perm)
+        return m.inverse() if op.inverted else m
 
-    def delta_fhat_v_closed(self, eta: int) -> PermMatrix:
-        """Closed form of the Fhat-twisted coproduct of V_eta (mixed family).
 
-        Rows (sigma_{tau_{sigma_x(y)}(eta)}(tau_y(x)), sigma_{tau_x(eta)}(y))
-        map to columns (tau_y(x), y) over the (x, y) grid.
-        """
-        n = self.n
-        v1 = self.taut[eta, self.sigma]  # [x, y] = tau_{sigma_x(y)}(eta)
-        rows = self.sigma[v1, self.taut] * n + self.sigma[self.taut[eta]]
-        cols = self.taut * n + np.arange(n)[None, :]
-        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+def _operators(S: np.ndarray, TT: np.ndarray, Si: np.ndarray, Ti: np.ndarray) -> dict[str, Operator]:
+    """The operator table on sigma (S), tau transposed (TT, [x, y] = tau_y(x)) and their row inverses.
 
-    def _pointwise(self) -> dict[str, Formula3]:
-        """Arity-3 operators as row-to-column index formulas."""
-        S, TT, Si, Ti = self.sigma, self.taut, self.sigma_inv, self.tau_inv
+    The formulas close over the tables only, not over a bundle, so a
+    bundle is freed as soon as its last reference goes.
+    """
 
-        def rc2(x, y):
-            return S[x, y], TT[x, y]
+    # -- the coproduct splitting rule: one leg with parameter p becomes two --
+    def d_v(p, a, b):
+        # D_p(a, b) = (sigma_p(a), sigma_{tau_a(p)}(b))
+        return S[p, a], S[TT[p, a], b]
 
-        def r2(a, b):
-            return S[b, a], TT[b, a]
+    def delta_v(p, u, v):
+        # Delta(V_p), the row map of D_p^{-1}
+        a = Si[p, u]
+        return a, Si[TT[p, a], v]
 
-        def f_1_23(e, u, v):
-            x = Si[e, u]
-            return e, x, Si[TT[e, x], v]
+    def d_w(q, e, x):
+        # D'_q(e, x) = (tau_{sigma_x(q)}(e), tau_q(x))
+        return TT[e, S[x, q]], TT[x, q]
 
-        def fstar_12_3(e, u, v):
-            return e, u, Si[u, Si[e, v]]
+    def delta_w(q, a, b):
+        # Delta(W_q), the row map of D'_q^{-1}
+        x = Ti[q, b]
+        return Ti[S[x, q], a], x
 
-        def fhatstar_1_23(u, x, y):
-            return Ti[x, Ti[y, u]], x, y
+    def rcheck(x, y):
+        # the solution matrix: (x, y) -> (sigma_x(y), tau_y(x))
+        return S[x, y], TT[x, y]
 
-        def fhat_12_3(u, v, y):
-            x = Ti[y, v]
-            return Ti[S[x, y], u], x, y
+    def flip(x, y):
+        return y, x
 
-        def f123(e, u, v):
-            x = Si[e, u]
-            return e, x, Si[x, Si[e, v]]
+    def f(x, v):
+        # F = sum_x E[x,x] (x) V_x, with V_x = sum_y E[sigma_x(y), y]
+        return x, Si[x, v]
 
-        def fhat123(u, v, y):
-            x = Ti[y, v]
-            return Ti[x, Ti[y, u]], x, y
+    def fhat(u, y):
+        # Fhat = sum_y W_y (x) E[y,y], with W_y = sum_e E[tau_y(e), e]
+        return Ti[y, u], y
 
-        def f2(x, v):
-            return x, Si[x, v]
+    def r_f(x, v):
+        # closed form of F rcheck F^{-1}:
+        # (x, sigma_x(y)) -> (sigma_x(y), sigma_{sigma_x(y)}(tau_y(x)))
+        return v, S[v, TT[x, Si[x, v]]]
 
-        def fhat2(u, y):
-            return Ti[y, u], y
+    def r_fhat(u, y):
+        # closed form of Fhat rcheck Fhat^{-1}:
+        # (tau_y(x), y) -> (tau_{tau_y(x)}(sigma_x(y)), tau_y(x))
+        return TT[S[Ti[y, u], y], u], u
 
-        return {
-            "rc12": _lift12(rc2),
-            "rc23": _lift23(rc2),
-            "r12": _lift12(r2),
-            "r23": _lift23(r2),
-            "r13": _lift13(r2),
-            "F12": _lift12(f2),
-            "F23": _lift23(f2),
-            "Fhat12": _lift12(fhat2),
-            "Fhat23": _lift23(fhat2),
-            "F_1_23": f_1_23,
-            "Fstar_12_3": fstar_12_3,
-            "Fhatstar_1_23": fhatstar_1_23,
-            "Fhat_12_3": fhat_12_3,
-            "F123": f123,
-            "Fhat123": fhat123,
-        }
+    def f_on_w(y, e, c):
+        # closed form of F Delta(W_y) F^{-1}, columns to rows:
+        # (e, sigma_e(x)) -> (tau_{sigma_x(y)}(e), tau_{sigma_{tau_x(e)}(y)}(sigma_e(x)))
+        x = Si[e, c]
+        return TT[e, S[x, y]], TT[c, S[TT[e, x], y]]
 
-    def materialize3(self, name: str) -> PermMatrix:
-        """Full arity-3 permutation for a named operator: its formula on the whole index grid, encoded."""
-        n = self.n
-        legs = self._pointwise()[name](*_grid(0, n, n))
-        return PermMatrix(n, 3, np.broadcast_to(_encode3(legs, n), (n, n, n)).ravel())
+    def fhat_on_v(eta, u, y):
+        # closed form of Fhat Delta(V_eta) Fhat^{-1}, columns to rows:
+        # (tau_y(x), y) -> (sigma_{tau_{sigma_x(y)}(eta)}(tau_y(x)), sigma_{tau_x(eta)}(y))
+        x = Ti[y, u]
+        return S[TT[eta, S[x, y]], u], S[TT[eta, x], y]
 
-    # -- iterated coproducts (coassociativity probes) ----------------------
-    def iterated_delta_v(self, eta: int, bracketing: str) -> Formula3:
-        """Three-leg coproducts of V_eta under the two bracketings.
+    def delta_v_right(eta, u, v, t):
+        # (id (x) Delta) Delta(V_eta): split the second leg again
+        x = Si[eta, u]
+        return (x, *delta_v(TT[eta, x], v, t))
 
-        The splitting rule, read off the two-leg coproduct, turns one
-        sigma-leg with parameter p into two legs with patterns sigma_p and
-        sigma_{tau_first_input(p)}.  Right bracketing re-threads the
-        parameter through the new middle leg (p, tau_x(p), tau_y(tau_x(p)));
-        left bracketing splits the first leg and keeps the trailing leg's
-        parameter expression tau_x(p) as written.  The two disagree exactly
-        when the coproduct fails to be coassociative.
-        """
-        S, TT, Si = self.sigma, self.taut, self.sigma_inv
-        if bracketing == "right":
-            def g(u, v, t):
-                x = Si[eta, u]
-                z1 = TT[eta, x]
-                y = Si[z1, v]
-                z2 = TT[z1, y]
-                return x, y, Si[z2, t]
-            return g
-        if bracketing == "left":
-            def g(u, v, t):
-                x = Si[eta, u]
-                z1 = TT[eta, x]
-                return x, Si[z1, v], Si[z1, t]
-            return g
-        raise ValueError(f"unknown bracketing {bracketing!r}")
+    def delta_v_left(eta, u, v, t):
+        # (Delta (x) id) Delta(V_eta): split the first leg, keep the last
+        x, y = delta_v(eta, u, v)
+        return x, y, Si[TT[eta, x], t]
 
-    def split_r(self, side: str) -> Formula3:
-        """The r-matrix with one leg split by the same coproduct rule.
-
-        side="left" splits the first (sigma-type) leg; side="right" splits
-        the second (tau-type) leg.  Both act on natural row triples.
-        """
-        S, TT = self.sigma, self.taut
-        if side == "left":
-            def g(y1, y2, x):
-                t = TT[x, y1]
-                return S[x, y1], S[t, y2], t
-            return g
-        if side == "right":
-            def g(y, x1, x2):
-                s = S[x2, y]
-                return s, TT[x1, s], TT[x2, y]
-            return g
-        raise ValueError(f"unknown side {side!r}")
+    pair = {"rcheck": rcheck, "P": flip, "r": _product(flip, rcheck), "F": f, "Fhat": fhat}
+    lifted = {
+        short + legs: lift(pair[base])
+        for base, short in (("rcheck", "rc"), ("r", "r"), ("F", "F"), ("Fhat", "Fhat"))
+        for legs, lift in (("12", _lift12), ("23", _lift23), ("13", _lift13))
+    }
+    fstar = _product(lifted["F13"], lifted["F23"])
+    fhatstar = _product(lifted["Fhat13"], lifted["Fhat12"])
+    triple = {
+        **lifted,
+        "F_1_23": lambda e, u, v: (e, *delta_v(e, u, v)),
+        "Fhat_12_3": lambda u, v, y: (*delta_w(y, u, v), y),
+        "Fstar_12_3": fstar,
+        "Fhatstar_1_23": fhatstar,
+        "F123": _product(lifted["F12"], fstar),
+        "Fhat123": _product(lifted["Fhat23"], fhatstar),
+        # r with its first (sigma-type) or second (tau-type) leg split
+        "split-r-left": lambda y1, y2, x: (*d_v(x, y1, y2), TT[x, y1]),
+        "split-r-right": lambda y, x1, x2: (S[x2, y], *d_w(y, x1, x2)),
+    }
+    return {
+        "V": Operator(1, lambda x, a: (Si[x, a],), parametric=True),
+        "W": Operator(1, lambda y, e: (Ti[y, e],), parametric=True),
+        **{name: Operator(2, g) for name, g in pair.items()},
+        "rF": Operator(2, r_f),
+        "rFhat": Operator(2, r_fhat),
+        "D_V": Operator(2, d_v, parametric=True),
+        "DeltaV": Operator(2, delta_v, parametric=True),
+        "D_W": Operator(2, d_w, parametric=True),
+        "DeltaW": Operator(2, delta_w, parametric=True),
+        "F-on-W": Operator(2, f_on_w, parametric=True, inverted=True),
+        "Fhat-on-V": Operator(2, fhat_on_v, parametric=True, inverted=True),
+        **{name: Operator(3, g) for name, g in triple.items()},
+        "DeltaV-right": Operator(3, delta_v_right, parametric=True),
+        "DeltaV-left": Operator(3, delta_v_left, parametric=True),
+    }
 
 
 # -- matrix-level verification ------------------------------------------
@@ -535,8 +503,7 @@ def braid_matrix_check(
     the two sides of c1, c3 and c2 at (e, x, y) (``verify_braid_constraints``),
     so the check is c1, c2 and c3.
     """
-    fns = bundle._pointwise()
-    a12, a23 = fns["rc12"], fns["rc23"]
+    a12, a23 = bundle.formula("rc12"), bundle.formula("rc23")
     return _proved_or_compared("matrix-braid", bundle, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed)
 
 
@@ -553,16 +520,8 @@ def ybe_matrix_check(
     c3 and c2 at (c, b, a): the check is c1, c2 and c3 with the legs
     reversed.
     """
-    fns = bundle._pointwise()
-    return _proved_or_compared(
-        "matrix-ybe",
-        bundle,
-        [fns["r12"], fns["r13"], fns["r23"]],
-        [fns["r23"], fns["r13"], fns["r12"]],
-        budget,
-        sample_points,
-        seed,
-    )
+    r12, r13, r23 = (bundle.formula(name) for name in ("r12", "r13", "r23"))
+    return _proved_or_compared("matrix-ybe", bundle, [r12, r13, r23], [r23, r13, r12], budget, sample_points, seed)
 
 
 def coproduct_commutation_check(bundle: TwistBundle) -> Check:
@@ -587,10 +546,10 @@ def coproduct_commutation_check(bundle: TwistBundle) -> Check:
     n = bundle.n
     if _proved(bundle, "coproduct-commutation"):
         return _verdict("coproduct-commutation", 2 * n * n * n, None, start)
-    rc = bundle.rcheck().perm
+    rc = bundle.matrix("rcheck").perm
     for x in range(n):
-        for tag, delta in (("V", bundle.delta_v), ("W", bundle.delta_w)):
-            op = delta(x).perm
+        for tag in ("V", "W"):
+            op = bundle.matrix(f"Delta{tag}", x).perm
             left = rc[op]
             right = op[rc]
             if not np.array_equal(left, right):
@@ -634,10 +593,10 @@ def lift_commutation_check(
         tau_{sigma_x(y)}^{-1} tau_{tau_y(x)}^{-1} against
         tau_x^{-1} tau_y^{-1}: c2 at (e, x, y) for every e.
     """
-    fns = bundle._pointwise()
+    fn = bundle.formula
     return [
         _proved_or_compared(
-            f"lift-commutation:{name}", bundle, [fns[a], fns[b]], [fns[b], fns[a]], budget, sample_points, seed
+            f"lift-commutation:{name}", bundle, [fn(a), fn(b)], [fn(b), fn(a)], budget, sample_points, seed
         )
         for name, a, b in _LIFT_RELATIONS
     ]
@@ -668,15 +627,16 @@ def cocycle_check(
       * Fhat-closed-form: Fhat123 is written as the composite
         Fhat23 . Fhatstar_1,23, so this is the Fhat factorization: c2.
     """
-    fns = bundle._pointwise()
     jobs = (
-        ("cocycle:F-factorizations", [fns["F12"], fns["Fstar_12_3"]], [fns["F23"], fns["F_1_23"]]),
-        ("cocycle:F-closed-form", [fns["F12"], fns["Fstar_12_3"]], [fns["F123"]]),
-        ("cocycle:Fhat-factorizations", [fns["Fhat12"], fns["Fhat_12_3"]], [fns["Fhat23"], fns["Fhatstar_1_23"]]),
-        ("cocycle:Fhat-closed-form", [fns["Fhat12"], fns["Fhat_12_3"]], [fns["Fhat123"]]),
+        ("cocycle:F-factorizations", ["F12", "Fstar_12_3"], ["F23", "F_1_23"]),
+        ("cocycle:F-closed-form", ["F12", "Fstar_12_3"], ["F123"]),
+        ("cocycle:Fhat-factorizations", ["Fhat12", "Fhat_12_3"], ["Fhat23", "Fhatstar_1_23"]),
+        ("cocycle:Fhat-closed-form", ["Fhat12", "Fhat_12_3"], ["Fhat123"]),
     )
     return [
-        _proved_or_compared(name, bundle, lhs, rhs, budget, sample_points, seed)
+        _proved_or_compared(
+            name, bundle, [*map(bundle.formula, lhs)], [*map(bundle.formula, rhs)], budget, sample_points, seed
+        )
         for name, lhs, rhs in jobs
     ]
 
@@ -710,17 +670,14 @@ def twisted_solution_check(
     twisted braid can hold where no constraint does, and then the
     comparison decides it.
     """
-    rc = bundle.rcheck()
+    rc = bundle.matrix("rcheck")
     out: list[Check] = []
 
-    for tag, twist, closed in (
-        ("F", bundle.f_twist, bundle.rcheck_f_closed),
-        ("Fhat", bundle.fhat_twist, bundle.rcheck_fhat_closed),
-    ):
+    for tag in ("F", "Fhat"):
         start = time.perf_counter()
-        t = twist()
+        t = bundle.matrix(tag)
         conj = t @ rc @ t.inverse()
-        out.append(_equality_check(f"twisted-closed-form:{tag}", conj, closed(), start))
+        out.append(_equality_check(f"twisted-closed-form:{tag}", conj, bundle.matrix(f"r{tag}"), start))
         op2 = _pair_formula(conj)
         a12, a23 = _lift12(op2), _lift23(op2)
         out.append(
@@ -730,9 +687,9 @@ def twisted_solution_check(
         )
 
     if bundle.solution.involutive:
-        for tag, closed in (("F", bundle.rcheck_f_closed), ("Fhat", bundle.rcheck_fhat_closed)):
+        for tag in ("F", "Fhat"):
             start = time.perf_counter()
-            out.append(_equality_check(f"involutive-collapse:{tag}", closed(), bundle.p(), start))
+            out.append(_equality_check(f"involutive-collapse:{tag}", bundle.matrix(f"r{tag}"), bundle.matrix("P"), start))
     return out
 
 
@@ -764,22 +721,23 @@ def twisted_coproduct_check(bundle: TwistBundle) -> list[Check]:
     RuntimeError when it is built.
     """
     n = bundle.n
-    # family -> (twist, coproduct, expected operator of one element)
+    m = bundle.matrix
+    # family -> (coproduct family, twist, expected operator of one element)
     families = (
-        ("group-like:V", "V", bundle.f_twist, bundle.delta_v, lambda x: bundle.v_op(x).tensor(bundle.v_op(x))),
-        ("group-like:W", "W", bundle.fhat_twist, bundle.delta_w, lambda y: bundle.w_op(y).tensor(bundle.w_op(y))),
-        ("mixed-coproduct:F-on-W", "W", bundle.f_twist, bundle.delta_w, bundle.delta_f_w_closed),
-        ("mixed-coproduct:Fhat-on-V", "V", bundle.fhat_twist, bundle.delta_v, bundle.delta_fhat_v_closed),
+        ("group-like:V", "V", "F", lambda x: m("V", x).tensor(m("V", x))),
+        ("group-like:W", "W", "Fhat", lambda y: m("W", y).tensor(m("W", y))),
+        ("mixed-coproduct:F-on-W", "W", "F", lambda y: m("F-on-W", y)),
+        ("mixed-coproduct:Fhat-on-V", "V", "Fhat", lambda eta: m("Fhat-on-V", eta)),
     )
     out: list[Check] = []
-    for name, tag, twist, delta, expected in families:
+    for name, tag, twist, expected in families:
         start = time.perf_counter()
         bad = None
         if not _proved(bundle, name):
-            t = twist()
+            t = m(twist)
             t_inv = t.inverse()
             for x in range(n):
-                got, want = t @ delta(x) @ t_inv, expected(x)
+                got, want = t @ m(f"Delta{tag}", x) @ t_inv, expected(x)
                 if not got.equals(want):
                     bad = {"family": tag, "element": x, "point": int(np.flatnonzero(got.perm != want.perm)[0])}
                     break
@@ -815,7 +773,7 @@ def _decided_probe(
     if n**3 <= budget:
         if hit is None:
             return _verdict(name, n**3, None, start)
-        points = _encode3(hit, n) + 1
+        points = _encode(hit, n) + 1
     else:
         p, pts = _sample(n, sample_points, seed)
         points = int(p.size)
@@ -831,10 +789,10 @@ def _decided_probe(
             return Check(name, "sampled", points, None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start))
     one = tuple(np.array([v]) for v in hit)
     witness = {
-        "point": _encode3(hit, n),
+        "point": _encode(hit, n),
         "triple": list(hit),
-        "lhs": int(_encode3(_chain(lhs, one), n)[0]),
-        "rhs": int(_encode3(_chain(rhs, one), n)[0]),
+        "lhs": int(_encode(_chain(lhs, one), n)[0]),
+        "rhs": int(_encode(_chain(rhs, one), n)[0]),
     }
     return _verdict(name, points, witness, start)
 
@@ -861,6 +819,7 @@ def coproduct_defect(
     involutive case).
     """
     S, TT, Si = bundle.sigma, bundle.taut, bundle.sigma_inv
+    right, left = bundle.formula("DeltaV-right", eta), bundle.formula("DeltaV-left", eta)
 
     def first():
         classes: dict[bytes, int] = {}
@@ -874,19 +833,11 @@ def coproduct_defect(
         return u, v, int(np.argmax(Si[z1[u]] != Si[z2[u, v]]))
 
     def differs(u, v, t):
-        z1 = TT[eta, Si[eta, u]]
-        return Si[z1, t] != Si[TT[z1, Si[z1, v]], t]
+        # the bracketings agree on the first two legs
+        return right(u, v, t)[2] != left(u, v, t)[2]
 
     return _decided_probe(
-        "coassociativity:V-iterated-coproduct",
-        bundle,
-        [bundle.iterated_delta_v(eta, "right")],
-        [bundle.iterated_delta_v(eta, "left")],
-        first,
-        differs,
-        budget,
-        sample_points,
-        seed,
+        "coassociativity:V-iterated-coproduct", bundle, [right], [left], first, differs, budget, sample_points, seed
     )
 
 
@@ -917,7 +868,7 @@ def r_lift_defects(
     """
     S, TT = bundle.sigma, bundle.taut
     idx = np.arange(bundle.n)
-    fns = bundle._pointwise()
+    fn = bundle.formula
 
     def left():
         moves = TT != idx[:, None]  # [x, y]: tau_y moves x
@@ -943,49 +894,33 @@ def r_lift_defects(
         return S[x1, s] != s
 
     probes = (
-        ("coassociativity:split-r-left-vs-r13r23", "left", [fns["r13"], fns["r23"]], left, left_differs),
-        ("coassociativity:split-r-right-vs-r13r12", "right", [fns["r13"], fns["r12"]], right, right_differs),
+        ("coassociativity:split-r-left-vs-r13r23", "left", [fn("r13"), fn("r23")], left, left_differs),
+        ("coassociativity:split-r-right-vs-r13r12", "right", [fn("r13"), fn("r12")], right, right_differs),
     )
     return [
-        _decided_probe(name, bundle, [bundle.split_r(side)], rhs, first, differs, budget, sample_points, seed)
+        _decided_probe(name, bundle, [fn(f"split-r-{side}")], rhs, first, differs, budget, sample_points, seed)
         for name, side, rhs, first, differs in probes
     ]
 
 
-_EXPORT_PARAMETRIC = {"V", "W", "DeltaV", "DeltaW"}
+# operators ``export`` writes; "V", "W", "DeltaV" and "DeltaW" take an element
+EXPORTABLE = ("rcheck", "r", "P", "F", "Fhat", "rF", "rFhat", "F123", "Fhat123", "V", "W", "DeltaV", "DeltaW")
 
 
 def export_object(bundle: TwistBundle, name: str) -> PermMatrix:
-    """Resolve an export object name like "rcheck", "F123" or "V:3"."""
-    base, _, arg = name.partition(":")
-    if base in _EXPORT_PARAMETRIC:
+    """Resolve an export object name: a bare name like "rcheck" or "F123", or a family and an element like "V:3"."""
+    base, colon, arg = name.partition(":")
+    if base in EXPORTABLE and bundle.ops[base].parametric:
         if not arg:
             raise UnknownObjectError(f"object {base!r} needs an element index, e.g. {base}:0")
-        try:
-            x = int(arg)
-        except ValueError as exc:
-            raise UnknownObjectError(f"bad element index {arg!r}") from exc
+        if not (arg.isascii() and arg.isdigit()):
+            raise UnknownObjectError(f"bad element index {arg!r}")
+        x = int(arg)
         if not (0 <= x < bundle.n):
             raise UnknownObjectError(f"element index {x} out of range [0, {bundle.n})")
-        return {
-            "V": bundle.v_op,
-            "W": bundle.w_op,
-            "DeltaV": bundle.delta_v,
-            "DeltaW": bundle.delta_w,
-        }[base](x)
-    if arg:
+        return bundle.matrix(base, x)
+    if colon:
         raise UnknownObjectError(f"object {base!r} takes no element index")
-    plain: dict[str, Callable[[], PermMatrix]] = {
-        "rcheck": bundle.rcheck,
-        "r": bundle.r_matrix,
-        "P": bundle.p,
-        "F": bundle.f_twist,
-        "Fhat": bundle.fhat_twist,
-        "rF": bundle.rcheck_f_closed,
-        "rFhat": bundle.rcheck_fhat_closed,
-        "F123": lambda: bundle.materialize3("F123"),
-        "Fhat123": lambda: bundle.materialize3("Fhat123"),
-    }
-    if base not in plain:
+    if base not in EXPORTABLE:
         raise UnknownObjectError(f"unknown object {base!r}")
-    return plain[base]()
+    return bundle.matrix(base)

@@ -31,7 +31,7 @@ from zbrace.solutions import (
     sigma_table,
     tau_table_from_sigma,
 )
-from zbrace.tensor import DEFAULT_BUDGET, DEFAULT_SAMPLE_POINTS, PermMatrix, _decode3, _encode3
+from zbrace.tensor import DEFAULT_BUDGET, DEFAULT_SAMPLE_POINTS, PermMatrix, _decode3, _encode, _lift12, _lift13, _lift23
 
 SPARSE_ENTRY_LIMIT = 4096
 
@@ -291,33 +291,248 @@ def brute_odd_matrix_pair_criterion(z1, z2):
     return True
 
 
-def _scatter_pair_map(rows, cols, n):
-    """PermMatrix sum E[rows, cols] on the pair space; RuntimeError unless rows are a bijection."""
+def permutation_p(n: int) -> PermMatrix:
+    """The flip operator: basis pair (x, y) -> (y, x)."""
+    idx = np.arange(n)
+    perm = (idx[None, :] * n + idx[:, None]).ravel()
+    return PermMatrix(n, 2, perm.astype(np.int64))
+
+
+def _scatter(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Assemble a row map from matching (row, col) index arrays."""
     r = rows.ravel()
-    perm = np.full(n * n, -1, dtype=np.int64)
+    perm = np.full(size, -1, dtype=np.int64)
     perm[r] = cols.ravel()
-    if (perm < 0).any() or np.bincount(r, minlength=n * n).max() != 1:
+    if (perm < 0).any() or np.bincount(r, minlength=size).max() != 1:
         raise RuntimeError("operator rows do not form a bijection")
-    return PermMatrix(n, 2, perm)
+    return perm
+
+
+class FormerBuilders:
+    """The former ``TwistBundle`` builders and formulas, kept verbatim as the oracle of ``TwistBundle.matrix``.
+
+    Arity-1 and arity-2 operators were scattered or hand-built permutation
+    maps; arity-3 ones were formulas, materialized here by ``brute_row_map``.
+    """
+
+    def __init__(self, bundle):
+        self.n = bundle.n
+        self.sigma = bundle.sigma
+        self.taut = bundle.taut
+        self.sigma_inv = bundle.sigma_inv
+        self.tau_inv = bundle.tau_inv
+
+    # -- arity 1 families ------------------------------------------------
+    def v_op(self, x: int) -> PermMatrix:
+        """V_x = sum_y E[sigma_x(y), y]."""
+        return PermMatrix(self.n, 1, self.sigma_inv[x].copy())
+
+    def w_op(self, y: int) -> PermMatrix:
+        """W_y = sum_e E[tau_y(e), e]."""
+        return PermMatrix(self.n, 1, self.tau_inv[y].copy())
+
+    # -- arity 2 operators -----------------------------------------------
+    def rcheck(self) -> PermMatrix:
+        """The solution matrix: row (x,y) -> column (sigma_x(y), tau_y(x))."""
+        return PermMatrix(self.n, 2, (self.sigma * self.n + self.taut).ravel().copy())
+
+    def p(self) -> PermMatrix:
+        return permutation_p(self.n)
+
+    def r_matrix(self) -> PermMatrix:
+        """r = P . rcheck; row (y,x) -> column (sigma_x(y), tau_y(x))."""
+        return PermMatrix(self.n, 2, (self.sigma * self.n + self.taut).T.ravel().copy())
+
+    def f_twist(self) -> PermMatrix:
+        """F = sum_x E[x,x] (x) V_x; rows (x, sigma_x(y)) -> columns (x, y)."""
+        n = self.n
+        grid = np.arange(n)
+        rows = grid[:, None] * n + self.sigma
+        cols = grid[:, None] * n + grid[None, :]
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def fhat_twist(self) -> PermMatrix:
+        """Fhat = sum_y W_y (x) E[y,y]; rows (tau_y(e), y) -> columns (e, y)."""
+        n = self.n
+        grid = np.arange(n)
+        rows = self.taut * n + grid[None, :]
+        cols = grid[:, None] * n + grid[None, :]
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def delta_v(self, eta: int) -> PermMatrix:
+        """Coproduct of V_eta: rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
+        n = self.n
+        x = self.sigma_inv[eta]  # [a] = x with sigma_eta(x) = a
+        y = self.sigma_inv[self.taut[eta, x]]  # [a, b] = y with sigma_{tau_x(eta)}(y) = b
+        return PermMatrix(n, 2, (x[:, None] * n + y).ravel())
+
+    def delta_w(self, y: int) -> PermMatrix:
+        """Coproduct of W_y: rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
+        n = self.n
+        x = self.tau_inv[y]  # [b] = x with tau_y(x) = b
+        e = self.tau_inv[self.sigma[x, y]]  # [b, a] = e with tau_{sigma_x(y)}(e) = a
+        return PermMatrix(n, 2, (e * n + x[:, None]).T.ravel())
+
+    def rcheck_f_closed(self) -> PermMatrix:
+        """Twisted matrix under F: rows (x, sigma_x(y)) -> (sigma_x(y), sigma_{sigma_x(y)}(tau_y(x)))."""
+        n = self.n
+        rows = np.arange(n)[:, None] * n + self.sigma
+        cols = self.sigma * n + self.sigma[self.sigma, self.taut]
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def rcheck_fhat_closed(self) -> PermMatrix:
+        """Twisted matrix under Fhat: rows (tau_y(x), y) -> (tau_{tau_y(x)}(sigma_x(y)), tau_y(x))."""
+        n = self.n
+        rows = self.taut * n + np.arange(n)[None, :]
+        cols = self.taut[self.sigma, self.taut] * n + self.taut
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def delta_f_w_closed(self, y: int) -> PermMatrix:
+        """Closed form of the F-twisted coproduct of W_y (mixed family).
+
+        Rows (tau_{sigma_x(y)}(e), tau_{sigma_{tau_x(e)}(y)}(sigma_e(x)))
+        map to columns (e, sigma_e(x)) over the (e, x) grid.
+        """
+        n = self.n
+        inner = self.sigma[self.taut, y]  # [e, x] = sigma_{tau_x(e)}(y)
+        rows = self.taut[:, self.sigma[:, y]] * n + self.taut[self.sigma, inner]
+        cols = np.arange(n)[:, None] * n + self.sigma
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def delta_fhat_v_closed(self, eta: int) -> PermMatrix:
+        """Closed form of the Fhat-twisted coproduct of V_eta (mixed family).
+
+        Rows (sigma_{tau_{sigma_x(y)}(eta)}(tau_y(x)), sigma_{tau_x(eta)}(y))
+        map to columns (tau_y(x), y) over the (x, y) grid.
+        """
+        n = self.n
+        v1 = self.taut[eta, self.sigma]  # [x, y] = tau_{sigma_x(y)}(eta)
+        rows = self.sigma[v1, self.taut] * n + self.sigma[self.taut[eta]]
+        cols = self.taut * n + np.arange(n)[None, :]
+        return PermMatrix(n, 2, _scatter(rows, cols, n * n))
+
+    def _pointwise(self) -> dict[str, Formula3]:
+        """Arity-3 operators as row-to-column index formulas."""
+        S, TT, Si, Ti = self.sigma, self.taut, self.sigma_inv, self.tau_inv
+
+        def rc2(x, y):
+            return S[x, y], TT[x, y]
+
+        def r2(a, b):
+            return S[b, a], TT[b, a]
+
+        def f_1_23(e, u, v):
+            x = Si[e, u]
+            return e, x, Si[TT[e, x], v]
+
+        def fstar_12_3(e, u, v):
+            return e, u, Si[u, Si[e, v]]
+
+        def fhatstar_1_23(u, x, y):
+            return Ti[x, Ti[y, u]], x, y
+
+        def fhat_12_3(u, v, y):
+            x = Ti[y, v]
+            return Ti[S[x, y], u], x, y
+
+        def f123(e, u, v):
+            x = Si[e, u]
+            return e, x, Si[x, Si[e, v]]
+
+        def fhat123(u, v, y):
+            x = Ti[y, v]
+            return Ti[x, Ti[y, u]], x, y
+
+        def f2(x, v):
+            return x, Si[x, v]
+
+        def fhat2(u, y):
+            return Ti[y, u], y
+
+        return {
+            "rc12": _lift12(rc2),
+            "rc23": _lift23(rc2),
+            "r12": _lift12(r2),
+            "r23": _lift23(r2),
+            "r13": _lift13(r2),
+            "F12": _lift12(f2),
+            "F23": _lift23(f2),
+            "Fhat12": _lift12(fhat2),
+            "Fhat23": _lift23(fhat2),
+            "F_1_23": f_1_23,
+            "Fstar_12_3": fstar_12_3,
+            "Fhatstar_1_23": fhatstar_1_23,
+            "Fhat_12_3": fhat_12_3,
+            "F123": f123,
+            "Fhat123": fhat123,
+        }
+
+    # -- iterated coproducts (coassociativity probes) ----------------------
+    def iterated_delta_v(self, eta: int, bracketing: str) -> Formula3:
+        """Three-leg coproducts of V_eta under the two bracketings.
+
+        The splitting rule, read off the two-leg coproduct, turns one
+        sigma-leg with parameter p into two legs with patterns sigma_p and
+        sigma_{tau_first_input(p)}.  Right bracketing re-threads the
+        parameter through the new middle leg (p, tau_x(p), tau_y(tau_x(p)));
+        left bracketing splits the first leg and keeps the trailing leg's
+        parameter expression tau_x(p) as written.  The two disagree exactly
+        when the coproduct fails to be coassociative.
+        """
+        S, TT, Si = self.sigma, self.taut, self.sigma_inv
+        if bracketing == "right":
+            def g(u, v, t):
+                x = Si[eta, u]
+                z1 = TT[eta, x]
+                y = Si[z1, v]
+                z2 = TT[z1, y]
+                return x, y, Si[z2, t]
+            return g
+        if bracketing == "left":
+            def g(u, v, t):
+                x = Si[eta, u]
+                z1 = TT[eta, x]
+                return x, Si[z1, v], Si[z1, t]
+            return g
+        raise ValueError(f"unknown bracketing {bracketing!r}")
+
+    def split_r(self, side: str) -> Formula3:
+        """The r-matrix with one leg split by the same coproduct rule.
+
+        side="left" splits the first (sigma-type) leg; side="right" splits
+        the second (tau-type) leg.  Both act on natural row triples.
+        """
+        S, TT = self.sigma, self.taut
+        if side == "left":
+            def g(y1, y2, x):
+                t = TT[x, y1]
+                return S[x, y1], S[t, y2], t
+            return g
+        if side == "right":
+            def g(y, x1, x2):
+                s = S[x2, y]
+                return s, TT[x1, s], TT[x2, y]
+            return g
+        raise ValueError(f"unknown side {side!r}")
 
 
 def brute_delta_v(bundle, eta):
     """Coproduct of V_eta scattered from its rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
     n, grid = bundle.n, np.arange(bundle.n)
     rows = bundle.sigma[eta][:, None] * n + bundle.sigma[bundle.taut[eta]]
-    return _scatter_pair_map(rows, grid[:, None] * n + grid[None, :], n)
+    return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
 
 def brute_delta_w(bundle, y):
     """Coproduct of W_y scattered from its rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
     n, grid = bundle.n, np.arange(bundle.n)
     rows = bundle.taut[:, bundle.sigma[:, y]] * n + bundle.taut[:, y][None, :]
-    return _scatter_pair_map(rows, grid[:, None] * n + grid[None, :], n)
+    return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
 
 def brute_coproduct_commutation(bundle):
     """The former per-element loop: compose Delta(V_x), Delta(W_x) with rcheck both ways."""
-    rc = bundle.rcheck()
+    rc = FormerBuilders(bundle).rcheck()
     n = bundle.n
     for x in range(n):
         for tag, op in (("V", brute_delta_v(bundle, x)), ("W", brute_delta_w(bundle, x))):
@@ -334,6 +549,7 @@ def brute_coproduct_commutation(bundle):
 def brute_twisted_coproduct(bundle):
     """The former per-element loops: conjugate each coproduct and compare full permutations."""
     n = bundle.n
+    bundle = FormerBuilders(bundle)
     f = bundle.f_twist()
     fh = bundle.fhat_twist()
     f_inv = f.inverse()
@@ -409,14 +625,58 @@ def sparse_perm_difference(a, b):
 
 def brute_row_map(fn, n):
     """Row map of an arity-3 formula by decoding every flat index (the former materializer)."""
-    return _encode3(fn(*_decode3(np.arange(n**3, dtype=np.int64), n)), n)
+    return _encode(fn(*_decode3(np.arange(n**3, dtype=np.int64), n)), n)
+
+
+_LIFTS = {"12": lift12, "23": lift23, "13": lift13}
+
+
+def former_matrix(bundle, name, element=None):
+    """The former builder's matrix of ``TwistBundle`` operator ``name``, at ``element`` if it takes one.
+
+    Lifted pair operators (``rc12``, ``F13``, ...) lift the former pair
+    matrix; arity-3 formulas are decoded point by point.
+    """
+    former, n = FormerBuilders(bundle), bundle.n
+    arg = () if element is None else (element,)
+    built = {
+        "V": former.v_op,
+        "W": former.w_op,
+        "rcheck": former.rcheck,
+        "P": former.p,
+        "r": former.r_matrix,
+        "F": former.f_twist,
+        "Fhat": former.fhat_twist,
+        "DeltaV": former.delta_v,
+        "DeltaW": former.delta_w,
+        "D_V": lambda eta: former.delta_v(eta).inverse(),
+        "D_W": lambda y: former.delta_w(y).inverse(),
+        "rF": former.rcheck_f_closed,
+        "rFhat": former.rcheck_fhat_closed,
+        "F-on-W": former.delta_f_w_closed,
+        "Fhat-on-V": former.delta_fhat_v_closed,
+    }
+    if name in built:
+        return built[name](*arg)
+    base, legs = name[:-2], name[-2:]
+    if legs in _LIFTS and base in ("rc", "r", "F", "Fhat"):
+        return _LIFTS[legs](built["rcheck" if base == "rc" else base]())
+    formulas = {
+        **former._pointwise(),
+        "split-r-left": former.split_r("left"),
+        "split-r-right": former.split_r("right"),
+    }
+    if name in formulas:
+        return PermMatrix(n, 3, brute_row_map(formulas[name], n))
+    bracketing = {"DeltaV-right": "right", "DeltaV-left": "left"}[name]
+    return PermMatrix(n, 3, brute_row_map(former.iterated_delta_v(element, bracketing), n))
 
 
 def iterated_coproduct_difference(bundle, eta):
     """Sparse difference of the right- and left-bracketed coproducts of V_eta, materialized."""
-    n = bundle.n
-    right = PermMatrix(n, 3, brute_row_map(bundle.iterated_delta_v(eta, "right"), n))
-    left = PermMatrix(n, 3, brute_row_map(bundle.iterated_delta_v(eta, "left"), n))
+    n, former = bundle.n, FormerBuilders(bundle)
+    right = PermMatrix(n, 3, brute_row_map(former.iterated_delta_v(eta, "right"), n))
+    left = PermMatrix(n, 3, brute_row_map(former.iterated_delta_v(eta, "left"), n))
     return sparse_perm_difference(right, left)
 
 
@@ -437,8 +697,8 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
         for lo in range(0, total, block):
             p = np.arange(lo, min(lo + block, total), dtype=np.int64)
             pts = _decode3(p, n)
-            le = _encode3(_chain(lhs, pts), n)
-            re = _encode3(_chain(rhs, pts), n)
+            le = _encode(_chain(lhs, pts), n)
+            re = _encode(_chain(rhs, pts), n)
             if not np.array_equal(le, re):
                 i = int(np.flatnonzero(le != re)[0])
                 witness = {
@@ -453,8 +713,8 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
     rng = np.random.default_rng(seed)
     p = np.unique(rng.integers(0, total, size=min(sample_points, total)))
     pts = _decode3(p, n)
-    le = _encode3(_chain(lhs, pts), n)
-    re = _encode3(_chain(rhs, pts), n)
+    le = _encode(_chain(lhs, pts), n)
+    re = _encode(_chain(rhs, pts), n)
     if np.array_equal(le, re):
         return Check(name, "sampled", int(p.size), None, note="seeded sample, not exhaustive")
     i = int(np.flatnonzero(le != re)[0])
@@ -474,8 +734,8 @@ def brute_coproduct_defect(
     return brute_compare_chains(
         "coassociativity:V-iterated-coproduct",
         bundle.n,
-        [bundle.iterated_delta_v(eta, "right")],
-        [bundle.iterated_delta_v(eta, "left")],
+        [FormerBuilders(bundle).iterated_delta_v(eta, "right")],
+        [FormerBuilders(bundle).iterated_delta_v(eta, "left")],
         budget,
         sample_points,
         seed,
@@ -485,9 +745,10 @@ def brute_coproduct_defect(
 
 def brute_r_lift_defects(bundle, budget=DEFAULT_BUDGET, sample_points=DEFAULT_SAMPLE_POINTS, seed=0, block=1 << 22):
     """The former ``r_lift_defects``: each split-leg lift of r compared point by point with its law."""
-    fns = bundle._pointwise()
+    former = FormerBuilders(bundle)
+    fns = former._pointwise()
     return [
-        brute_compare_chains(name, bundle.n, [bundle.split_r(side)], rhs, budget, sample_points, seed, block)
+        brute_compare_chains(name, bundle.n, [former.split_r(side)], rhs, budget, sample_points, seed, block)
         for name, side, rhs in (
             ("coassociativity:split-r-left-vs-r13r23", "left", [fns["r13"], fns["r23"]]),
             ("coassociativity:split-r-right-vs-r13r12", "right", [fns["r13"], fns["r12"]]),

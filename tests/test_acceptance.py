@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_gv_conjugation_witness, iterated_coproduct_difference
+from oracles import brute_gv_conjugation_witness, iterated_coproduct_difference, permutation_p
 from zbrace.braces import (
     admissible_z,
     cyclic_unit_brace,
@@ -42,7 +42,6 @@ from zbrace.tensor import (
     cocycle_check,
     coproduct_defect,
     lift_commutation_check,
-    permutation_p,
     r_lift_defects,
     twisted_coproduct_check,
     twisted_solution_check,
@@ -236,11 +235,11 @@ def test_criterion_09_involutive_collapse(instances):
         flip = permutation_p(b.order)
         for z in probe:
             tb = TwistBundle(build_solution(b, z))
-            ok &= tb.rcheck_f_closed().equals(flip)
-            ok &= tb.rcheck_fhat_closed().equals(flip)
-            f = tb.f_twist()
-            fh = tb.fhat_twist()
-            rc = tb.rcheck()
+            ok &= tb.matrix("rF").equals(flip)
+            ok &= tb.matrix("rFhat").equals(flip)
+            f = tb.matrix("F")
+            fh = tb.matrix("Fhat")
+            rc = tb.matrix("rcheck")
             ok &= (f @ rc @ f.inverse()).equals(flip)
             ok &= (fh @ rc @ fh.inverse()).equals(flip)
     _report(9, "involutive-collapse", ok)

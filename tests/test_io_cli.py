@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import permutation_p
+from zbrace import fileio
 from zbrace.braces import BoundExceededError, cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.cli import main
 from zbrace.fileio import (
@@ -29,7 +31,7 @@ from zbrace.reporting import (
     serialize_report,
 )
 from zbrace.solutions import build_solution
-from zbrace.tensor import TwistBundle, permutation_p
+from zbrace.tensor import TwistBundle
 
 
 @pytest.fixture()
@@ -88,16 +90,29 @@ def test_matrix_export_golden_flip_operator():
     assert text == "4 4 4\n0 0 1\n1 2 1\n2 1 1\n3 3 1\n"
 
 
+def test_matrix_export_writes_row_blocks(tmp_path, monkeypatch):
+    tb = TwistBundle(build_solution(cyclic_unit_brace(3), 1))
+    for name in ("rcheck", "F123"):
+        m = tb.matrix(name)
+        want = matrix_coo_text(m)
+        # 5 rows per block: the last block of 16 or 64 rows is partial
+        with monkeypatch.context() as mp:
+            mp.setattr(fileio, "COO_BLOCK_ROWS", 5)
+            write_matrix(m, tmp_path / "m.coo")
+        assert (tmp_path / "m.coo").read_text(encoding="utf-8") == want
+        assert want == "".join([f"{m.size} {m.size} {m.size}\n", *(f"{i} {j} 1\n" for i, j in enumerate(m.perm))])
+
+
 def test_matrix_export_one_element_brace():
     one = trivial_skew_brace(cyclic_group(1), name="one")
     tb = TwistBundle(build_solution(one, 0))
-    assert matrix_coo_text(tb.rcheck()) == "1 1 1\n0 0 1\n"
+    assert matrix_coo_text(tb.matrix("rcheck")) == "1 1 1\n0 0 1\n"
 
 
 def test_matrix_export_rcheck_is_doubly_stochastic_pattern(tmp_path):
     tb = TwistBundle(build_solution(cyclic_unit_brace(3), 1))
     path = tmp_path / "rcheck.coo"
-    write_matrix(tb.rcheck(), path)
+    write_matrix(tb.matrix("rcheck"), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "16 16 16"
     rows = [int(l.split()[0]) for l in lines[1:]]
@@ -243,8 +258,9 @@ def test_cli_export_and_twist(tmp_path, capsys):
     main(["make", "--family", "cyclic2n", "--n", "2", "-o", str(brace)])
     assert main(["export", str(brace), "--z", "1", "--object", "P", "-o", str(coo)]) == 0
     assert coo.read_text() == "4 4 4\n0 0 1\n1 2 1\n2 1 1\n3 3 1\n"
-    assert main(["export", str(brace), "--z", "1", "--object", "bogus", "-o", str(coo)]) == 2
     capsys.readouterr()
+    assert main(["export", str(brace), "--z", "1", "--object", "bogus", "-o", str(coo)]) == 2
+    assert capsys.readouterr().err == "error: unknown object 'bogus'\n"
     assert main(["twist", str(brace), "--z", "all", "--check", "cocycle,grouplike"]) == 0
 
 

@@ -31,11 +31,39 @@ CYCLIC4_TWIST = "c3070d3c61288ed5958b51cedf9ccd19c61f2ebd311afb476f5063175457259
 TRIVIAL_S3_TWIST = "13b6363cdb3c5e159c2554a967fc8c376af8ac0507d16b12ef62256077b9de0a"
 # level "maps" on shifts 128 and 237: pins c1-c3 on the n = 256 path
 ODDMATRIX_MAPS_REPORT = "3619ef6aa785ea2845d6185ec1685fb0602d7f51599165adab3372717abc73a6"
-# `export --z 3` of cyclic2n n=4, coordinate text of each object
-CYCLIC4_EXPORT = {
-    "F123": "8f1b705dfcd0dc44b7d05341cabede9c6747df980a1e463804b688c13c773004",
-    "Fhat123": "3ed858f9e14a489e5e944daa4fb8c3a44d7032defef5ff7f6c5c476ac0420a10",
-    "rcheck": "e5f8f2a5faac83ad5f848f1631614d4d647aba6879016473b5f710df2b026e2c",
+# `export` coordinate text of each object: cyclic2n n=4 at z=3 and
+# trivial-S3 at z=4
+EXPORTS = {
+    ("cyclic2n-4", "3"): {
+        "rcheck": "e5f8f2a5faac83ad5f848f1631614d4d647aba6879016473b5f710df2b026e2c",
+        "r": "fb1793c64681bacc9e6f8d739155a892fd84335c8957624a4f67fae2f69f771c",
+        "P": "0cc3ff8c929efd253e4ee68c72a35b1f4aed70e2b7b2567accf4e0a6f6efba57",
+        "F": "c0626ccb5e7a5232f70041a23321180a0f1bb082505fa7d7f32d896688f75ca0",
+        "Fhat": "1f06ad541351beaafea3dba6e874485e3944c7139734211f6fbbd6e698e69a77",
+        "rF": "cc82ee144de1d51464a740c8c0f4b14773e52f25232d160fd95341cdadb56fc8",
+        "rFhat": "bf978e91f2ac1b6726b8cf9f1a8f110909fc1ffd4104e9de671f59ee27025f07",
+        "F123": "8f1b705dfcd0dc44b7d05341cabede9c6747df980a1e463804b688c13c773004",
+        "Fhat123": "3ed858f9e14a489e5e944daa4fb8c3a44d7032defef5ff7f6c5c476ac0420a10",
+        "V:1": "d1283fbbb96204beaa1f48af9264c94550dc62e1e3e1f3b8d88509b7dda9f612",
+        "W:2": "9c8b8cb0f29face01dae30b3a8a4e46c098a06e0da386e3f16a102c03966e042",
+        "DeltaV:1": "9635f8e0201403d6268980280496fc219e2a60ecbb27a4145b50cce4b4820d2c",
+        "DeltaW:2": "3521af780d2bd76b534c79551f51d4b4993d1dfaed6346560ded929ecce13ae3",
+    },
+    ("trivial-S3", "4"): {
+        "rcheck": "ed3c159012bdee32656540b1937966f7ea048ac7557c2fede7a7e1cce3f63963",
+        "r": "11507e010564c5a6066111d882b159aa6657a6bcd6eb2c3f1908d2c1ba2c3900",
+        "P": "a94f4400b000ae0592747872c12653e5fc320927562318c8e4c66a40ec4c9f4b",
+        "F": "ff242438b9ebb9bbc219e9d5c67172424f717b212157bd337e86c8d0d395b788",
+        "Fhat": "b83c04db6086b607fa9b8ad69916055f155f0b08e5e98b2ddc2d5471dfca23b2",
+        "rF": "8f37ae921c9ddd38ba49a6a33e31f4aa0e01c48f6b5c4ebc32285c13dcf4b150",
+        "rFhat": "8c80be9e5e2430a0a2e75765459ead312e219c7b2b54f5a4e59c14a6fa675005",
+        "F123": "df4809f8c112da575e0de0275404169660c608167803766f498f65ffceb84e39",
+        "Fhat123": "f93dbe405151f7f96b52333155d608f036326b51bc3fa1a6a496dcfae1cb3f8f",
+        "V:1": "650d2fffe98bfeaa7c1958d4d53fa065523117dfeaf52aac36d545d0b4551ebf",
+        "W:2": "0c75a1650c7d70e54f40057176225ff4eb78700da8c064e076beeaf5a340b209",
+        "DeltaV:1": "a6e8ebae44accdd6f7aceadf2a44765f80ae438039461a1268d759bcc8bbf379",
+        "DeltaW:2": "f26aa78535c73ef5e3901f706fd6ecc717f1e0651ba7be2d682fc076dc2008d0",
+    },
 }
 # `validate` stderr on corrupted cyclic2n n=4 files, with exit code 2
 VALIDATE_ERRORS = {
@@ -105,12 +133,14 @@ def test_twist_stdout_and_exit_codes(tmp_path, capsys):
 
 
 def test_export_coo_bytes(tmp_path):
-    path = tmp_path / "c4.brace"
-    write_brace(cyclic_unit_brace(4), path)
-    for obj, digest in CYCLIC4_EXPORT.items():
-        out = tmp_path / f"{obj}.coo"
-        assert main(["export", str(path), "--z", "3", "--object", obj, "-o", str(out)]) == 0
-        assert _sha(out.read_text(encoding="utf-8")) == digest, obj
+    braces = {b.name: b for b in (cyclic_unit_brace(4), trivial_skew_brace(symmetric_group(3), name="trivial-S3"))}
+    for (name, z), digests in EXPORTS.items():
+        path = tmp_path / f"{name}.brace"
+        write_brace(braces[name], path)
+        for obj, digest in digests.items():
+            out = tmp_path / "object.coo"
+            assert main(["export", str(path), "--z", z, "--object", obj, "-o", str(out)]) == 0
+            assert _sha(out.read_text(encoding="utf-8")) == digest, (name, obj)
 
 
 def test_oddmatrix_maps_report_bytes():

@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from oracles import (
     dense_add,
     dense_kron,
     dense_matrix,
+    FormerBuilders,
     dense_mult,
+    former_matrix,
     identity_matrix,
     is_identity,
     iterated_coproduct_difference,
@@ -25,6 +29,7 @@ from oracles import (
     lift13,
     lift23,
     matrix_unit,
+    permutation_p,
     sparse_perm_difference,
     swap_sigma_entries,
 )
@@ -37,7 +42,8 @@ from zbrace.tensor import (
     PermMatrix,
     TwistBundle,
     UnknownObjectError,
-    _encode3,
+    _decode3,
+    _encode,
     _grid,
     _lift12,
     _lift13,
@@ -49,7 +55,6 @@ from zbrace.tensor import (
     coproduct_defect,
     export_object,
     lift_commutation_check,
-    permutation_p,
     r_lift_defects,
     twisted_coproduct_check,
     twisted_solution_check,
@@ -102,7 +107,7 @@ def test_lifts_against_kron_with_identity():
 
 
 def test_permutation_p_is_swap_with_diagonal_fixed_points():
-    p = permutation_p(2)
+    p = bundle_for(TRIV_INV, 0).matrix("P")
     assert p.perm.tolist() == [0, 2, 1, 3]
     assert is_identity(p @ p)
 
@@ -119,7 +124,7 @@ def test_rcheck_matches_matrix_unit_sum():
                 matrix_unit(n, y, int(s.tau[y, x])),
             )
             acc = dense_add(acc, term)
-    assert acc == dense_matrix(tb.rcheck().perm, 16)
+    assert acc == dense_matrix(tb.matrix("rcheck").perm, 16)
 
 
 def test_f_and_fhat_match_their_matrix_unit_sums():
@@ -129,12 +134,12 @@ def test_f_and_fhat_match_their_matrix_unit_sums():
     f_acc = [[0] * 16 for _ in range(16)]
     fh_acc = [[0] * 16 for _ in range(16)]
     for x in range(n):
-        v_x = dense_matrix(tb.v_op(x).perm, n)
-        w_x = dense_matrix(tb.w_op(x).perm, n)
+        v_x = dense_matrix(tb.matrix("V", x).perm, n)
+        w_x = dense_matrix(tb.matrix("W", x).perm, n)
         f_acc = dense_add(f_acc, dense_kron(matrix_unit(n, x, x), v_x))
         fh_acc = dense_add(fh_acc, dense_kron(w_x, matrix_unit(n, x, x)))
-    assert f_acc == dense_matrix(tb.f_twist().perm, 16)
-    assert fh_acc == dense_matrix(tb.fhat_twist().perm, 16)
+    assert f_acc == dense_matrix(tb.matrix("F").perm, 16)
+    assert fh_acc == dense_matrix(tb.matrix("Fhat").perm, 16)
 
 
 def test_v_and_w_are_the_sigma_and_tau_unit_sums():
@@ -145,16 +150,16 @@ def test_v_and_w_are_the_sigma_and_tau_unit_sums():
         acc = [[0] * n for _ in range(n)]
         for y in range(n):
             acc = dense_add(acc, matrix_unit(n, int(s.sigma[x, y]), y))
-        assert acc == dense_matrix(tb.v_op(x).perm, n)
+        assert acc == dense_matrix(tb.matrix("V", x).perm, n)
         acc = [[0] * n for _ in range(n)]
         for e in range(n):
             acc = dense_add(acc, matrix_unit(n, int(s.tau[x, e]), e))
-        assert acc == dense_matrix(tb.w_op(x).perm, n)
+        assert acc == dense_matrix(tb.matrix("W", x).perm, n)
 
 
 def test_r_equals_p_times_rcheck():
     tb = bundle_for(CYCLIC3, 1)
-    assert tb.r_matrix().equals(tb.p() @ tb.rcheck())
+    assert tb.matrix("r").equals(tb.matrix("P") @ tb.matrix("rcheck"))
 
 
 def test_braid_relation_for_solution_matrix():
@@ -167,14 +172,14 @@ def test_braid_relation_for_solution_matrix():
 
 def test_involutive_case_squares_to_identity():
     tb = bundle_for(CYCLIC3, 0)
-    rc = tb.rcheck()
+    rc = tb.matrix("rcheck")
     assert is_identity(rc @ rc)
 
 
 def test_one_element_brace_matrices_are_scalar_identity():
     one = trivial_skew_brace(cyclic_group(1), name="one")
     tb = bundle_for(one, 0)
-    assert tb.rcheck().size == 1 and is_identity(tb.rcheck())
+    assert tb.matrix("rcheck").size == 1 and is_identity(tb.matrix("rcheck"))
     assert braid_matrix_check(tb).status == "pass"
 
 
@@ -182,12 +187,12 @@ def test_bundle_members_are_bijections():
     tb = bundle_for(CYCLIC3, 1)
     idx2 = np.arange(16)
     idx3 = np.arange(64)
-    for op in (tb.rcheck(), tb.f_twist(), tb.fhat_twist(), tb.delta_v(2), tb.delta_w(3)):
+    for op in (tb.matrix("rcheck"), tb.matrix("F"), tb.matrix("Fhat"), tb.matrix("DeltaV", 2), tb.matrix("DeltaW", 3)):
         assert np.array_equal(np.sort(op.perm), idx2)
     for name in ("F_1_23", "Fstar_12_3", "Fhatstar_1_23", "Fhat_12_3", "F123", "Fhat123"):
-        assert np.array_equal(np.sort(tb.materialize3(name).perm), idx3)
+        assert np.array_equal(np.sort(tb.matrix(name).perm), idx3)
     for x in range(4):
-        inv = tb.v_op(x) @ tb.v_op(x).inverse()
+        inv = tb.matrix("V", x) @ tb.matrix("V", x).inverse()
         assert is_identity(inv)
 
 
@@ -201,10 +206,10 @@ def test_coproduct_commutation_fails_for_mismatched_shift():
     # matrix of another (on cyclic2n-3 the two shift classes happen to be
     # too close, so this is probed on the S3 instance)
     tb = bundle_for(S3_TRIVIAL, 0)
-    rc_other = bundle_for(S3_TRIVIAL, 1).rcheck()
+    rc_other = bundle_for(S3_TRIVIAL, 1).matrix("rcheck")
     mismatch = None
     for x in range(6):
-        dv = tb.delta_v(x)
+        dv = tb.matrix("DeltaV", x)
         if not (dv @ rc_other).equals(rc_other @ dv):
             mismatch = (x, int(np.flatnonzero((dv @ rc_other).perm != (rc_other @ dv).perm)[0]))
             break
@@ -228,8 +233,8 @@ def test_delta_v_and_w_match_their_scattered_definitions():
     for b, z in ((CYCLIC3, 1), (S3_TRIVIAL, 4), (cyclic_unit_brace(4), 3)):
         tb = bundle_for(b, z)
         for x in range(b.order):
-            assert tb.delta_v(x).equals(brute_delta_v(tb, x))
-            assert tb.delta_w(x).equals(brute_delta_w(tb, x))
+            assert tb.matrix("DeltaV", x).equals(brute_delta_v(tb, x))
+            assert tb.matrix("DeltaW", x).equals(brute_delta_w(tb, x))
 
 
 def test_twisted_coproduct_witnesses_match_oracle_on_forged_bundles():
@@ -363,14 +368,20 @@ def test_coproduct_families_are_decided_by_their_braid_constraints():
 
 
 def test_proved_coproduct_families_touch_no_element(monkeypatch):
-    # every per-element test builds a coproduct or compares arrays
+    # every per-element test materializes an operator or compares arrays
     calls = collections.Counter()
-    for owner, name in ((TwistBundle, "delta_v"), (TwistBundle, "delta_w"), (np, "array_equal")):
-        def counted(*args, _fn=getattr(owner, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    real_matrix, real_equal = TwistBundle.matrix, np.array_equal
 
-        monkeypatch.setattr(owner, name, counted)
+    def matrix(bundle, name, *args):
+        calls[name] += 1
+        return real_matrix(bundle, name, *args)
+
+    def array_equal(*args):
+        calls["array_equal"] += 1
+        return real_equal(*args)
+
+    monkeypatch.setattr(TwistBundle, "matrix", matrix)
+    monkeypatch.setattr(np, "array_equal", array_equal)
     for b in (CYCLIC3, S3_TRIVIAL, cyclic_unit_brace(4)):
         for z in range(b.order):
             tb = bundle_for(b, z)
@@ -383,7 +394,7 @@ def test_proved_coproduct_families_touch_no_element(monkeypatch):
     s = build_solution(S3_TRIVIAL, 0)
     forged = TwistBundle(dataclasses.replace(s, tau=build_solution(S3_TRIVIAL, 1).tau))
     assert coproduct_commutation_check(forged).status == "fail"
-    assert calls["delta_v"] > 0
+    assert calls["DeltaV"] > 0
 
 
 def test_bundle_rejects_rows_that_are_not_permutations():
@@ -409,17 +420,17 @@ def test_lift_commutation_and_cocycle():
 
 def test_cocycle_factorizations_equal_materialized_products():
     tb = bundle_for(CYCLIC3, 1)
-    f12 = lift12(tb.f_twist())
-    f23 = lift23(tb.f_twist())
-    lhs = f12 @ tb.materialize3("Fstar_12_3")
-    rhs = f23 @ tb.materialize3("F_1_23")
-    closed = tb.materialize3("F123")
+    f12 = lift12(tb.matrix("F"))
+    f23 = lift23(tb.matrix("F"))
+    lhs = f12 @ tb.matrix("Fstar_12_3")
+    rhs = f23 @ tb.matrix("F_1_23")
+    closed = tb.matrix("F123")
     assert lhs.equals(rhs) and lhs.equals(closed)
-    fh12 = lift12(tb.fhat_twist())
-    fh23 = lift23(tb.fhat_twist())
-    lhs = fh12 @ tb.materialize3("Fhat_12_3")
-    rhs = fh23 @ tb.materialize3("Fhatstar_1_23")
-    assert lhs.equals(rhs) and lhs.equals(tb.materialize3("Fhat123"))
+    fh12 = lift12(tb.matrix("Fhat"))
+    fh23 = lift23(tb.matrix("Fhat"))
+    lhs = fh12 @ tb.matrix("Fhat_12_3")
+    rhs = fh23 @ tb.matrix("Fhatstar_1_23")
+    assert lhs.equals(rhs) and lhs.equals(tb.matrix("Fhat123"))
 
 
 def test_twisted_solution_closed_forms_and_braid():
@@ -432,21 +443,21 @@ def test_twisted_solution_closed_forms_and_braid():
 def test_involutive_collapse_to_flip():
     for b, z in ((TRIV_INV, 0), (TRIV_INV, 1), (CYCLIC3, 0), (CYCLIC3, 2)):
         tb = bundle_for(b, z)
-        flip = permutation_p(b.order)
-        assert tb.rcheck_f_closed().equals(flip)
-        assert tb.rcheck_fhat_closed().equals(flip)
+        flip = tb.matrix("P")
+        assert tb.matrix("rF").equals(flip)
+        assert tb.matrix("rFhat").equals(flip)
         names = {c.name for c in twisted_solution_check(tb)}
         assert "involutive-collapse:F" in names and "involutive-collapse:Fhat" in names
 
 
 def test_trivial_involutive_bundle_is_all_identities():
     tb = bundle_for(TRIV_INV, 0)
-    assert is_identity(tb.f_twist())
-    assert is_identity(tb.fhat_twist())
+    assert is_identity(tb.matrix("F"))
+    assert is_identity(tb.matrix("Fhat"))
     for x in range(2):
-        assert is_identity(tb.v_op(x))
-        assert is_identity(tb.delta_v(x))
-        assert is_identity(tb.delta_w(x))
+        assert is_identity(tb.matrix("V", x))
+        assert is_identity(tb.matrix("DeltaV", x))
+        assert is_identity(tb.matrix("DeltaW", x))
 
 
 def test_group_likeness_and_mixed_coproducts():
@@ -552,9 +563,10 @@ def test_export_object_names():
     for name in ("rcheck", "r", "P", "F", "Fhat", "rF", "rFhat", "F123", "Fhat123"):
         m = export_object(tb, name)
         assert np.array_equal(np.sort(m.perm), np.arange(m.size))
-    assert export_object(tb, "V:1").equals(tb.v_op(1))
-    assert export_object(tb, "DeltaW:2").equals(tb.delta_w(2))
-    for bad in ("V", "V:x", "V:9", "rcheck:1", "nonsense"):
+    assert export_object(tb, "V:1").equals(tb.matrix("V", 1))
+    assert export_object(tb, "DeltaW:2").equals(tb.matrix("DeltaW", 2))
+    bad_names = ("V", "V:", "V:x", "V:9", "V: 2", "V:+2", "V:\u0663", "V:1_0", "rcheck:1", "rcheck:", "F123:", "nonsense")
+    for bad in bad_names:
         with pytest.raises(UnknownObjectError):
             export_object(tb, bad)
 
@@ -564,12 +576,10 @@ def test_row_maps_match_decoded_maps():
     for b, z in ((CYCLIC3, 1), (S3_TRIVIAL, 4), (cyclic_unit_brace(4), 3)):
         tb = bundle_for(b, z)
         n = tb.n
-        formulas = dict(tb._pointwise())
-        for side in ("left", "right"):
-            formulas[f"split_r:{side}"] = tb.split_r(side)
+        formulas = {name: tb.formula(name) for name, op in tb.ops.items() if op.arity == 3 and not op.parametric}
         for eta in range(n):
             for bracketing in ("left", "right"):
-                formulas[f"iterated_delta_v:{eta}:{bracketing}"] = tb.iterated_delta_v(eta, bracketing)
+                formulas[f"DeltaV-{bracketing}:{eta}"] = tb.formula(f"DeltaV-{bracketing}", eta)
         q = random_perm_matrix(rng, n, 2)
         pair = _pair_formula(q)
         formulas.update({"pair12": _lift12(pair), "pair23": _lift23(pair), "pair13": _lift13(pair)})
@@ -577,7 +587,7 @@ def test_row_maps_match_decoded_maps():
         def grid_map(fn):
             # one row e per block, as the exhaustive comparison sees the grid
             blocks = [_grid(lo, hi, n) for lo, hi in row_blocks(n, n * n)]
-            return np.concatenate([np.broadcast_to(_encode3(fn(*g), n), (1, n, n)).ravel() for g in blocks])
+            return np.concatenate([np.broadcast_to(_encode(fn(*g), n), (1, n, n)).ravel() for g in blocks])
 
         for name, fn in formulas.items():
             assert np.array_equal(grid_map(fn), brute_row_map(fn, n)), name
@@ -585,7 +595,90 @@ def test_row_maps_match_decoded_maps():
         for lift, oracle in (("pair12", lift12), ("pair23", lift23), ("pair13", lift13)):
             assert np.array_equal(grid_map(formulas[lift]), oracle(q).perm), lift
         for name in ("F123", "Fhat123"):
-            assert np.array_equal(tb.materialize3(name).perm, brute_row_map(formulas[name], n))
+            assert np.array_equal(tb.matrix(name).perm, brute_row_map(formulas[name], n))
+
+
+def _operators_against_former_builders(tb, elements):
+    """Each table operator, at each of ``elements`` if it takes one, against its former builder.
+
+    Yields (name, outcome): "equal", or "raise" where both sides raise the
+    same RuntimeError (a mixed closed form that is not a bijection).
+    """
+    for name, op in tb.ops.items():
+        for x in elements if op.parametric else [None]:
+            try:
+                want = former_matrix(tb, name, x)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=f"^{exc}$"):
+                    tb.matrix(name, x)
+                yield name, "raise"
+                continue
+            assert tb.matrix(name, x).equals(want), (name, x)
+            yield name, "equal"
+
+
+def test_materializer_matches_former_builders(monkeypatch):
+    # 16-point blocks: arity-2 and arity-3 maps fill over several row blocks
+    monkeypatch.setattr(tensor, "BLOCK_POINTS", 16)
+    real = [bundle_for(b, z) for b in (*map(cyclic_unit_brace, range(2, 6)), S3_TRIVIAL) for z in range(b.order)]
+    for tb in real:
+        outcomes = set(_operators_against_former_builders(tb, range(tb.n)))
+        assert {outcome for _, outcome in outcomes} == {"equal"}
+        assert {name for name, _ in outcomes} == set(tb.ops)
+    # on random tables the mixed closed forms are often not bijections
+    raised = set()
+    for tb in (*_forged_bundles(), *_random_table_bundles()):
+        raised.update(name for name, outcome in _operators_against_former_builders(tb, range(tb.n)) if outcome == "raise")
+    assert raised == {"F-on-W", "Fhat-on-V"}
+
+
+def test_materializer_matches_former_builders_on_odd_matrix_shifts():
+    # every arity-1 and arity-2 operator at every element; an arity-3 map has
+    # n^3 = 2^24 rows, so the formulas that are not lifts run at one shift and
+    # one element, and are decoded point by point on their first and last rows
+    b = odd_matrix_brace()
+    eta = next(i for i in range(b.order) if i != b.identity)
+    for z in (1, 128):
+        tb = bundle_for(b, z)
+        for name, op in tb.ops.items():
+            if op.arity < 3:
+                for x in range(tb.n) if op.parametric else [None]:
+                    assert tb.matrix(name, x).equals(former_matrix(tb, name, x)), (name, x)
+    former = FormerBuilders(tb)
+    formulas = {
+        **{name: f for name, f in former._pointwise().items() if name[-2:] not in ("12", "23", "13")},
+        "split-r-left": former.split_r("left"),
+        "split-r-right": former.split_r("right"),
+        "DeltaV-right": former.iterated_delta_v(eta, "right"),
+        "DeltaV-left": former.iterated_delta_v(eta, "left"),
+    }
+    n = tb.n
+    rows = np.r_[0 : 2 * n * n, (n - 2) * n * n : n**3]
+    for name, fn in formulas.items():
+        got = tb.matrix(name, eta if tb.ops[name].parametric else None).perm
+        assert np.array_equal(got[rows], _encode(fn(*_decode3(rows, n)), n)), name
+
+
+def test_splitting_primitives_invert_their_coproducts():
+    for tb in (*_real_bundles(), *_forged_bundles()):
+        p, a, b = _grid(0, tb.n, tb.n)
+        for split, delta in (("D_V", "DeltaV"), ("D_W", "DeltaW")):
+            got = tb.formula(split, p)(*tb.formula(delta, p)(a, b))
+            assert all(np.array_equal(*np.broadcast_arrays(g, w)) for g, w in zip(got, (a, b)))
+
+
+def test_bundle_is_freed_without_the_cycle_collector():
+    # each shift's bundle holds several n^2 tables; a formula that closed
+    # over the bundle would keep it alive until the collector ran
+    gc.disable()
+    try:
+        tb = bundle_for(CYCLIC3, 1)
+        tb.matrix("F123")
+        ref = weakref.ref(tb)
+        del tb
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _report_checks(tb, **kw):
