@@ -63,8 +63,8 @@ def brace_to_dict(b: SkewBrace) -> dict:
         "name": b.name,
         "order": b.order,
         "labels": list(b.labels),
-        "add": [int(v) for v in b.add.table.ravel()],
-        "mul": [int(v) for v in b.mul.table.ravel()],
+        "add": b.add.table.ravel().tolist(),
+        "mul": b.mul.table.ravel().tolist(),
     }
 
 
@@ -90,7 +90,27 @@ def brace_from_dict(doc: Any) -> SkewBrace:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a dict with string keys.
+
+    ``indent`` sends the whole document through ``json``'s pure-Python
+    encoder. A flat list of ints and strings, such as an operation table or
+    the labels, goes instead through the C encoder, with the line break and
+    indent of its items as the item separator. Every other value is
+    ``json.dumps``'d at the top level and indented one level deeper: JSON
+    text holds newlines only between tokens, so that is its nested form.
+    """
+    if not doc:
+        return "{}\n"
+    fields = []
+    for key in sorted(doc):
+        val = doc[key]
+        if isinstance(val, list) and val and set(map(type, val)) <= {int, str}:
+            items = json.dumps(val, separators=(",\n    ", ":"))[1:-1]
+            text = f"[\n    {items}\n  ]"
+        else:
+            text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def write_brace(b: SkewBrace, path: str | Path) -> None:

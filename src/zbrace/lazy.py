@@ -7,20 +7,23 @@ pointwise on seeded pseudorandom samples, so results are reported as
 
 Each check is one loop over a set of primitives chosen once per call
 (``_primitives``). The canonical odd-fraction brace is evaluated on
-reduced integer pairs (p, q), q > 0, gcd(p, q) = 1: that is the canonical
-form of the rational p/q, so tuple equality is ``Fraction`` equality, and
-the draws, statuses, points and witnesses are those of the ``Fraction``
-operations. Any other brace, including a ``dataclasses.replace`` copy of
-the canonical one with a replaced operation, runs on its own callables.
+unreduced integer pairs (p, q) with p and q odd, standing for p/q. No
+result is reduced: two pairs are equal when they cross-multiply to the
+same product, and carrier membership stays a parity test, because a pair
+and its lowest terms differ by an odd factor. Its draws come straight
+from ``rng.getrandbits`` in the steps of ``rng.randint``, so the draws,
+statuses, points and witnesses (decoded to reduced ``Fraction``s) are
+those of the ``Fraction`` operations. Any other brace, including a
+``dataclasses.replace`` copy of the canonical one with a replaced
+operation, runs on its own callables.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 Element = Any
@@ -83,38 +86,54 @@ def _is_odd_fraction(x: Element) -> bool:
     return isinstance(x, Fraction) and x.numerator % 2 == 1 and x.denominator % 2 == 1
 
 
-def _reduced(p: int, q: int) -> Pair:
-    """p/q as its canonical pair: lowest terms, denominator positive."""
-    g = gcd(p, q)
-    if q < 0:
-        g = -g
-    return p // g, q // g
-
-
 @dataclass(frozen=True)
 class _OddFractionSampler:
-    """(2i + 1)/(2j + 1) with i, then j, drawn by ``rng.randint(-magnitude, magnitude)``."""
+    """(2i + 1)/(2j + 1) with i, then j, drawn as by ``rng.randint(-magnitude, magnitude)``."""
 
     magnitude: int
 
-    def pair(self, rng: random.Random) -> Pair:
+    def __post_init__(self) -> None:
         m = self.magnitude
-        num = 2 * rng.randint(-m, m) + 1
-        den = 2 * rng.randint(-m, m) + 1
-        return _reduced(num, den)
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise ValueError(f"magnitude must be a non-negative integer, got {m!r}")
+
+    def drawer(self, rng: random.Random) -> Callable[[], Pair]:
+        """A callable drawing the unreduced pair (2i + 1, 2j + 1) from ``rng``.
+
+        ``rng.randint(-m, m)`` is -m plus a draw below width = 2m + 1, which
+        CPython's ``_randbelow_with_getrandbits`` takes as ``getrandbits(k)``
+        with k = width.bit_length(), drawn again while it is >= width. This
+        makes the same ``getrandbits`` calls, so ``rng`` ends in the same state.
+        """
+        getrandbits = rng.getrandbits
+        width = 2 * self.magnitude + 1
+        k = width.bit_length()
+        low = 1 - 2 * self.magnitude  # 2 * (i - m) + 1 = 2 * i + low
+
+        def draw() -> Pair:
+            i = getrandbits(k)
+            while i >= width:
+                i = getrandbits(k)
+            j = getrandbits(k)
+            while j >= width:
+                j = getrandbits(k)
+            return 2 * i + low, 2 * j + low
+
+        return draw
 
     def __call__(self, rng: random.Random) -> Fraction:
-        return Fraction(*self.pair(rng))
+        return Fraction(*self.drawer(rng)())
 
 
 def odd_fraction_brace(magnitude: int = 25) -> LazyBrace:
     """Rationals with odd numerator and denominator, a +1 b = a - 1 + b, a o b = a*b.
 
-    ``magnitude`` bounds the integers drawn by the sampler; arithmetic is
-    exact on the full infinite carrier. The sampled checks evaluate this
-    brace on reduced integer pairs, with the same draws and results as its
-    ``Fraction`` callables; a copy with any operation replaced is evaluated
-    through its callables instead.
+    ``magnitude`` (a non-negative integer, else ``ValueError``) bounds the
+    integers drawn by the sampler; arithmetic is exact on the full infinite
+    carrier. The sampled checks evaluate this brace on unreduced integer
+    pairs, with the same draws and results as its ``Fraction`` callables; a
+    copy with any operation replaced is evaluated through its callables
+    instead.
     """
     return LazyBrace(
         name="odd-fractions",
@@ -129,27 +148,32 @@ def odd_fraction_brace(magnitude: int = 25) -> LazyBrace:
     )
 
 
-# The odd-fraction operations on canonical pairs. Each result is reduced
-# once, so it is again canonical and compares by tuple equality.
+# The odd-fraction operations on pairs (p, q), p and q odd, q of either
+# sign. Every result is again such a pair, since a sum of three odd
+# products is odd and so is 2q - p; no result is reduced.
 
 
 def _pair_add(a: Pair, b: Pair) -> Pair:
     (ap, aq), (bp, bq) = a, b
-    return _reduced(ap * bq + bp * aq - aq * bq, aq * bq)
+    return ap * bq + bp * aq - aq * bq, aq * bq
 
 
 def _pair_neg(a: Pair) -> Pair:
     p, q = a
-    return 2 * q - p, q  # gcd(2q - p, q) = gcd(p, q) = 1
+    return 2 * q - p, q
 
 
 def _pair_circle(a: Pair, b: Pair) -> Pair:
-    return _reduced(a[0] * b[0], a[1] * b[1])
+    return a[0] * b[0], a[1] * b[1]
 
 
 def _pair_circle_inv(a: Pair) -> Pair:
     p, q = a
-    return (q, p) if p > 0 else (-q, -p)
+    return q, p
+
+
+def _pair_equal(a: Pair, b: Pair) -> bool:
+    return a[0] * b[1] == b[0] * a[1]
 
 
 def _pair_contains(a: Pair) -> bool:
@@ -160,17 +184,11 @@ def _pair_apply(z: Pair, a: Pair, b: Pair) -> tuple[Pair, Pair]:
     """(sigma_a(b), tau_b(a)) from sigma_a(b) = a(b - z) + z and tau_b(a) = ab / sigma_a(b).
 
     The closed form is exact: (ab +1 (2 - az)) +1 z = ab - az + z. With
-    sigma_a(b) = num / (aq bq zq) unreduced, tau_b(a) = ap bp zq / num.
+    sigma_a(b) = num / (aq bq zq), tau_b(a) = ap bp zq / num.
     """
     (zp, zq), (ap, aq), (bp, bq) = z, a, b
     num = ap * (bp * zq - zp * bq) + zp * aq * bq
-    den = aq * bq * zq
-    g = gcd(num, den)
-    tn = ap * bp * zq
-    h = gcd(tn, num)
-    if num < 0:
-        h = -h
-    return (num // g, den // g), (tn // h, num // h)
+    return (num, aq * bq * zq), (ap * bp * zq, num)
 
 
 def _encode(x: Fraction) -> Pair:
@@ -188,11 +206,13 @@ def _same(x: Element) -> Element:
 class _Primitives(NamedTuple):
     """What every sampled loop evaluates: elements in, elements out.
 
-    ``encode`` turns a shift into the loop's element form and ``decode``
-    turns a loop element back into a carrier element for a witness.
+    ``drawer(rng)`` is the sampler bound to one generator, called with no
+    arguments. ``encode`` turns a shift into the loop's element form and
+    ``decode`` turns a loop element back into a carrier element for a
+    witness.
     """
 
-    draw: Callable[[random.Random], Element]
+    drawer: Callable[[random.Random], Callable[[], Element]]
     apply: Callable[[Element, Element, Element], tuple[Element, Element]]
     circle: Callable[[Element, Element], Element]
     add: Callable[[Element, Element], Element]
@@ -218,20 +238,20 @@ def _primitives(lb: LazyBrace) -> _Primitives:
     )
     if canonical:
         return _Primitives(
-            draw=lb.sample.pair,
+            drawer=lb.sample.drawer,
             apply=_pair_apply,
             circle=_pair_circle,
             add=_pair_add,
             neg=_pair_neg,
             circle_inv=_pair_circle_inv,
-            equal=operator.eq,
+            equal=_pair_equal,
             contains=_pair_contains,
             one=_encode(lb.one),
             encode=_encode,
             decode=_decode,
         )
     return _Primitives(
-        draw=lb.sample,
+        drawer=partial(partial, lb.sample),  # rng -> partial(lb.sample, rng)
         apply=lb.apply,
         circle=lb.circle,
         add=lb.add,
@@ -264,43 +284,38 @@ def sampled_brace_laws(lb: LazyBrace, samples: int = 1000, seed: int = 0) -> lis
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ops = _primitives(lb)
-    draw, add, neg, circle, circle_inv = ops.draw, ops.add, ops.neg, ops.circle, ops.circle_inv
+    add, neg, circle, circle_inv = ops.add, ops.neg, ops.circle, ops.circle_inv
     equal, contains, one, dec = ops.equal, ops.contains, ops.one, ops.decode
-    rng = random.Random(seed)
-    checks = {
-        "closure": None,
-        "add-associativity": None,
-        "add-identity-inverse": None,
-        "circle-associativity": None,
-        "circle-identity-inverse": None,
-        "left-distributivity": None,
-    }
+    draw = ops.drawer(random.Random(seed))
+    closure = add_assoc = add_unit = circle_assoc = circle_unit = distributive = None
     for _ in range(samples):
-        a, b, c = draw(rng), draw(rng), draw(rng)
-        if checks["closure"] is None:
-            for v in (add(a, b), neg(a), circle(a, b), circle_inv(a)):
-                if not contains(v):
-                    checks["closure"] = (dec(a), dec(b))
-                    break
-        if checks["add-associativity"] is None:
-            if not equal(add(add(a, b), c), add(a, add(b, c))):
-                checks["add-associativity"] = (dec(a), dec(b), dec(c))
-        if checks["add-identity-inverse"] is None:
-            ok = equal(add(a, one), a) and equal(add(one, a), a) and equal(add(a, neg(a)), one)
-            if not ok:
-                checks["add-identity-inverse"] = (dec(a),)
-        if checks["circle-associativity"] is None:
-            if not equal(circle(circle(a, b), c), circle(a, circle(b, c))):
-                checks["circle-associativity"] = (dec(a), dec(b), dec(c))
-        if checks["circle-identity-inverse"] is None:
-            ok = equal(circle(a, one), a) and equal(circle(a, circle_inv(a)), one)
-            if not ok:
-                checks["circle-identity-inverse"] = (dec(a),)
-        if checks["left-distributivity"] is None:
-            lhs = circle(a, add(b, c))
-            rhs = add(add(circle(a, b), neg(a)), circle(a, c))
-            if not equal(lhs, rhs):
-                checks["left-distributivity"] = (dec(a), dec(b), dec(c))
+        a, b, c = draw(), draw(), draw()
+        # The subterms that more than one law uses, each evaluated once.
+        a_plus_b, b_plus_c, neg_a = add(a, b), add(b, c), neg(a)
+        a_circ_b, inv_a = circle(a, b), circle_inv(a)
+        if closure is None:
+            if not (contains(a_plus_b) and contains(neg_a) and contains(a_circ_b) and contains(inv_a)):
+                closure = (dec(a), dec(b))
+        if add_assoc is None and not equal(add(a_plus_b, c), add(a, b_plus_c)):
+            add_assoc = (dec(a), dec(b), dec(c))
+        if add_unit is None:
+            if not (equal(add(a, one), a) and equal(add(one, a), a) and equal(add(a, neg_a), one)):
+                add_unit = (dec(a),)
+        if circle_assoc is None and not equal(circle(a_circ_b, c), circle(a, circle(b, c))):
+            circle_assoc = (dec(a), dec(b), dec(c))
+        if circle_unit is None and not (equal(circle(a, one), a) and equal(circle(a, inv_a), one)):
+            circle_unit = (dec(a),)
+        if distributive is None:
+            if not equal(circle(a, b_plus_c), add(add(a_circ_b, neg_a), circle(a, c))):
+                distributive = (dec(a), dec(b), dec(c))
+    verdicts = {
+        "closure": closure,
+        "add-associativity": add_assoc,
+        "add-identity-inverse": add_unit,
+        "circle-associativity": circle_assoc,
+        "circle-identity-inverse": circle_unit,
+        "left-distributivity": distributive,
+    }
     return [
         SampledCheck(
             name=name,
@@ -308,7 +323,7 @@ def sampled_brace_laws(lb: LazyBrace, samples: int = 1000, seed: int = 0) -> lis
             points=samples,
             witness=witness,
         )
-        for name, witness in checks.items()
+        for name, witness in verdicts.items()
     ]
 
 
@@ -329,24 +344,24 @@ def sampled_verify_lazy(
 
     The triples come from ``random.Random(seed)`` and the involutivity and
     separator draws from ``random.Random(seed + 1)``. On the canonical
-    odd-fraction brace every loop runs on reduced integer pairs, and the
-    witnesses are decoded back to ``Fraction``s.
+    odd-fraction brace every loop runs on unreduced integer pairs, and the
+    witnesses are decoded back to reduced ``Fraction``s.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not lb.contains(z):
         raise ValueError(f"shift {z!r} is not in the carrier of {lb.name}")
     ops = _primitives(lb)
-    draw, apply, circle, add, neg = ops.draw, ops.apply, ops.circle, ops.add, ops.neg
+    apply, circle, add, neg = ops.apply, ops.circle, ops.add, ops.neg
     equal, dec = ops.equal, ops.decode
     z = ops.encode(z)
-    rng = random.Random(seed)
+    draw = ops.drawer(random.Random(seed))
 
     # Each constraint side is one component of r_z at one of six pairs, so
     # every sigma and tau below is evaluated once per sample.
     c1 = c2 = c3 = prod = None
     for _ in range(samples):
-        e, x, y = draw(rng), draw(rng), draw(rng)
+        e, x, y = draw(), draw(), draw()
         s_xy, t_yx = apply(z, x, y)  # sigma_x(y), tau_y(x)
         if prod is None and not equal(circle(s_xy, t_yx), circle(x, y)):
             prod = (dec(x), dec(y))
@@ -370,12 +385,12 @@ def sampled_verify_lazy(
         SampledCheck("product-identity", "sampled" if prod is None else "fail", samples, prod),
     ]
 
-    rng2 = random.Random(seed + 1)
+    draw2 = ops.drawer(random.Random(seed + 1))
     inv_samples = min(samples, 2000)
     if equal(z, ops.one):
         bad = None
         for _ in range(inv_samples):
-            x, y = draw(rng2), draw(rng2)
+            x, y = draw2(), draw2()
             uu, vv = apply(z, *apply(z, x, y))
             if not (equal(uu, x) and equal(vv, y)):
                 bad = (dec(x), dec(y))
@@ -391,7 +406,7 @@ def sampled_verify_lazy(
     else:
         wit = None
         for _ in range(inv_samples):
-            x, y = draw(rng2), draw(rng2)
+            x, y = draw2(), draw2()
             u, v = apply(z, x, y)
             uu, vv = apply(z, u, v)
             if not (equal(uu, x) and equal(vv, y)):
@@ -413,7 +428,7 @@ def sampled_verify_lazy(
         w = ops.encode(w)
         sep = None
         for _ in range(inv_samples):
-            a = draw(rng2)
+            a = draw2()
             lhs = add(neg(circle(a, z)), z)
             rhs = add(neg(circle(a, w)), w)
             if not equal(lhs, rhs):

@@ -246,6 +246,50 @@ def brute_lazy_constraints(lb, z, samples, seed):
     return {"constraint-c1": c1, "constraint-c2": c2, "constraint-c3": c3, "product-identity": prod}
 
 
+def brute_lazy_laws(lb, samples, seed):
+    """First failing sample of each group and distributivity law, or None each.
+
+    Each law evaluated from its definition, every term afresh, drawing
+    (a, b, c) from ``random.Random(seed)`` in the same order as
+    ``sampled_brace_laws``.
+    """
+    add, neg, circle, inv, eq, one = lb.add, lb.neg, lb.circle, lb.circle_inv, lb.equal, lb.one
+    rng = random.Random(seed)
+    first = dict.fromkeys(
+        (
+            "closure",
+            "add-associativity",
+            "add-identity-inverse",
+            "circle-associativity",
+            "circle-identity-inverse",
+            "left-distributivity",
+        )
+    )
+    for _ in range(samples):
+        a, b, c = lb.sample(rng), lb.sample(rng), lb.sample(rng)
+        laws = {
+            "closure": (
+                all(lb.contains(v) for v in (add(a, b), neg(a), circle(a, b), inv(a))),
+                (a, b),
+            ),
+            "add-associativity": (eq(add(add(a, b), c), add(a, add(b, c))), (a, b, c)),
+            "add-identity-inverse": (
+                eq(add(a, one), a) and eq(add(one, a), a) and eq(add(a, neg(a)), one),
+                (a,),
+            ),
+            "circle-associativity": (eq(circle(circle(a, b), c), circle(a, circle(b, c))), (a, b, c)),
+            "circle-identity-inverse": (eq(circle(a, one), a) and eq(circle(a, inv(a)), one), (a,)),
+            "left-distributivity": (
+                eq(circle(a, add(b, c)), add(add(circle(a, b), neg(a)), circle(a, c))),
+                (a, b, c),
+            ),
+        }
+        for name, (held, witness) in laws.items():
+            if first[name] is None and not held:
+                first[name] = witness
+    return first
+
+
 def brute_dedup(b, zs, pair_criterion=None):
     """(classes, criterion_pairs) by pairwise comparison of full sigma tables.
 

@@ -9,18 +9,26 @@ import pytest
 
 from oracles import permutation_p
 from zbrace import fileio
-from zbrace.braces import BoundExceededError, cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
+from zbrace.braces import (
+    BoundExceededError,
+    cyclic_unit_brace,
+    odd_matrix_brace,
+    product_brace,
+    radical_even_brace,
+    trivial_skew_brace,
+)
 from zbrace.cli import main
 from zbrace.fileio import (
     SchemaError,
     brace_from_dict,
     brace_to_dict,
+    canonical_json,
     matrix_coo_text,
     parse_brace,
     write_brace,
     write_matrix,
 )
-from zbrace.groups import cyclic_group
+from zbrace.groups import cyclic_group, symmetric_group
 from zbrace.reporting import (
     build_report,
     config_int,
@@ -50,6 +58,39 @@ def test_brace_roundtrip_is_identity(tmp_path, cyclic3_file):
     again = tmp_path / "again.brace"
     write_brace(parsed, again)
     assert again.read_text() == cyclic3_file.read_text()
+
+
+def _reference_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_brace_files_are_the_indented_json_of_every_family(tmp_path):
+    braces = [cyclic_unit_brace(n) for n in (2, 3, 5, 8)]
+    braces += [odd_matrix_brace(), radical_even_brace(8), radical_even_brace(16)]
+    braces += [trivial_skew_brace(symmetric_group(3), name="trivial-s3"), trivial_skew_brace(cyclic_group(6))]
+    braces.append(product_brace(cyclic_unit_brace(2), trivial_skew_brace(symmetric_group(3))))
+    for b in braces:
+        doc = brace_to_dict(b)
+        assert all(type(v) is int for v in doc["add"] + doc["mul"]), b.name
+        path = tmp_path / "b.brace"
+        write_brace(b, path)
+        assert path.read_bytes() == _reference_json(doc).encode("utf-8"), b.name
+
+
+def test_brace_file_escapes_name_and_labels_like_json():
+    odd = ['"q"', "back\\slash", "caf\u00e9 \u2203\U0001d53d", "line\nbreak\ttab", ",\n    ", "[\n  ]", '": "', ""]
+    b = brace_from_dict({**brace_to_dict(cyclic_unit_brace(4)), "name": 'n"a\\me\n\u00e9', "labels": odd})
+    doc = brace_to_dict(b)
+    assert doc["labels"] == odd
+    assert canonical_json(doc) == _reference_json(doc)
+    assert json.loads(canonical_json(doc)) == doc
+    others = [
+        {},
+        {"z": [], "a": [[1, 2], {"b": [3]}], "m": [True, False, None], "n": [1.5, 2], "s": "x"},
+        {"t": [0, -1, 2**70, "7"], "e": {}, "k": {"y": 1, "x": [4]}},
+    ]
+    for doc in others:
+        assert canonical_json(doc) == _reference_json(doc)
 
 
 def test_order2_file_parses(tmp_path):

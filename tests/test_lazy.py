@@ -1,10 +1,14 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import brute_lazy_constraints
+from oracles import brute_lazy_constraints, brute_lazy_laws
 from zbrace import lazy
 from zbrace.lazy import odd_fraction_brace, sampled_brace_laws, sampled_verify_lazy
 
@@ -60,6 +64,10 @@ def _lazy_variant(kind):
         )
     if kind == "neg-not-inverse":
         return dataclasses.replace(lb, neg=lambda a: 2 - a if a > 0 else a)
+    if kind == "add-not-associative":
+        return dataclasses.replace(lb, add=lambda a, b: a - 1 + b if a < 7 else a + 1 + b)
+    if kind == "neg-leaves-carrier":
+        return dataclasses.replace(lb, neg=lambda a: 3 - a)
     return lb
 
 
@@ -75,6 +83,25 @@ def test_constraint_verdicts_match_direct_evaluation(kind, z):
         assert got[name].points == 300
     if kind != "intact":
         assert any(w is not None for w in expected.values())
+
+
+@pytest.mark.parametrize(
+    "kind", ["intact", "circle-not-associative", "neg-not-inverse", "add-not-associative", "neg-leaves-carrier"]
+)
+def test_law_verdicts_match_direct_evaluation(kind):
+    lb = _lazy_variant(kind)
+    for seed in range(3):
+        expected = brute_lazy_laws(lb, samples=300, seed=seed)
+        got = sampled_brace_laws(lb, samples=300, seed=seed)
+        assert [c.name for c in got] == list(expected)
+        for c in got:
+            assert c.witness == expected[c.name], (c.name, seed)
+            assert c.status == ("sampled" if c.witness is None else "fail")
+            assert c.points == 300
+        if kind != "intact":
+            assert any(w is not None for w in expected.values())
+    if kind == "add-not-associative":
+        assert expected["add-associativity"] is not None
 
 
 def test_identity_shift_is_involutive_on_samples():
@@ -214,37 +241,89 @@ def test_pair_kernel_witnesses_are_fractions():
     _assert_fraction_witnesses(checks)
 
 
+def _unreduced(rng, x):
+    """x as a kernel pair: numerator and denominator times one odd factor of either sign."""
+    k = rng.choice((1, -1)) * (2 * rng.randrange(20) + 1)
+    return k * x.numerator, k * x.denominator
+
+
 def test_pair_primitives_agree_with_fraction_operations():
     lb = odd_fraction_brace()
     ops = lazy._primitives(lb)
-    enc, dec = ops.encode, ops.decode
+    dec = ops.decode
     rng = random.Random(11)
     special = [Fraction(1), Fraction(-1), Fraction(3**40, -(5**31)), Fraction(-(7**25), 3**30)]
+    outside = [Fraction(2, 5), Fraction(-3, 4), Fraction(6, 7), Fraction(5, -8)]
 
     def draw():
         kind = rng.randrange(4)
         if kind == 0:
-            return rng.choice(special)
-        m = (1, 25, 10**12)[kind - 1]
-        return Fraction(2 * rng.randint(-m, m) + 1, 2 * rng.randint(-m, m) + 1)
+            x = rng.choice(special)
+        else:
+            m = (1, 25, 10**12)[kind - 1]
+            x = Fraction(2 * rng.randint(-m, m) + 1, 2 * rng.randint(-m, m) + 1)
+        return x, _unreduced(rng, x)
 
+    def value(pair):
+        got = dec(pair)
+        assert type(got) is Fraction
+        return got
+
+    negative_denominators = 0
     for _ in range(2000):
-        z, a, b = draw(), draw(), draw()
-        pz, pa, pb = enc(z), enc(a), enc(b)
-        assert dec(pa) == a and type(dec(pa)) is Fraction
-        assert ops.add(pa, pb) == enc(lb.add(a, b))
-        assert ops.neg(pa) == enc(lb.neg(a))
-        assert ops.circle(pa, pb) == enc(lb.circle(a, b))
-        assert ops.circle_inv(pa) == enc(lb.circle_inv(a))
-        assert ops.equal(pa, pb) == lb.equal(a, b)
-        assert ops.equal(pa, enc(a))
-        assert ops.contains(ops.add(pa, pb)) and ops.contains(pa)
+        (z, pz), (a, pa), (b, pb) = draw(), draw(), draw()
+        negative_denominators += pa[1] < 0
+        assert value(pa) == a
+        assert value(ops.add(pa, pb)) == lb.add(a, b)
+        assert value(ops.neg(pa)) == lb.neg(a)
+        assert value(ops.circle(pa, pb)) == lb.circle(a, b)
+        assert value(ops.circle_inv(pa)) == lb.circle_inv(a)
+        assert ops.equal(pa, pb) == (a == b)
+        assert ops.equal(pa, _unreduced(rng, a))
+        assert ops.equal(ops.circle(pa, ops.circle_inv(pa)), ops.one)
         s, t = ops.apply(pz, pa, pb)
-        assert (s, t) == (enc(lb.sigma(z, a, b)), enc(lb.tau(z, b, a)))
-    assert not ops.contains((2, 5)) and not ops.contains((3, 4))
-    for m in MAGNITUDES:
-        lbm = odd_fraction_brace(m)
-        r1, r2 = random.Random(m), random.Random(m)
-        draws = lazy._primitives(lbm).draw
-        for _ in range(200):
-            assert draws(r1) == enc(lbm.sample(r2))
+        assert (value(s), value(t)) == (lb.sigma(z, a, b), lb.tau(z, b, a))
+        for x in (pa, ops.add(pa, pb), ops.neg(pa), ops.circle(pa, pb), ops.circle_inv(pa), s, t):
+            assert ops.contains(x) and lazy._is_odd_fraction(dec(x))
+        px = _unreduced(rng, rng.choice(outside))
+        assert not ops.contains(px) and not lazy._is_odd_fraction(dec(px))
+        assert not ops.equal(px, pa)
+    assert negative_denominators > 500
+
+
+@pytest.mark.parametrize("m", (0, 1, 25, 1000, 10**12))
+def test_drawer_reproduces_randint_and_leaves_the_same_state(m):
+    # width 2m + 1 > 2**32 at m = 10**12, so each getrandbits call takes several words
+    lb = odd_fraction_brace(m)
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draw = lazy._primitives(lb).drawer(rng)
+        for _ in range(300):
+            assert draw() == (2 * ref.randint(-m, m) + 1, 2 * ref.randint(-m, m) + 1)
+        assert rng.random() == ref.random()
+
+
+def test_magnitude_zero_draws_one():
+    lb = odd_fraction_brace(0)
+    rng = random.Random(0)
+    assert {lb.sample(rng) for _ in range(50)} == {Fraction(1)}
+    checks = sampled_brace_laws(lb, samples=20, seed=0)
+    assert all(c.status == "sampled" for c in checks)
+
+
+@pytest.mark.parametrize("magnitude", [-1, True, 2.5, "3", None])
+def test_bad_magnitude_is_refused_when_the_brace_is_built(magnitude):
+    with pytest.raises(ValueError, match="magnitude must be a non-negative integer"):
+        odd_fraction_brace(magnitude)
+
+
+def test_importing_lazy_loads_no_numpy_and_no_other_zbrace_module():
+    # The lazy workload's set-up is this import alone. It keeps its own
+    # SampledCheck record because zbrace.solutions.Check would pull in numpy.
+    code = (
+        "import sys, zbrace.lazy; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'zbrace')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lazy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['zbrace', 'zbrace.lazy']"
