@@ -17,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .groups import (
+    INDEX_DTYPE,
+    INDEX_ORDER_MAX,
     FiniteGroup,
     GroupValidationError,
     NotAssociativeError,
@@ -26,6 +28,8 @@ from .groups import (
 )
 
 DEFAULT_CARRIER_CAP = 4096
+# every carrier within the cap has its element indices in INDEX_DTYPE
+assert DEFAULT_CARRIER_CAP <= INDEX_ORDER_MAX
 DEFAULT_CYCLIC_BOUND = 16
 
 
@@ -163,7 +167,7 @@ def _first_non_additive(A: np.ndarray, maps: np.ndarray) -> tuple[int, int, int]
 def socle(b: SkewBrace) -> np.ndarray:
     """Indices z with a o z = a + z for every a, by exhaustive column scan."""
     members = np.flatnonzero(np.all(b.mul.table == b.add.table, axis=0))
-    return members.astype(np.int64)
+    return members.astype(INDEX_DTYPE)
 
 
 def right_distributes_at(b: SkewBrace, z: int) -> tuple[int, int, int] | None:
@@ -190,9 +194,9 @@ def admissible_z(b: SkewBrace) -> np.ndarray:
     checked individually.
     """
     if b.is_two_sided:
-        return np.arange(b.order, dtype=np.int64)
+        return np.arange(b.order, dtype=INDEX_DTYPE)
     ok = [z for z in range(b.order) if right_distributes_at(b, z) is None]
-    return np.asarray(ok, dtype=np.int64)
+    return np.asarray(ok, dtype=INDEX_DTYPE)
 
 
 def trivial_skew_brace(g: FiniteGroup, name: str | None = None) -> SkewBrace:
@@ -249,9 +253,10 @@ def odd_matrix_tables() -> tuple[np.ndarray, np.ndarray]:
     """Closed-form addition and multiplication tables of the odd-matrix brace.
 
     Indices follow ``odd_matrix_entries``; addition is A + B - I entrywise
-    mod 8, multiplication is the matrix product mod 8.
+    mod 8, multiplication is the matrix product mod 8.  Every intermediate
+    is below 2^8, so the tables are computed in ``INDEX_DTYPE`` throughout.
     """
-    idx = np.arange(256)
+    idx = np.arange(256, dtype=INDEX_DTYPE)
     a = 2 * ((idx >> 6) & 3) + 1
     bb = 2 * ((idx >> 4) & 3)
     c = 2 * ((idx >> 2) & 3)
@@ -381,6 +386,7 @@ def from_radical_ring(
         raise NotRadicalError(f"multiplication table shape {mr.shape} does not match order {n}")
     if mr.min() < 0 or mr.max() >= n:
         raise NotRadicalError("multiplication table entries out of range")
+    mr = mr.astype(INDEX_DTYPE)
 
     for side, maps in (("left", mr), ("right", mr.T)):
         if not _additive_on_generators(A, maps, add.generators):

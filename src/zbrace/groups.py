@@ -5,6 +5,12 @@ indices; labels are presentation-only.  Validation is eager: a
 ``FiniteGroup`` instance always satisfies all group axioms, so sweeps
 downstream never re-check them.
 
+Every array of element indices (Cayley tables, inverses, and every table
+built from them in higher layers) has the one dtype ``INDEX_DTYPE``.
+Only flat codes of several indices, such as x*n + y, are int64, and each
+is widened explicitly before its multiply: an int16 x times n overflows
+from n = 256 on.
+
 ``first_difference`` is the one exhaustive sweep: every law checked at
 all n^3 points, in any layer, names its row-major first failure with it.
 """
@@ -17,6 +23,11 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
+
+# The dtype of every element-index array, and the largest order it indexes.  The carrier
+# cap (``braces.DEFAULT_CARRIER_CAP``) stays within it; ``validate_group`` refuses more.
+INDEX_DTYPE = np.int16
+INDEX_ORDER_MAX = int(np.iinfo(INDEX_DTYPE).max) + 1
 
 # Row block size for chunked O(n^3) scans; keeps peak memory near
 # _BLOCK_ELEMS intermediate entries per array.
@@ -52,12 +63,15 @@ class IndexOutOfRangeError(IndexError):
 
 
 def _as_table(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The table as a square integer array, uncopied in its own dtype, so a range check sees every entry unwrapped."""
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotClosedError(f"table must be square and non-empty, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise NotClosedError("table entries must be integers")
-    return arr.astype(np.int64, copy=True)
+    if arr.shape[0] > INDEX_ORDER_MAX:
+        raise GroupValidationError(f"order {arr.shape[0]} exceeds {INDEX_ORDER_MAX}, the most an index table holds")
+    return arr
 
 
 def _first_bad_entry(table: np.ndarray) -> tuple[int, int] | None:
@@ -163,16 +177,18 @@ def validate_group(
     Only when a generator fails does the cubic sweep run, to name the
     row-major first failing triple.
     """
-    t = _as_table(table)
-    n = t.shape[0]
+    wide = _as_table(table)
+    n = wide.shape[0]
 
-    bad = _first_bad_entry(t)
+    bad = _first_bad_entry(wide)
     if bad is not None:
         a, b = bad
         raise NotClosedError(
-            f"entry table[{a}][{b}] = {int(t[a, b])} is not an index in [0, {n})",
+            f"entry table[{a}][{b}] = {int(wide[a, b])} is not an index in [0, {n})",
             witness=(a, b),
         )
+    # narrowed only now: an unchecked entry such as 65541 would wrap to a valid index
+    t = wide.astype(INDEX_DTYPE)
 
     idx = np.arange(n)
     e = None
@@ -190,7 +206,7 @@ def validate_group(
             f"associativity fails at (a,b,c)=({a},{b},{c})", witness=(a, b, c)
         )
 
-    inverses = np.full(n, -1, dtype=np.int64)
+    inverses = np.full(n, -1, dtype=INDEX_DTYPE)
     for a in range(n):
         hits = np.flatnonzero(t[a] == e)
         two_sided = [int(b) for b in hits if t[b, a] == e]
@@ -251,7 +267,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     m = len(elems)
-    table = np.zeros((m, m), dtype=np.int64)
+    table = np.zeros((m, m), dtype=INDEX_DTYPE)
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
             table[i, j] = index[tuple(p[q[k]] for k in range(n))]
@@ -264,6 +280,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n1, n2 = g1.order, g2.order
     a1, b1 = np.divmod(np.arange(n1 * n2)[:, None], n2)
     a2, b2 = np.divmod(np.arange(n1 * n2)[None, :], n2)
-    table = g1.table[a1, a2] * n2 + g2.table[b1, b2]
+    table = g1.table[a1, a2].astype(np.int64) * n2 + g2.table[b1, b2]
     labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(n1) for b in range(n2)]
     return validate_group(table, labels=labels)

@@ -49,7 +49,8 @@ class DeformedSolution:
 
     sigma[x][y] = sigma_x(y);  tau[y][x] = tau_y(x);  combined is the
     permutation of the n^2 pair space (x,y) -> (sigma_x(y), tau_y(x))
-    under the pair index x*n + y.
+    under the pair index x*n + y.  sigma and tau are ``INDEX_DTYPE``
+    tables; combined holds int64 pair codes.
     """
 
     brace: SkewBrace
@@ -143,8 +144,20 @@ def tau_table_from_sigma(b: SkewBrace, sigma: np.ndarray) -> np.ndarray:
 
 
 def pair_map(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The int64 pair codes sigma_x(y)*n + tau_y(x), row-major in (x, y)."""
     n = sigma.shape[0]
-    return (sigma * n + tau.T).ravel()
+    return (sigma.astype(np.int64) * n + tau.T).ravel()
+
+
+def row_inverses(table: np.ndarray) -> np.ndarray:
+    """[x, table[x, y]] = y, by one scatter: each row's inverse, when every row is a permutation.
+
+    A row that is not one gets in-range entries that mean nothing, so
+    callers check the rows, before or after.
+    """
+    inv = np.zeros_like(table)
+    np.put_along_axis(inv, table, np.arange(table.shape[1], dtype=table.dtype)[None, :], axis=1)
+    return inv
 
 
 def _check_nondegenerate(sigma: np.ndarray, tau: np.ndarray, combined: np.ndarray) -> None:
@@ -297,9 +310,8 @@ def derived_rack_certificate(s: DeformedSolution) -> bool:
         return False
     # flat gathers: about 1.5x faster than 2-D broadcast indexing at n = 2048
     rack = A.ravel().take(h[A.take(neg, axis=1)] + idx * n)  # [x, u] = u + h(x - u)
-    s_inv = np.empty_like(S)
-    np.put_along_axis(s_inv, S, idx[None, :], axis=1)  # [x, sigma_x(y)] = y
-    tau_inner = s.tau.ravel().take(s_inv * n + idx[:, None])  # [x, u] = tau_{sigma_x^{-1}(u)}(x)
+    s_inv = row_inverses(S)  # [x, sigma_x(y)] = y
+    tau_inner = s.tau.ravel().take(s_inv.astype(np.int64) * n + idx[:, None])  # [x, u] = tau_{sigma_x^{-1}(u)}(x)
     if not np.array_equal(S.ravel().take(tau_inner + idx * n), rack):
         return False
     return all(
@@ -352,14 +364,18 @@ def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
     # The sweeps take one row e per block (block n * n), and each side is
     # the [x, y] array of that row: written on (1, n, n) blocks, the c2
     # sweep of an odd-matrix shift (n = 256) measured twice as slow.
+    # Flat codes widen to int64 first: an int16 x * n overflows from n = 256 on.
     def c1(e: int, _hi: int):
-        return (S[e][S],), (flat_s.take(S[e][:, None] * n + S[TT[e]]),)
+        return (S[e][S],), (flat_s.take(S[e][:, None].astype(np.int64) * n + S[TT[e]]),)
 
     def c2(e: int, _hi: int):
-        return (TT[TT[e]],), (flat_tt.take(TT[e][S] * n + TT),)
+        return (TT[TT[e]],), (flat_tt.take(TT[e][S].astype(np.int64) * n + TT),)
 
     def c3(e: int, _hi: int):
-        return (flat_tt.take(S[e][:, None] * n + S[TT[e]]),), (flat_s.take(TT[e][S] * n + TT),)
+        return (
+            (flat_tt.take(S[e][:, None].astype(np.int64) * n + S[TT[e]]),),
+            (flat_s.take(TT[e][S].astype(np.int64) * n + TT),),
+        )
 
     # each constraint is timed from the end of the previous one, so the
     # product identity, which both certificates read, counts towards c1

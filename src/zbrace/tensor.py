@@ -9,7 +9,9 @@ evaluate left to right in product order; compositions below rely on this.
 Basis index convention (fixed): the tuple (i1, ..., ik) with factor
 dimension n encodes to i1*n^(k-1) + ... + ik, leftmost factor most
 significant.  Leg subscripts 12, 23, 13 and the split subscripts (1,23),
-(12,3) all refer to this encoding.
+(12,3) all refer to this encoding.  Legs are ``INDEX_DTYPE`` arrays, and
+flat indices int64, widened in ``_encode`` before any multiply: n^3 is
+past int32 at the carrier cap.
 
 Each operator has one definition: an index formula in the table
 ``TwistBundle.ops``, from the legs of a row to the legs of its column, of
@@ -65,8 +67,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import first_difference, row_blocks
-from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict
+from .groups import INDEX_DTYPE, first_difference, row_blocks
+from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict, row_inverses
 
 DEFAULT_SAMPLE_POINTS = 100_000
 # Arity-3 checks run exhaustively when n^3 is at most this many points.
@@ -135,12 +137,12 @@ class PermMatrix:
 def _decode3(p: np.ndarray, n: int) -> Triple:
     e, r = np.divmod(p, n * n)
     u, v = np.divmod(r, n)
-    return e, u, v
+    return e.astype(INDEX_DTYPE), u.astype(INDEX_DTYPE), v.astype(INDEX_DTYPE)
 
 
 def _encode(legs: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """The flat index of a tuple of legs, leftmost leg most significant."""
-    flat = legs[0]
+    """The int64 flat index of a tuple of legs, leftmost leg most significant."""
+    flat = np.asarray(legs[0], dtype=np.int64)
     for leg in legs[1:]:
         flat = flat * n + leg
     return flat
@@ -165,7 +167,7 @@ def _grid(lo: int, hi: int, n: int, arity: int = 3) -> tuple[np.ndarray, ...]:
     A formula on the grid gathers only over the shape its legs actually
     span (n^2 for a lifted pair operator) and decodes no flat index.
     """
-    legs = (np.arange(lo, hi), *(np.arange(n),) * (arity - 1))
+    legs = (np.arange(lo, hi, dtype=INDEX_DTYPE), *(np.arange(n, dtype=INDEX_DTYPE),) * (arity - 1))
     return tuple(leg.reshape((1,) * k + (-1,) + (1,) * (arity - 1 - k)) for k, leg in enumerate(legs))
 
 
@@ -217,7 +219,7 @@ def _compare_chains(
         if hit is None:
             return _verdict(name, total, None, start)
         # the witness alone, as a one-point sample: both chains run again there
-        p, pts = np.array([_encode(hit, n)]), tuple(np.array([v]) for v in hit)
+        p, pts = np.array([_encode(hit, n)]), tuple(np.array([v], dtype=INDEX_DTYPE) for v in hit)
     else:
         p, pts = _sample(n, sample_points, seed)
     le = _encode(_chain(lhs, pts), n)
@@ -260,7 +262,7 @@ def _lift13(f2: Formula2) -> Formula3:
 
 def _pair_formula(op: PermMatrix) -> Formula2:
     """The index formula of an arity-2 permutation matrix: (x, y) -> its column pair."""
-    qa, qc = np.divmod(op.perm.reshape(op.dim, op.dim), op.dim)
+    qa, qc = (q.astype(INDEX_DTYPE) for q in np.divmod(op.perm.reshape(op.dim, op.dim), op.dim))
 
     def op2(x, y):
         return qa[x, y], qc[x, y]
@@ -295,8 +297,8 @@ class TwistBundle:
         self.n = s.order
         self.sigma = s.sigma
         self.taut = s.tau.T.copy()  # [x, y] = tau_y(x)
-        self.sigma_inv = np.argsort(s.sigma, axis=1)
-        self.tau_inv = np.argsort(s.tau, axis=1)  # [y, u] = x with tau_y(x) = u
+        self.sigma_inv = row_inverses(s.sigma)
+        self.tau_inv = row_inverses(s.tau)  # [y, u] = x with tau_y(x) = u
         # The inverse tables, and every formula read from them, are only
         # inverses when each sigma_x and tau_y is a permutation.
         idx = np.arange(self.n)
@@ -773,7 +775,7 @@ def _decided_probe(
     if n**3 <= budget:
         if hit is None:
             return _verdict(name, n**3, None, start)
-        points = _encode(hit, n) + 1
+        points = int(_encode(hit, n)) + 1
     else:
         p, pts = _sample(n, sample_points, seed)
         points = int(p.size)
@@ -787,9 +789,9 @@ def _decided_probe(
                     break
         if hit is None:
             return Check(name, "sampled", points, None, note="seeded sample, not exhaustive", elapsed_ms=_ms_since(start))
-    one = tuple(np.array([v]) for v in hit)
+    one = tuple(np.array([v], dtype=INDEX_DTYPE) for v in hit)
     witness = {
-        "point": _encode(hit, n),
+        "point": int(_encode(hit, n)),
         "triple": list(hit),
         "lhs": int(_encode(_chain(lhs, one), n)[0]),
         "rhs": int(_encode(_chain(rhs, one), n)[0]),

@@ -360,11 +360,12 @@ class FormerBuilders:
     """
 
     def __init__(self, bundle):
+        # the builders form flat codes as x * n + y on the tables, which need int64
         self.n = bundle.n
-        self.sigma = bundle.sigma
-        self.taut = bundle.taut
-        self.sigma_inv = bundle.sigma_inv
-        self.tau_inv = bundle.tau_inv
+        self.sigma = bundle.sigma.astype(np.int64)
+        self.taut = bundle.taut.astype(np.int64)
+        self.sigma_inv = bundle.sigma_inv.astype(np.int64)
+        self.tau_inv = bundle.tau_inv.astype(np.int64)
 
     # -- arity 1 families ------------------------------------------------
     def v_op(self, x: int) -> PermMatrix:
@@ -563,14 +564,16 @@ class FormerBuilders:
 def brute_delta_v(bundle, eta):
     """Coproduct of V_eta scattered from its rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
     n, grid = bundle.n, np.arange(bundle.n)
-    rows = bundle.sigma[eta][:, None] * n + bundle.sigma[bundle.taut[eta]]
+    S, TT = bundle.sigma.astype(np.int64), bundle.taut
+    rows = S[eta][:, None] * n + S[TT[eta]]
     return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
 
 def brute_delta_w(bundle, y):
     """Coproduct of W_y scattered from its rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
     n, grid = bundle.n, np.arange(bundle.n)
-    rows = bundle.taut[:, bundle.sigma[:, y]] * n + bundle.taut[:, y][None, :]
+    S, TT = bundle.sigma, bundle.taut.astype(np.int64)
+    rows = TT[:, S[:, y]] * n + TT[:, y][None, :]
     return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_group_facts
 from zbrace.groups import (
+    INDEX_ORDER_MAX,
+    GroupValidationError,
     IndexOutOfRangeError,
     MissingInverseError,
     NoIdentityError,
@@ -62,6 +64,21 @@ def test_not_closed_first_witness():
     with pytest.raises(NotClosedError) as err:
         validate_group([[0, 1], [1, 5]])
     assert err.value.witness == (1, 1)
+
+
+def test_order_past_the_index_dtype_is_refused_before_any_table_work(monkeypatch):
+    import zbrace.groups
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("entries read before the order was checked")
+
+    monkeypatch.setattr(zbrace.groups, "_first_bad_entry", no_work)
+    n = INDEX_ORDER_MAX + 1
+    # a read-only view of one entry: refusing it allocates nothing
+    table = np.broadcast_to(np.int64(0), (n, n))
+    message = f"^order {n} exceeds {INDEX_ORDER_MAX}, the most an index table holds$"
+    with pytest.raises(GroupValidationError, match=message):
+        validate_group(table)
 
 
 def test_not_associative_first_witness_row_major():

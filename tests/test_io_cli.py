@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from zbrace.fileio import (
     write_brace,
     write_matrix,
 )
-from zbrace.groups import cyclic_group, symmetric_group
+from zbrace.groups import NotClosedError, cyclic_group, symmetric_group, validate_group
 from zbrace.reporting import (
     build_report,
     config_int,
@@ -712,6 +713,23 @@ def test_table_entry_out_of_int64_range_is_an_input_error(tmp_path, capsys, bad)
     assert _assert_one_error_line(capsys) == (
         "error: $.add[1]: entries must fit in a signed 64-bit integer\n"
     )
+
+
+# add[1][4] = 5 in the odd-matrix brace; each bad value is 5 modulo 2^16, so an entry
+# narrowed to int16 before its range check would read 5 and the file would validate
+@pytest.mark.parametrize("bad", [65541, -65531, 2**32 + 5], ids=["2^16+5", "-2^16+5", "2^32+5"])
+def test_table_entry_that_wraps_to_an_index_is_refused(tmp_path, capsys, bad):
+    doc = brace_to_dict(odd_matrix_brace())
+    assert doc["add"][1 * 256 + 4] == 5
+    doc["add"][1 * 256 + 4] = bad
+    message = f"entry table[1][4] = {bad} is not an index in [0, 256)"
+    with pytest.raises(NotClosedError, match=rf"^{re.escape(message)}$") as err:
+        validate_group(np.array(doc["add"], dtype=np.int64).reshape(256, 256))
+    assert err.value.witness == (1, 4)
+    path = tmp_path / "wrapped.brace"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

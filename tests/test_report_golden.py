@@ -31,6 +31,9 @@ CYCLIC4_TWIST = "c3070d3c61288ed5958b51cedf9ccd19c61f2ebd311afb476f5063175457259
 TRIVIAL_S3_TWIST = "13b6363cdb3c5e159c2554a967fc8c376af8ac0507d16b12ef62256077b9de0a"
 # level "maps" on shifts 128 and 237: pins c1-c3 on the n = 256 path
 ODDMATRIX_MAPS_REPORT = "3619ef6aa785ea2845d6185ec1685fb0602d7f51599165adab3372717abc73a6"
+# level "all" on shifts 168 (in the socle) and 106 (outside it), default
+# budget: pins the tensor layer at n = 256, where x * n overflows int16
+ODDMATRIX_ALL_REPORT = "ee51418d18f7688f241f5b0e01f15910a11ec47a80743a7923552ba2b62d3f9f"
 # `export` coordinate text of each object: cyclic2n n=4 at z=3 and
 # trivial-S3 at z=4
 EXPORTS = {
@@ -148,6 +151,14 @@ def test_oddmatrix_maps_report_bytes():
     zs = select_shifts(b, [128, 237], seed=0)
     report = build_report(b, zs, level="maps", family="oddmatrix", seed=0)
     assert _sha(serialize_report(report)) == ODDMATRIX_MAPS_REPORT
+
+
+def test_oddmatrix_all_report_bytes():
+    b = odd_matrix_brace()
+    zs = select_shifts(b, [168, 106], seed=0)
+    report = build_report(b, zs, level="all", family="oddmatrix", seed=0)
+    assert report["summary"] == {"pass": 70, "fail": 0, "sampled": 4, "all_passed": True}
+    assert _sha(serialize_report(report)) == ODDMATRIX_ALL_REPORT
 
 
 def _corrupted_cyclic4(kind: str) -> dict:
