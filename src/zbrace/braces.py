@@ -335,14 +335,18 @@ def _odd_matrix_pair_verdicts() -> np.ndarray:
     matrix B - A mod 8, whose entries are even, so it has at most 256
     values.  Each difference is decided by brute force over all 256 odd
     matrices D (vectorised over D), never by a derived closed form, and
-    every pair reads the verdict of its difference.
+    every pair reads the verdict of its difference.  The codes are built
+    one entry column at a time in ``INDEX_DTYPE``, so no 256 x 256 x 4
+    array is held.
     """
-    entries = np.array([odd_matrix_entries(i) for i in range(256)], dtype=np.int64)
-    d_minus_i = (entries - [1, 0, 0, 1]).reshape(256, 2, 2)
-    diffs = (entries[None, :, :] - entries[:, None, :]) % _OM_MOD  # [z1, z2] = entries of B - A
-    # code the even entries (a, b, c, d) in base 4, so each difference has one of 256 codes
-    codes = (diffs // 2) @ np.array([64, 16, 4, 1])
-    by_code = (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+    entries = np.array([odd_matrix_entries(i) for i in range(256)], dtype=INDEX_DTYPE)
+    d_minus_i = (entries - np.array([1, 0, 0, 1], dtype=INDEX_DTYPE)).reshape(256, 2, 2)
+    shifts = (6, 4, 2, 0)
+    # code the even entries (a, b, c, d) of B - A in base 4, so each difference has one of 256 codes
+    codes = np.zeros((256, 256), dtype=INDEX_DTYPE)
+    for col, shift in zip(entries.T, shifts):
+        codes |= (col[None, :] - col[:, None]) % _OM_MOD // 2 << shift  # [z1, z2]
+    by_code = (np.arange(256)[:, None] >> np.array(shifts)) & 3
     holds = [not (d_minus_i @ (2 * c).reshape(2, 2) % _OM_MOD).any() for c in by_code]
     verdicts = np.array(holds)[codes]
     verdicts.flags.writeable = False  # one cached table serves every caller

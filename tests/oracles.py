@@ -17,6 +17,7 @@ import numpy as np
 
 from zbrace.braces import NotLeftDistributiveError, make_skew_brace, odd_matrix_entries
 from zbrace.groups import (
+    INDEX_DTYPE,
     MissingInverseError,
     NoIdentityError,
     NotAssociativeError,
@@ -31,7 +32,17 @@ from zbrace.solutions import (
     sigma_table,
     tau_table_from_sigma,
 )
-from zbrace.tensor import DEFAULT_BUDGET, DEFAULT_SAMPLE_POINTS, PermMatrix, _decode3, _encode, _lift12, _lift13, _lift23
+from zbrace.tensor import (
+    DEFAULT_BUDGET,
+    DEFAULT_SAMPLE_POINTS,
+    PermMatrix,
+    _decode3,
+    _encode,
+    _lift12,
+    _lift13,
+    _lift23,
+    _proved_or_compared,
+)
 
 SPARSE_ENTRY_LIMIT = 4096
 
@@ -772,6 +783,48 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
         "rhs": int(re[i]),
     }
     return Check(name, "fail", int(p.size), witness)
+
+
+def _pair_formula(op: PermMatrix):
+    """The index formula of an arity-2 permutation matrix: (x, y) -> its column pair."""
+    qa, qc = (q.astype(INDEX_DTYPE) for q in np.divmod(op.perm.reshape(op.dim, op.dim), op.dim))
+
+    def op2(x, y):
+        return qa[x, y], qc[x, y]
+    return op2
+
+
+def brute_twisted_solution(bundle, budget=DEFAULT_BUDGET, sample_points=DEFAULT_SAMPLE_POINTS, seed=0):
+    """The former ``twisted_solution_check``: each twisted matrix materialized and compared whole.
+
+    F rcheck F^{-1} (and Fhat rcheck Fhat^{-1}) is built from the three
+    matrices and compared with ``rF`` (``rFhat``); the twisted braid runs
+    on the pair formula of that product; for an involutive solution
+    ``rF`` and ``rFhat`` are compared with P.  A failure's witness is the
+    first differing row.
+    """
+
+    def equality(name, got, want):
+        witness = None if got.equals(want) else {"point": int(np.flatnonzero(got.perm != want.perm)[0])}
+        return Check(name, "pass" if witness is None else "fail", got.size, witness)
+
+    rc = bundle.matrix("rcheck")
+    out = []
+    for tag in ("F", "Fhat"):
+        t = bundle.matrix(tag)
+        conj = t @ rc @ t.inverse()
+        out.append(equality(f"twisted-closed-form:{tag}", conj, bundle.matrix(f"r{tag}")))
+        op2 = _pair_formula(conj)
+        a12, a23 = _lift12(op2), _lift23(op2)
+        out.append(
+            _proved_or_compared(
+                f"twisted-braid:{tag}", bundle, [a12, a23, a12], [a23, a12, a23], budget, sample_points, seed
+            )
+        )
+    if bundle.solution.involutive:
+        for tag in ("F", "Fhat"):
+            out.append(equality(f"involutive-collapse:{tag}", bundle.matrix(f"r{tag}"), bundle.matrix("P")))
+    return out
 
 
 def brute_coproduct_defect(

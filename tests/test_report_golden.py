@@ -14,6 +14,7 @@ from zbrace.cli import main
 from zbrace.fileio import brace_to_dict, canonical_json, write_brace
 from zbrace.groups import symmetric_group
 from zbrace.reporting import build_report, select_shifts, serialize_report
+from zbrace.tensor import PermMatrix, TwistBundle
 
 CYCLIC3_REPORT = "7a13681e28f950ca32263ba8be574663c5545c5ca3961b1cfe0aa318247d9607"
 TRIVIAL_S3_REPORT = "f50aa8e40cb78941e3b61da838676b9b863c2609901a27ee12056ac3b0324350"
@@ -34,6 +35,10 @@ ODDMATRIX_MAPS_REPORT = "3619ef6aa785ea2845d6185ec1685fb0602d7f51599165adab33727
 # level "all" on shifts 168 (in the socle) and 106 (outside it), default
 # budget: pins the tensor layer at n = 256, where x * n overflows int16
 ODDMATRIX_ALL_REPORT = "ee51418d18f7688f241f5b0e01f15910a11ec47a80743a7923552ba2b62d3f9f"
+# level "all" on all 32 shifts of cyclic2n n=6, default budget: every
+# arity-3 check exhaustive, 2 involutive shifts; recorded while the
+# twisted closed forms were still compared on materialized matrices
+CYCLIC6_REPORT = "ac6fa534559ab065d080ba6ca0c65300bb9455c6c02fff2a8cb71485444878b8"
 # `export` coordinate text of each object: cyclic2n n=4 at z=3 and
 # trivial-S3 at z=4
 EXPORTS = {
@@ -158,6 +163,20 @@ def test_oddmatrix_all_report_bytes():
     zs = select_shifts(b, [168, 106], seed=0)
     report = build_report(b, zs, level="all", family="oddmatrix", seed=0)
     assert report["summary"] == {"pass": 70, "fail": 0, "sampled": 4, "all_passed": True}
+    assert _sha(serialize_report(report)) == ODDMATRIX_ALL_REPORT
+
+
+def test_all_level_reports_materialize_no_operator(monkeypatch):
+    # on a shift whose bundle builds, only export and the per-element
+    # fallbacks, which no real shift reaches, build an operator matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator matrix was built")
+
+    monkeypatch.setattr(TwistBundle, "matrix", refuse)
+    monkeypatch.setattr(PermMatrix, "inverse", refuse)
+    assert _report_digest(cyclic_unit_brace(6), "cyclic2n") == CYCLIC6_REPORT
+    b = odd_matrix_brace()
+    report = build_report(b, select_shifts(b, [168, 106], seed=0), level="all", family="oddmatrix", seed=0)
     assert _sha(serialize_report(report)) == ODDMATRIX_ALL_REPORT
 
 

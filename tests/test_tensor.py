@@ -20,6 +20,8 @@ from oracles import (
     dense_kron,
     dense_matrix,
     FormerBuilders,
+    _pair_formula,
+    brute_twisted_solution,
     dense_mult,
     former_matrix,
     identity_matrix,
@@ -33,11 +35,19 @@ from oracles import (
     sparse_perm_difference,
     swap_sigma_entries,
 )
+from test_certificates import _forged_solutions
 from zbrace import reporting, tensor
-from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
+from zbrace.braces import (
+    admissible_z,
+    cyclic_unit_brace,
+    odd_matrix_brace,
+    product_brace,
+    radical_even_brace,
+    trivial_skew_brace,
+)
 from zbrace.groups import cyclic_group, row_blocks, symmetric_group
 from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
-from zbrace.solutions import Check, build_solution
+from zbrace.solutions import Check, build_solution, pair_map
 from zbrace.tensor import (
     PermMatrix,
     TwistBundle,
@@ -48,7 +58,6 @@ from zbrace.tensor import (
     _lift12,
     _lift13,
     _lift23,
-    _pair_formula,
     braid_matrix_check,
     cocycle_check,
     coproduct_commutation_check,
@@ -450,6 +459,47 @@ def test_involutive_collapse_to_flip():
         assert "involutive-collapse:F" in names and "involutive-collapse:Fhat" in names
 
 
+def _twisted_solution_cases():
+    """Every shift of the small built-in braces, two odd-matrix shifts and the forged bundles that build."""
+    small = (
+        *(cyclic_unit_brace(n) for n in range(3, 7)),
+        S3_TRIVIAL,
+        radical_even_brace(8),
+        product_brace(cyclic_unit_brace(2), S3_TRIVIAL),
+    )
+    for b in small:
+        for z in admissible_z(b).tolist():
+            yield bundle_for(b, z)
+    odd = odd_matrix_brace()
+    yield bundle_for(odd, 168)
+    yield bundle_for(odd, 106)
+    yield _unproved_braided_bundle()
+    for s in _forged_solutions():
+        try:
+            yield TwistBundle(s)
+        except RuntimeError:
+            pass  # a sigma or tau row that is not a permutation: no bundle
+
+
+def test_twisted_solution_derivations_match_materialized_oracle():
+    # the closed forms and the collapse are derived, and the braids lift
+    # rF and rFhat; the oracle materializes each conjugation and compares
+    outcomes = collections.Counter()
+    for tb in _twisted_solution_cases():
+        for kw in ({}, {"budget": 1, "sample_points": 64, "seed": 3}):
+            got = _outcome(lambda b: twisted_solution_check(b, **kw), tb)
+            assert got == _outcome(lambda b: brute_twisted_solution(b, **kw), tb)
+            if isinstance(got, str):
+                # a forged pair map whose involutivity disagrees with the socle criterion
+                assert got.startswith("direct involutivity test"), got
+                continue
+            outcomes["collapse"] += any(c.name.startswith("involutive-collapse:") for c in got)
+            outcomes["compared"] += not all(r.ok for r in tb.solution.braid_constraints)
+            outcomes.update(f"braid {c.status}" for c in got if c.name.startswith("twisted-braid:"))
+    assert outcomes["collapse"] and outcomes["compared"]
+    assert outcomes["braid pass"] and outcomes["braid fail"] and outcomes["braid sampled"]
+
+
 def test_trivial_involutive_bundle_is_all_identities():
     tb = bundle_for(TRIV_INV, 0)
     assert is_identity(tb.matrix("F"))
@@ -511,13 +561,15 @@ def test_sparse_difference_roundtrip():
 
 
 def _unproved_braided_bundle():
-    """sigma of cyclic2n n=4 at shift 0 with tau of shift 1.
+    """sigma of cyclic2n n=4 at shift 0 with tau of shift 1, and their pair map.
 
     Every braid constraint fails, so no twisted braid is proved, yet both
-    twisted matrices braid at every point.
+    twisted matrices braid at every point.  The forged solution keeps
+    shift 1, outside the socle, so its involutivity cross-check holds.
     """
-    s = build_solution(cyclic_unit_brace(4), 0)
-    return TwistBundle(dataclasses.replace(s, tau=build_solution(cyclic_unit_brace(4), 1).tau))
+    b = cyclic_unit_brace(4)
+    sigma, s = build_solution(b, 0).sigma, build_solution(b, 1)
+    return TwistBundle(dataclasses.replace(s, sigma=sigma, combined=pair_map(sigma, s.tau)))
 
 
 def _twisted_braids(tb, **kw):
