@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 usage error.  Shift arguments (--z) accept "all", or a comma-separated
-list of element labels; a token that matches no label is read as a
-0-based element index.
+list of element labels; a token that matches no label must be ASCII
+digits, a 0-based element index.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ def _resolve_element(b: SkewBrace, token: str) -> int:
     token = token.strip()
     if token in b.labels:
         return b.labels.index(token)
-    try:
-        idx = int(token)
-    except ValueError:
-        raise InadmissibleZError(f"{token!r} is neither a label nor an index") from None
+    if not (token.isascii() and token.isdigit()):
+        raise InadmissibleZError(f"{token!r} is neither a label nor an index")
+    idx = int(token)
     if not (0 <= idx < b.order):
         raise InadmissibleZError(f"index {idx} out of range [0, {b.order})")
     return idx

@@ -40,24 +40,23 @@ class CriterionMismatchError(RuntimeError):
 
 
 class TableMismatchError(RuntimeError):
-    """A built sigma, tau or pair-map table is not a permutation: a construction bug."""
+    """A sigma, tau or pair-map table is not a permutation: a construction bug, or forged tables."""
 
 
 @dataclass(frozen=True)
 class DeformedSolution:
-    """Lookup-table form of one deformed solution.
+    """Lookup-table form of one deformed solution, and the one holder of the tables derived from it.
 
-    sigma[x][y] = sigma_x(y);  tau[y][x] = tau_y(x);  combined is the
-    permutation of the n^2 pair space (x,y) -> (sigma_x(y), tau_y(x))
-    under the pair index x*n + y.  sigma and tau are ``INDEX_DTYPE``
-    tables; combined holds int64 pair codes.
+    sigma[x][y] = sigma_x(y) and tau[y][x] = tau_y(x) are ``INDEX_DTYPE``
+    tables; each derived table is computed at most once, from this
+    solution's own sigma and tau.  Construction validates nothing, so
+    forged tables can be checked too.
     """
 
     brace: SkewBrace
     z: int
     sigma: np.ndarray
     tau: np.ndarray
-    combined: np.ndarray
 
     @property
     def order(self) -> int:
@@ -65,6 +64,30 @@ class DeformedSolution:
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return int(self.sigma[x, y]), int(self.tau[y, x])
+
+    @cached_property
+    def taut(self) -> np.ndarray:
+        """[x, y] = tau_y(x), C-contiguous: no copy when tau is a transposed view, as built tau is."""
+        return np.ascontiguousarray(self.tau.T)
+
+    @cached_property
+    def combined(self) -> np.ndarray:
+        """The pair map (x, y) -> (sigma_x(y), tau_y(x)) as int64 codes x*n + y, row-major in (x, y)."""
+        return pair_map(self.sigma, self.tau)
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """[x, u] = y with sigma_x(y) = u; ``TableMismatchError`` unless every sigma_x is a permutation."""
+        return row_inverses(self.sigma, "sigma")
+
+    @cached_property
+    def tau_inv(self) -> np.ndarray:
+        """[y, u] = x with tau_y(x) = u; ``TableMismatchError`` unless every tau_y is a permutation."""
+        return row_inverses(self.tau, "tau")
+
+    def require_nondegenerate(self) -> None:
+        """Raise ``TableMismatchError`` unless every sigma_x and tau_y is a permutation (``row_inverses`` decides)."""
+        _ = self.sigma_inv, self.tau_inv
 
     @cached_property
     def involutive(self) -> bool:
@@ -137,10 +160,9 @@ def sigma_table(b: SkewBrace, z: int) -> np.ndarray:
 
 
 def tau_table_from_sigma(b: SkewBrace, sigma: np.ndarray) -> np.ndarray:
-    """tau[y][x] derived from sigma via tau_y(x) = sigma_x(y)^{-1} o (x o y)."""
+    """tau[y][x] = sigma_x(y)^{-1} o (x o y), as a transposed view: ``DeformedSolution.taut`` copies nothing."""
     M, minv = b.mul.table, b.mul.inverses
-    taut = M[minv[sigma], M]  # [x,y] = tau_y(x)
-    return taut.T.copy()
+    return M[minv[sigma], M].T
 
 
 def pair_map(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -149,26 +171,17 @@ def pair_map(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return (sigma.astype(np.int64) * n + tau.T).ravel()
 
 
-def row_inverses(table: np.ndarray) -> np.ndarray:
-    """[x, table[x, y]] = y, by one scatter: each row's inverse, when every row is a permutation.
+def row_inverses(table: np.ndarray, name: str) -> np.ndarray:
+    """[x, table[x, y]] = y: each row's inverse, by one scatter.
 
-    A row that is not one gets in-range entries that mean nothing, so
-    callers check the rows, before or after.
+    Raises ``TableMismatchError``, naming the table, when a row is not a permutation.
     """
-    inv = np.zeros_like(table)
+    inv = np.full(table.shape, -1, dtype=table.dtype)
     np.put_along_axis(inv, table, np.arange(table.shape[1], dtype=table.dtype)[None, :], axis=1)
+    # a row of n entries in [0, n) that repeats one leaves an inverse entry unwritten; a negative one wraps
+    if (inv < 0).any() or table.min() < 0:
+        raise TableMismatchError(f"a {name} row is not a permutation")
     return inv
-
-
-def _check_nondegenerate(sigma: np.ndarray, tau: np.ndarray, combined: np.ndarray) -> None:
-    n = sigma.shape[0]
-    idx = np.arange(n)
-    if not np.array_equal(np.sort(sigma, axis=1), np.broadcast_to(idx, sigma.shape)):
-        raise TableMismatchError("a sigma row is not a permutation")
-    if not np.array_equal(np.sort(tau, axis=1), np.broadcast_to(idx, tau.shape)):
-        raise TableMismatchError("a tau row is not a permutation")
-    if np.bincount(combined, minlength=n * n).max() != 1:
-        raise TableMismatchError("pair map is not a bijection")
 
 
 def _require_admissible(b: SkewBrace, z: int) -> None:
@@ -184,10 +197,11 @@ def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
     """Materialize the deformed solution at shift z; rejects inadmissible z."""
     _require_admissible(b, z)
     sigma = sigma_table(b, z)
-    tau = tau_table_from_sigma(b, sigma)
-    combined = pair_map(sigma, tau)
-    _check_nondegenerate(sigma, tau, combined)
-    return DeformedSolution(brace=b, z=z, sigma=sigma, tau=tau, combined=combined)
+    s = DeformedSolution(brace=b, z=z, sigma=sigma, tau=tau_table_from_sigma(b, sigma))
+    s.require_nondegenerate()
+    if np.bincount(s.combined, minlength=b.order**2).max() != 1:
+        raise TableMismatchError("pair map is not a bijection")
+    return s
 
 
 def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
@@ -195,25 +209,21 @@ def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
 
     sigma-hat_x(y) = -(x o z^{-1}) + x o y o z^{-1}, tau-hat analogous;
     composition with the forward solution is verified to be the identity
-    on the pair space in both orders.
+    on the pair space in both orders, so its pair map is a bijection.
     """
     b, z = forward.brace, forward.z
     A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
     zi = minv[z]
     u = M[:, zi]
     shat = A[neg[u][:, None], M[M, zi]]
-    that = tau_table_from_sigma(b, shat)
-    comb = pair_map(shat, that)
-    _check_nondegenerate(shat, that, comb)
-    n2 = b.order * b.order
-    idx = np.arange(n2)
-    back_forth = comb[forward.combined]
-    forth_back = forward.combined[comb]
-    for composed in (back_forth, forth_back):
+    inverse = DeformedSolution(brace=b, z=z, sigma=shat, tau=tau_table_from_sigma(b, shat))
+    inverse.require_nondegenerate()
+    idx = np.arange(b.order * b.order)
+    for composed in (inverse.combined[forward.combined], forward.combined[inverse.combined]):
         if not np.array_equal(composed, idx):
             p = int(np.flatnonzero(composed != idx)[0])
             raise InverseCheckFailedError((p // b.order, p % b.order))
-    return DeformedSolution(brace=b, z=z, sigma=shat, tau=that, combined=comb)
+    return inverse
 
 
 def inverse_composition_check(s: DeformedSolution) -> Check:
@@ -310,8 +320,7 @@ def derived_rack_certificate(s: DeformedSolution) -> bool:
         return False
     # flat gathers: about 1.5x faster than 2-D broadcast indexing at n = 2048
     rack = A.ravel().take(h[A.take(neg, axis=1)] + idx * n)  # [x, u] = u + h(x - u)
-    s_inv = row_inverses(S)  # [x, sigma_x(y)] = y
-    tau_inner = s.tau.ravel().take(s_inv.astype(np.int64) * n + idx[:, None])  # [x, u] = tau_{sigma_x^{-1}(u)}(x)
+    tau_inner = s.taut.ravel().take(idx[:, None] * n + s.sigma_inv)  # [x, u] = tau_{sigma_x^{-1}(u)}(x)
     if not np.array_equal(S.ravel().take(tau_inner + idx * n), rack):
         return False
     return all(
@@ -355,8 +364,7 @@ def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
     exceptions.  A failure's points are every triple up to the end of the
     ``row_blocks(n)`` block that holds the witness row.
     """
-    S = s.sigma
-    TT = s.tau.T.copy()  # TT[x, y] = tau_y(x)
+    S, TT = s.sigma, s.taut
     M = s.brace.mul.table
     n = s.order
     flat_s, flat_tt = S.ravel(), TT.ravel()
@@ -402,7 +410,7 @@ def product_identity_check(s: DeformedSolution) -> Check:
     """sigma_x(y) o tau_y(x) = x o y at every pair; the witness is the first failing (x, y, -1)."""
     start = time.perf_counter()
     M = s.brace.mul.table
-    hit = _first_pair(M[s.sigma, s.tau.T] != M)
+    hit = _first_pair(M[s.sigma, s.taut] != M)
     return _verdict("product-identity", s.order**2, None if hit is None else (*hit, -1), start)
 
 
@@ -597,12 +605,11 @@ def gv_correspondence_check(s1: DeformedSolution) -> list[Check]:
     A, neg, minv = b.add.table, b.add.inverses, b.mul.inverses
     start = time.perf_counter()
     sgv, tgv = gv_tables(b)
-    tt1 = s1.tau.T
 
     idx = np.arange(n)
     c = A[A[neg[minv][:, None], idx[None, :]], minv[:, None]]
     lhs_sigma = s1.sigma[idx[:, None], c]
-    lhs_tau = tt1[idx[:, None], c]
+    lhs_tau = s1.taut[idx[:, None], c]
     conj = _first_pair((lhs_sigma != sgv) | (lhs_tau != tgv.T))
     checks = [_verdict("gv-conjugation-identity", n * n, conj, start)]
 
@@ -617,6 +624,6 @@ def gv_correspondence_check(s1: DeformedSolution) -> list[Check]:
 
     if b.is_left_brace:
         start = time.perf_counter()
-        unequal = _first_pair((sgv != s1.sigma) | (tgv.T != tt1))
+        unequal = _first_pair((sgv != s1.sigma) | (tgv.T != s1.taut))
         checks.append(_verdict("gv-tables-equal-at-identity-shift", n * n, unequal, start))
     return checks

@@ -17,7 +17,8 @@ Each operator has one definition: an index formula in the table
 ``TwistBundle.ops``, from the legs of a row to the legs of its column, of
 arity 1 to 3.  A parametric family (V_x, W_y, Delta(V_eta), Delta(W_y),
 the mixed closed forms and the iterated coproducts) takes its element
-first.  Formulas are built from each other in three ways only:
+first.  Formulas read the tables their ``DeformedSolution`` derives, and
+are built from each other in three ways only:
 
   * lifts put a pair operator on legs 12, 23 or 13 of the triple space;
   * products apply one formula after another, left to right
@@ -69,7 +70,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import INDEX_DTYPE, first_difference, row_blocks
-from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict, row_inverses
+from .solutions import Check, DeformedSolution, _first_pair, _ms_since, _verdict
 
 DEFAULT_SAMPLE_POINTS = 100_000
 # Arity-3 checks run exhaustively when n^3 is at most this many points.
@@ -285,19 +286,10 @@ class TwistBundle:
     """
 
     def __init__(self, s: DeformedSolution):
+        s.require_nondegenerate()  # the formulas read the row inverses
         self.solution = s
         self.n = s.order
-        self.sigma = s.sigma
-        self.taut = s.tau.T.copy()  # [x, y] = tau_y(x)
-        self.sigma_inv = row_inverses(s.sigma)
-        self.tau_inv = row_inverses(s.tau)  # [y, u] = x with tau_y(x) = u
-        # The inverse tables, and every formula read from them, are only
-        # inverses when each sigma_x and tau_y is a permutation.
-        idx = np.arange(self.n)
-        for name, table, inv in (("sigma", s.sigma, self.sigma_inv), ("tau", s.tau, self.tau_inv)):
-            if not np.array_equal(np.take_along_axis(table, inv, axis=1), np.broadcast_to(idx, table.shape)):
-                raise RuntimeError(f"a {name} row is not a permutation")
-        self.ops = _operators(self.sigma, self.taut, self.sigma_inv, self.tau_inv)
+        self.ops = _operators(s.sigma, s.taut, s.sigma_inv, s.tau_inv)
 
     def formula(self, name: str, element: int | None = None) -> Formula:
         """The row formula of operator ``name``, at ``element`` if it is parametric."""
@@ -817,7 +809,7 @@ def coproduct_defect(
     A "fail" status records a nonzero defect (expected away from the
     involutive case).
     """
-    S, TT, Si = bundle.sigma, bundle.taut, bundle.sigma_inv
+    S, TT, Si = bundle.solution.sigma, bundle.solution.taut, bundle.solution.sigma_inv
     right, left = bundle.formula("DeltaV-right", eta), bundle.formula("DeltaV-left", eta)
 
     def first():
@@ -865,7 +857,7 @@ def r_lift_defects(
     These comparisons are element-independent; "fail" records a nonzero
     defect, the expected outcome away from the involutive case.
     """
-    S, TT = bundle.sigma, bundle.taut
+    S, TT = bundle.solution.sigma, bundle.solution.taut
     idx = np.arange(bundle.n)
     fn = bundle.formula
 

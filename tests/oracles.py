@@ -28,7 +28,6 @@ from zbrace.groups import (
 )
 from zbrace.solutions import (
     Check,
-    pair_map,
     sigma_table,
     tau_table_from_sigma,
 )
@@ -373,10 +372,11 @@ class FormerBuilders:
     def __init__(self, bundle):
         # the builders form flat codes as x * n + y on the tables, which need int64
         self.n = bundle.n
-        self.sigma = bundle.sigma.astype(np.int64)
-        self.taut = bundle.taut.astype(np.int64)
-        self.sigma_inv = bundle.sigma_inv.astype(np.int64)
-        self.tau_inv = bundle.tau_inv.astype(np.int64)
+        s = self.solution = bundle.solution
+        self.sigma = s.sigma.astype(np.int64)
+        self.taut = s.taut.astype(np.int64)
+        self.sigma_inv = s.sigma_inv.astype(np.int64)
+        self.tau_inv = s.tau_inv.astype(np.int64)
 
     # -- arity 1 families ------------------------------------------------
     def v_op(self, x: int) -> PermMatrix:
@@ -575,7 +575,7 @@ class FormerBuilders:
 def brute_delta_v(bundle, eta):
     """Coproduct of V_eta scattered from its rows (sigma_eta(x), sigma_{tau_x(eta)}(y)) -> (x, y)."""
     n, grid = bundle.n, np.arange(bundle.n)
-    S, TT = bundle.sigma.astype(np.int64), bundle.taut
+    S, TT = bundle.solution.sigma.astype(np.int64), bundle.solution.taut
     rows = S[eta][:, None] * n + S[TT[eta]]
     return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
@@ -583,7 +583,7 @@ def brute_delta_v(bundle, eta):
 def brute_delta_w(bundle, y):
     """Coproduct of W_y scattered from its rows (tau_{sigma_x(y)}(e), tau_y(x)) -> (e, x)."""
     n, grid = bundle.n, np.arange(bundle.n)
-    S, TT = bundle.sigma, bundle.taut.astype(np.int64)
+    S, TT = bundle.solution.sigma, bundle.solution.taut.astype(np.int64)
     rows = TT[:, S[:, y]] * n + TT[:, y][None, :]
     return PermMatrix(n, 2, _scatter(rows, grid[:, None] * n + grid[None, :], n * n))
 
@@ -861,7 +861,7 @@ def swap_sigma_entries(s, x, y1, y2):
     sigma = s.sigma.copy()
     sigma.setflags(write=True)
     sigma[x, y1], sigma[x, y2] = sigma[x, y2], sigma[x, y1]
-    return dataclasses.replace(s, sigma=sigma, combined=pair_map(sigma, s.tau))
+    return dataclasses.replace(s, sigma=sigma)
 
 
 def brute_braid_constraints(s):
@@ -877,7 +877,7 @@ def brute_braid_constraints(s):
     (e, x, y) and the points up to the end of its block.
     """
     S = s.sigma
-    TT = s.tau.T.copy()  # TT[x, y] = tau_y(x)
+    TT = s.tau.T  # TT[x, y] = tau_y(x)
     n = s.order
     total = n * n * n
     state: dict[str, tuple[tuple[int, int, int], int] | None] = {"c1": None, "c2": None, "c3": None}
@@ -942,7 +942,7 @@ def sigma_property_witnesses(b, z, skip_quartic=False):
     idx = np.arange(n)
     S = sigma_table(b, z)
     tau = tau_table_from_sigma(b, S)
-    TT = tau.T.copy()
+    TT = tau.T
     out: dict[int, tuple | None] = {}
 
     out[1] = None

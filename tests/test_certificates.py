@@ -46,7 +46,6 @@ from zbrace.solutions import (
     DeformedSolution,
     build_solution,
     derived_rack_certificate,
-    pair_map,
     sigma_is_left_action,
     sigma_table,
     tau_table_from_sigma,
@@ -86,7 +85,7 @@ def _brute_reports(s):
 def _with_sigma(s, sigma):
     """``s`` with a replaced sigma and the tau that the product identity forces."""
     tau = tau_table_from_sigma(s.brace, sigma)
-    return dataclasses.replace(s, sigma=sigma, tau=tau, combined=pair_map(sigma, tau))
+    return dataclasses.replace(s, sigma=sigma, tau=tau)
 
 
 def _closure(table, identity, gens):
@@ -149,7 +148,7 @@ def _forged_solutions():
         sols = [build_solution(b, z) for z in range(b.order)]
         for s0 in sols:
             for s1 in sols:
-                yield dataclasses.replace(s0, tau=s1.tau, combined=pair_map(s0.sigma, s1.tau))
+                yield dataclasses.replace(s0, tau=s1.tau)
     # one swapped pair of sigma entries, tau kept
     for b, z in ((cyclic_unit_brace(3), 1), (S3_TRIVIAL, 4), (cyclic_unit_brace(4), 3), (ODD_MATRIX, 106)):
         s = build_solution(b, z)
@@ -171,7 +170,7 @@ def _forged_solutions():
         for _ in range(20):
             sigma = np.array([rng.permutation(n) for _ in range(n)])
             tau = np.array([rng.permutation(n) for _ in range(n)])
-            yield dataclasses.replace(base, sigma=sigma, tau=tau, combined=pair_map(sigma, tau))
+            yield dataclasses.replace(base, sigma=sigma, tau=tau)
 
 
 def test_braid_reports_match_block_sweep_on_forged_solutions():
@@ -268,7 +267,7 @@ def _with_rack(s, sigma):
     for x, y in itertools.product(range(n), repeat=2):
         u = sigma[x, y]
         tau[y, x] = inverse[u, rack[x][u]]
-    return dataclasses.replace(s, sigma=sigma, tau=tau, combined=pair_map(sigma, tau))
+    return dataclasses.replace(s, sigma=sigma, tau=tau)
 
 
 def _rack_premises(s):
@@ -314,7 +313,7 @@ def _rack_forgeries():
     for z in (1, 2, 4, 5):
         sigma = sigma_table(Z6_DIHEDRAL, z)
         tau = tau_table_from_sigma(Z6_DIHEDRAL, sigma)
-        yield DeformedSolution(Z6_DIHEDRAL, z, sigma, tau, pair_map(sigma, tau))
+        yield DeformedSolution(Z6_DIHEDRAL, z, sigma, tau)
     # only the rack endomorphism premise fails
     yield _with_sigma(build_solution(S3_TRIVIAL, 1), _S3_ACTION_OFF_THE_RACK)
     # the units mod 8 acting through their two factors of order 2, by (0 1)

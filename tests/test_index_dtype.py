@@ -47,10 +47,9 @@ def test_every_element_index_array_of_an_odd_matrix_shift_has_the_index_dtype():
         "tau": s.tau,
         "inverse sigma": inv.sigma,
         "inverse tau": inv.tau,
-        "bundle.sigma": bundle.sigma,
-        "bundle.taut": bundle.taut,
-        "bundle.sigma_inv": bundle.sigma_inv,
-        "bundle.tau_inv": bundle.tau_inv,
+        "taut": s.taut,
+        "sigma_inv": s.sigma_inv,
+        "tau_inv": s.tau_inv,
         **{f"sample leg {k}": leg for k, leg in enumerate(legs)},
         **{f"grid leg {k}": leg for k, leg in enumerate(_grid(0, 4, b.order))},
         "pair formula legs": np.stack([qa, qc]),
@@ -95,20 +94,22 @@ def test_row_inverses_match_argsort_on_permutation_rows():
     rng = np.random.default_rng(7)
     for n in (1, 5, 256):
         table = np.array([rng.permutation(n) for _ in range(n)], dtype=INDEX_DTYPE)
-        inv = row_inverses(table)
+        inv = row_inverses(table, "table")
         assert inv.dtype == INDEX_DTYPE
         assert np.array_equal(inv, np.argsort(table, axis=1))
 
 
 @pytest.mark.parametrize("table", ["sigma", "tau"])
-@pytest.mark.parametrize("forge", ["repeat", "constant"])
+@pytest.mark.parametrize("forge", ["repeat", "constant", "negative"])
 def test_twist_bundle_refuses_a_row_that_is_not_a_permutation(table, forge):
     s = build_solution(odd_matrix_brace(), 168)
     forged = getattr(s, table).copy()
     if forge == "repeat":
         forged[3, 7] = forged[3, 8]  # row 3 misses one value
-    else:
+    elif forge == "constant":
         forged[5] = forged[5, 0]  # row 5 is constant
+    else:
+        forged[3, 7] -= s.order  # row 3 is a permutation modulo n, as a wrapped index reads it
     with pytest.raises(RuntimeError, match=f"^a {table} row is not a permutation$"):
         TwistBundle(dataclasses.replace(s, **{table: forged}))
 

@@ -282,6 +282,40 @@ def test_cli_z_tokens_resolve_labels_then_indices(tmp_path, capsys):
     assert "z=0" in printed and "z=3" in printed
 
 
+@pytest.fixture(scope="module")
+def cyclic5_brace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cyclic5") / "c5.brace"
+    write_brace(cyclic_unit_brace(5), out)
+    return out
+
+
+def _z_command(command, brace, token, tmp_path):
+    extra = {"export": ["--object", "P", "-o", str(tmp_path / "P.coo")], "twist": ["--check", "cocycle"]}
+    return [command, str(brace), f"--z={token}", *extra.get(command, [])]
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "twist", "export"])
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "+3", "-1"])
+def test_cli_z_index_is_ascii_digits_only(cyclic5_brace, tmp_path, capsys, command, token):
+    # int() reads "1_0" as 10, the Arabic-Indic one as 1 and "+3" as 3;
+    # none of them is a label of cyclic2n n=5 (whose labels are 1, 3, ..., 31)
+    assert main(_z_command(command, cyclic5_brace, token, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {token!r} is neither a label nor an index\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "twist", "export"])
+def test_cli_z_digits_and_labels_resolve(cyclic5_brace, tmp_path, capsys, command):
+    # "10" is no label, so it is index 10 (label 21); "3" is the label of index 1
+    for token, z in (("10", 10), ("3", 1)):
+        assert main(_z_command(command, cyclic5_brace, token, tmp_path)) == 0
+        printed = capsys.readouterr().out
+        if command == "export":
+            assert printed == f"wrote P (256x256) to {tmp_path / 'P.coo'}\n"
+        else:
+            assert set(re.findall(r"\bz=(\d+)", printed)) == {str(z)}
+
+
 def test_cli_trivial_s3_report_fails_on_gv_conjugation(tmp_path, capsys):
     # honest failure: the substitution identity does not hold for nonabelian
     # addition, so a full S3 verification exits 1 with that check failed

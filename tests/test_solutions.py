@@ -16,17 +16,21 @@ from zbrace.braces import (
     socle,
     trivial_skew_brace,
 )
+from zbrace import reporting, solutions, tensor
 from zbrace.groups import cyclic_group, symmetric_group, validate_group
-from zbrace.reporting import solution_suite
+from zbrace.reporting import build_report, solution_suite
 from zbrace.solutions import (
     CriterionMismatchError,
+    DeformedSolution,
     InadmissibleZError,
     build_solution,
     dedup_solutions,
     gv_correspondence_check,
+    inverse_composition_check,
     inverse_solution,
     involutivity_witness,
     is_involutive,
+    pair_map,
     product_identity_check,
     sigma_shift_criterion,
     transpose_identity_check,
@@ -170,10 +174,10 @@ def test_transpose_identity_detects_duplicate_images():
     s = build_solution(CYCLIC3, 1)
     check = transpose_identity_check(s)
     assert check.ok and check.witness is None
-    combined = s.combined.copy()
-    combined.setflags(write=True)
-    combined[3] = combined[0]
-    broken = dataclasses.replace(s, combined=combined)
+    sigma, tau = s.sigma.copy(), s.tau.copy()
+    # pair 3 = (0, 3) takes the image (sigma_0(0), tau_0(0)) of pair 0
+    sigma[0, 3], tau[3, 0] = sigma[0, 0], tau[0, 0]
+    broken = dataclasses.replace(s, sigma=sigma, tau=tau)
     check = transpose_identity_check(broken)
     assert not check.ok and check.witness == (0, 3)
 
@@ -182,6 +186,50 @@ def test_transpose_identity_oddmatrix_sampled_shift():
     om = odd_matrix_brace()
     check = transpose_identity_check(build_solution(om, 123))
     assert check.ok and check.witness is None
+
+
+def test_replaced_tables_derive_their_own_pair_map():
+    # sigma of one shift with tau of another: the copy's pair map and the
+    # checks that read it describe the copy's tables, not the original's
+    b = cyclic_unit_brace(4)
+    s0, s1 = build_solution(b, 0), build_solution(b, 1)
+    assert "combined" in vars(s0)  # build_solution derived the original's pair map
+    copy = dataclasses.replace(s0, sigma=s0.sigma, tau=s1.tau)
+    assert np.array_equal(copy.combined, pair_map(s0.sigma, s1.tau))
+    assert not np.array_equal(copy.combined, s0.combined)
+    fresh = DeformedSolution(b, s0.z, s0.sigma, s1.tau)
+    for check in (transpose_identity_check, inverse_composition_check):
+        assert check(copy) == check(fresh)
+    assert inverse_composition_check(copy).witness == (1, 0)
+
+
+def test_report_inverts_each_solution_table_once(monkeypatch):
+    # Each solution derives sigma^-1 and tau^-1 once, and the constraint
+    # certificates and the twist bundle read them from it.
+    b = cyclic_unit_brace(4)
+    built, inverted = [], []
+    row_inverses = solutions.row_inverses
+
+    def counted_build(*args):
+        built.append(build_solution(*args))
+        return built[-1]
+
+    def counted_inverses(table, *name):
+        inverted.append(table)
+        return row_inverses(table, *name)
+
+    monkeypatch.setattr(reporting, "build_solution", counted_build)
+    # every module binding, so that an inversion anywhere is counted
+    for module in (solutions, tensor):
+        if hasattr(module, "row_inverses"):
+            monkeypatch.setattr(module, "row_inverses", counted_inverses)
+    report = build_report(b, list(range(b.order)), level="all")
+    assert report["summary"]["fail"] == 0
+    assert len(built) == b.order + 1  # every shift and the identity shift
+    for s in built:
+        assert [sum(t is table for t in inverted) for table in (s.sigma, s.tau)] == [1, 1], s.z
+    # two more per shift: its inverse solution, built by inverse-composition
+    assert len(inverted) == 2 * len(built) + 2 * b.order
 
 
 def _gv_checks(s1):
