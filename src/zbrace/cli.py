@@ -3,7 +3,7 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
 usage error.  Shift arguments (--z) accept "all", or a comma-separated
 list of element labels; a token that matches no label must be ASCII
-digits, a 0-based element index.
+digits, a 0-based element index.  So must the N of a ``--group sN|zN``.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _make_brace(family: str | None, params: dict) -> SkewBrace:
 
 def _group_by_name(name: str):
     key = name.lower()
-    if key[1:].isdigit():
+    if key[1:].isascii() and key[1:].isdigit():
         if key[0] == "s":
             return symmetric_group(int(key[1:]))
         if key[0] in "zc":

@@ -82,10 +82,16 @@ def brace_from_dict(doc: Any) -> SkewBrace:
     labels = _require(doc, "labels", list, "$")
     if len(labels) != order:
         raise SchemaError("$.labels", f"expected {order} labels, got {len(labels)}")
+    labels = [str(x) for x in labels]
+    seen: set[str] = set()
+    for i, label in enumerate(labels):
+        if label in seen:
+            raise SchemaError(f"$.labels[{i}]", f"duplicate label {label!r}")
+        seen.add(label)
     add = _table_from_flat(_require(doc, "add", list, "$"), order, "$.add")
     mul = _table_from_flat(_require(doc, "mul", list, "$"), order, "$.mul")
-    add_group = validate_group(add, labels=[str(x) for x in labels])
-    mul_group = validate_group(mul, labels=[str(x) for x in labels])
+    add_group = validate_group(add, labels=labels)
+    mul_group = validate_group(mul, labels=labels)
     return make_skew_brace(add_group, mul_group, name=name)
 
 

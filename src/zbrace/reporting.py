@@ -302,7 +302,8 @@ def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     zs = [config_int(z, f"z[{i}]") for i, z in enumerate(selection)]
     if not zs:
         raise ValueError("shift selection is empty")
-    bad = [z for z in zs if z not in set(admissible)]
+    allowed = set(admissible)
+    bad = [z for z in zs if z not in allowed]
     if bad:
         raise InadmissibleZError(f"requested shifts not admissible: {bad}")
     return sorted(set(zs))

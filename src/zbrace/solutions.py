@@ -48,9 +48,10 @@ class DeformedSolution:
     """Lookup-table form of one deformed solution, and the one holder of the tables derived from it.
 
     sigma[x][y] = sigma_x(y) and tau[y][x] = tau_y(x) are ``INDEX_DTYPE``
-    tables; each derived table is computed at most once, from this
-    solution's own sigma and tau.  Construction validates nothing, so
-    forged tables can be checked too.
+    tables; each derived table, and each per-shift verdict (the product
+    identity, the pair-map bijection and r o r = id), is computed at most
+    once, from this solution's own sigma and tau.  Construction validates
+    nothing, so forged tables can be checked too.
     """
 
     brace: SkewBrace
@@ -88,6 +89,31 @@ class DeformedSolution:
     def require_nondegenerate(self) -> None:
         """Raise ``TableMismatchError`` unless every sigma_x and tau_y is a permutation (``row_inverses`` decides)."""
         _ = self.sigma_inv, self.tau_inv
+
+    @cached_property
+    def product_witness(self) -> tuple[int, int] | None:
+        """The row-major first (x, y) with sigma_x(y) o tau_y(x) != x o y, or None: the product identity."""
+        M = self.brace.mul.table
+        return _first_pair(M[self.sigma, self.taut] != M)
+
+    @cached_property
+    def pair_collision(self) -> tuple[int, int] | None:
+        """The first two pair indices mapped to the smallest repeated image, or None: the pair map is a bijection."""
+        counts = np.bincount(self.combined, minlength=self.order**2)
+        if counts.max() == 1:
+            return None
+        p, q = np.flatnonzero(self.combined == np.argmax(counts > 1))[:2]
+        return int(p), int(q)
+
+    @cached_property
+    def involutivity_witness(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
+        """The row-major first pair moved by the double application, with both steps, or None: r o r = id."""
+        n, comb = self.order, self.combined
+        start = _first_pair((comb[comb] != np.arange(n * n)).reshape(n, n))
+        if start is None:
+            return None
+        mid = int(comb[start[0] * n + start[1]])
+        return start, divmod(mid, n), divmod(int(comb[mid]), n)
 
     @cached_property
     def involutive(self) -> bool:
@@ -199,7 +225,7 @@ def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
     sigma = sigma_table(b, z)
     s = DeformedSolution(brace=b, z=z, sigma=sigma, tau=tau_table_from_sigma(b, sigma))
     s.require_nondegenerate()
-    if np.bincount(s.combined, minlength=b.order**2).max() != 1:
+    if s.pair_collision is not None:
         raise TableMismatchError("pair map is not a bijection")
     return s
 
@@ -207,9 +233,23 @@ def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
 def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
     """The two-sided inverse of a built deformed solution, from its closed form.
 
-    sigma-hat_x(y) = -(x o z^{-1}) + x o y o z^{-1}, tau-hat analogous;
-    composition with the forward solution is verified to be the identity
-    on the pair space in both orders, so its pair map is a bijection.
+    sigma-hat_x(y) = -(x o z^{-1}) + x o y o z^{-1}, tau-hat analogous.
+    One composition decides the inverse: if r-hat o r = id on the pair
+    space, r is injective, so a bijection of the finite pair space; then
+    r-hat = r^{-1} and r o r-hat = id too.  A failure raises
+    ``InverseCheckFailedError`` with the row-major first pair (x, y) where
+    r-hat(r(x, y)) != (x, y).
+
+    The inverse's rows need no test of their own once the forward's rows
+    are permutations, which ``forward.require_nondegenerate`` decides (a
+    cached verdict on a built forward).  If sigma-hat_u(v1) =
+    sigma-hat_u(v2) = x with v1 != v2, then r^{-1}(u, v1) = (x, y1) and
+    r^{-1}(u, v2) = (x, y2) with y1 != y2, as r^{-1} is injective, so
+    sigma_x(y1) = u = sigma_x(y2).  If tau-hat_v(u1) = tau-hat_v(u2) = y
+    with u1 != u2, then r^{-1}(u1, v) = (x1, y) and r^{-1}(u2, v) = (x2, y)
+    with x1 != x2, so tau_y(x1) = v = tau_y(x2).  The forward's rows are
+    tested after the composition, so a forged forward still fails with
+    its witness, not an exception.
     """
     b, z = forward.brace, forward.z
     A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
@@ -217,17 +257,19 @@ def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
     u = M[:, zi]
     shat = A[neg[u][:, None], M[M, zi]]
     inverse = DeformedSolution(brace=b, z=z, sigma=shat, tau=tau_table_from_sigma(b, shat))
-    inverse.require_nondegenerate()
-    idx = np.arange(b.order * b.order)
-    for composed in (inverse.combined[forward.combined], forward.combined[inverse.combined]):
-        if not np.array_equal(composed, idx):
-            p = int(np.flatnonzero(composed != idx)[0])
-            raise InverseCheckFailedError((p // b.order, p % b.order))
+    n = b.order
+    hit = _first_pair((inverse.combined[forward.combined] != np.arange(n * n)).reshape(n, n))
+    if hit is not None:
+        raise InverseCheckFailedError(hit)
+    forward.require_nondegenerate()
     return inverse
 
 
 def inverse_composition_check(s: DeformedSolution) -> Check:
-    """``inverse_solution(s)`` composes with ``s`` to the identity in both orders; else the first pair where not."""
+    """``inverse_solution(s)`` composes with ``s`` to the identity in both orders; else the first pair where not.
+
+    One order decides both (``inverse_solution``); the points count both.
+    """
     start = time.perf_counter()
     witness = None
     try:
@@ -365,7 +407,6 @@ def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
     ``row_blocks(n)`` block that holds the witness row.
     """
     S, TT = s.sigma, s.taut
-    M = s.brace.mul.table
     n = s.order
     flat_s, flat_tt = S.ravel(), TT.ravel()
 
@@ -388,7 +429,7 @@ def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
     # each constraint is timed from the end of the previous one, so the
     # product identity, which both certificates read, counts towards c1
     laps = [time.perf_counter()]
-    product_ok = bool(np.array_equal(M[S, TT], M))
+    product_ok = s.product_witness is None
     certified_c1 = product_ok and sigma_is_left_action(s)
     hits = {"c1": None if certified_c1 else first_difference(n, c1, n * n)}
     laps.append(time.perf_counter())
@@ -407,26 +448,23 @@ def verify_braid_constraints(s: DeformedSolution) -> list[Check]:
 
 
 def product_identity_check(s: DeformedSolution) -> Check:
-    """sigma_x(y) o tau_y(x) = x o y at every pair; the witness is the first failing (x, y, -1)."""
+    """sigma_x(y) o tau_y(x) = x o y at every pair; the witness is the first failing (x, y, -1).
+
+    It reports ``s.product_witness``, which the braid constraints' certificates read first.
+    """
     start = time.perf_counter()
-    M = s.brace.mul.table
-    hit = _first_pair(M[s.sigma, s.taut] != M)
+    hit = s.product_witness
     return _verdict("product-identity", s.order**2, None if hit is None else (*hit, -1), start)
 
 
 def transpose_identity_check(s: DeformedSolution) -> Check:
     """Bijectivity of the pair map; equivalently M M^T = I for the 0/1 matrix.
 
-    The witness of a failure is the smallest pair of distinct pair-indices
-    with equal images.
+    It reports ``s.pair_collision``, which ``build_solution`` reads first:
+    the first two pair indices with the smallest repeated image.
     """
     start = time.perf_counter()
-    counts = np.bincount(s.combined, minlength=s.order**2)
-    witness = None
-    if counts.max() > 1:
-        image = int(np.flatnonzero(counts > 1)[0])
-        witness = tuple(int(p) for p in np.flatnonzero(s.combined == image)[:2])
-    return _verdict("transpose-identity", s.order**2, witness, start)
+    return _verdict("transpose-identity", s.order**2, s.pair_collision, start)
 
 
 def is_involutive(s: DeformedSolution) -> bool:
@@ -435,8 +473,7 @@ def is_involutive(s: DeformedSolution) -> bool:
     The result is cross-checked against the socle criterion at ``s.z``
     (``cross_check_involutive``); disagreement is an internal error.
     """
-    idx = np.arange(s.order * s.order)
-    return cross_check_involutive(s.brace, s.z, bool(np.array_equal(s.combined[s.combined], idx)))
+    return cross_check_involutive(s.brace, s.z, s.involutivity_witness is None)
 
 
 def cross_check_involutive(b: SkewBrace, z: int, direct: bool) -> bool:
@@ -456,21 +493,6 @@ def cross_check_involutive(b: SkewBrace, z: int, direct: bool) -> bool:
     return direct
 
 
-def involutivity_witness(s: DeformedSolution) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
-    """Smallest pair moved by the double application, with both steps."""
-    comb = s.combined
-    twice = comb[comb]
-    idx = np.arange(comb.size)
-    moved = np.flatnonzero(twice != idx)
-    if moved.size == 0:
-        return None
-    p = int(moved[0])
-    q = int(comb[p])
-    r = int(comb[q])
-    n = s.order
-    return ((p // n, p % n), (q // n, q % n), (r // n, r % n))
-
-
 def involutivity_check(s: DeformedSolution) -> Check:
     """Involutivity of ``s`` with the inputs of the socle criterion.
 
@@ -487,7 +509,7 @@ def involutivity_check(s: DeformedSolution) -> Check:
         "socle_member": s.z in b.socle_members,
     }
     if not payload["involutive"]:
-        payload["two_step_witness"] = involutivity_witness(s)
+        payload["two_step_witness"] = s.involutivity_witness
     return Check(
         "involutivity-criterion", "pass", s.order**2, payload,
         note="direct double-application test agrees with the socle criterion", elapsed_ms=_ms_since(start),

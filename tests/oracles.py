@@ -28,6 +28,8 @@ from zbrace.groups import (
 )
 from zbrace.solutions import (
     Check,
+    DeformedSolution,
+    TableMismatchError,
     sigma_table,
     tau_table_from_sigma,
 )
@@ -862,6 +864,32 @@ def swap_sigma_entries(s, x, y1, y2):
     sigma.setflags(write=True)
     sigma[x, y1], sigma[x, y2] = sigma[x, y2], sigma[x, y1]
     return dataclasses.replace(s, sigma=sigma)
+
+
+def brute_inverse_composition(s):
+    """The former inverse-composition check: the inverse's own row test, then both orders composed.
+
+    Builds the closed-form inverse of ``s``, raises ``TableMismatchError``
+    unless each of its sigma and tau rows sorts to 0..n-1, and composes it
+    with ``s`` as inverse after forward, then forward after inverse; the
+    witness is the first pair where a composition is not the identity.
+    """
+    b, z, n = s.brace, s.z, s.order
+    A, M, neg, minv = b.add.table, b.mul.table, b.add.inverses, b.mul.inverses
+    zi = minv[z]
+    shat = A[neg[M[:, zi]][:, None], M[M, zi]]
+    inverse = DeformedSolution(b, z, shat, tau_table_from_sigma(b, shat))
+    for table in (inverse.sigma, inverse.tau):
+        if not (np.sort(table, axis=1) == np.arange(n)).all():
+            raise TableMismatchError("an inverse row is not a permutation")
+    idx = np.arange(n * n)
+    witness = None
+    for composed in (inverse.combined[s.combined], s.combined[inverse.combined]):
+        if not np.array_equal(composed, idx):
+            p = int(np.flatnonzero(composed != idx)[0])
+            witness = (p // n, p % n)
+            break
+    return Check("inverse-composition", "pass" if witness is None else "fail", 2 * n * n, witness)
 
 
 def brute_braid_constraints(s):

@@ -76,6 +76,7 @@ def test_brace_files_are_the_indented_json_of_every_family(tmp_path):
         path = tmp_path / "b.brace"
         write_brace(b, path)
         assert path.read_bytes() == _reference_json(doc).encode("utf-8"), b.name
+        assert brace_to_dict(parse_brace(path)) == doc, b.name  # distinct labels, so every family parses back
 
 
 def test_brace_file_escapes_name_and_labels_like_json():
@@ -114,6 +115,21 @@ def test_schema_errors_carry_paths():
         brace_from_dict({**good, "mul": [True, 1, 1, 0]})
     with pytest.raises(SchemaError):
         brace_from_dict(["not", "an", "object"])
+
+
+def test_brace_file_refuses_duplicate_labels(tmp_path, capsys):
+    good = brace_to_dict(cyclic_unit_brace(3))
+    # labels compare after str(): the int 1 and the string "1" name one element
+    for labels in (["1", "1", "5", "7"], ["1", 1, "5", "7"]):
+        with pytest.raises(SchemaError, match=r"^\$\.labels\[1\]: duplicate label '1'$"):
+            brace_from_dict({**good, "labels": labels})
+    bad = tmp_path / "dup.brace"
+    bad.write_text(json.dumps({**good, "labels": ["1", "1", "5", "7"]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"file": str(bad)}, "level": "maps"}))
+    for argv in (["validate", str(bad)], ["verify", str(bad), "--z", "1"], ["report", "--config", str(cfg)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: $.labels[1]: duplicate label '1'\n", argv
 
 
 def test_non_brace_table_file_is_rejected(tmp_path):
@@ -598,6 +614,21 @@ def test_cli_empty_group_name_is_an_input_error(tmp_path, capsys):
     assert main(["report", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown group ''") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group", ["z\u0661\u0660", "s\u00b2", "Z\u0661", "c\u00b2"])
+def test_cli_group_order_is_ascii_digits_only(tmp_path, capsys, group):
+    out = tmp_path / "t.brace"
+    assert main(["make", "--family", "trivial", "--group", group, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown group {group!r} (use sN or zN)\n"
+    assert not out.exists()
+
+
+def test_cli_group_names_with_ascii_digits_resolve(tmp_path):
+    for group, order in (("z10", 10), ("C4", 4), ("s3", 6)):
+        out = tmp_path / f"{group}.brace"
+        assert main(["make", "--family", "trivial", "--group", group, "-o", str(out)]) == 0
+        assert parse_brace(out).order == order
 
 
 def test_cyclic3_note_follows_table_content_not_name(tmp_path, capsys):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_braid_witness, brute_sigma_tau, sigma_property_witnesses, swap_sigma_entries
+from oracles import (
+    brute_braid_witness,
+    brute_inverse_composition,
+    brute_sigma_tau,
+    sigma_property_witnesses,
+    swap_sigma_entries,
+)
 from zbrace.braces import (
     cyclic_unit_brace,
     make_skew_brace,
@@ -23,12 +29,12 @@ from zbrace.solutions import (
     CriterionMismatchError,
     DeformedSolution,
     InadmissibleZError,
+    TableMismatchError,
     build_solution,
     dedup_solutions,
     gv_correspondence_check,
     inverse_composition_check,
     inverse_solution,
-    involutivity_witness,
     is_involutive,
     pair_map,
     product_identity_check,
@@ -127,11 +133,11 @@ def test_identity_shift_is_involutive_for_braces():
 
 def test_involutivity_witness_two_step():
     s = build_solution(CYCLIC3, 1)
-    wit = involutivity_witness(s)
+    wit = s.involutivity_witness
     assert wit is not None
     start, mid, end = wit
     assert s.apply(*start) == mid and s.apply(*mid) == end and end != start
-    assert involutivity_witness(build_solution(CYCLIC3, 0)) is None
+    assert build_solution(CYCLIC3, 0).involutivity_witness is None
 
 
 def test_criterion_mismatch_raises_on_inconsistent_flags():
@@ -170,15 +176,18 @@ def test_inverse_solution_frozen_value():
     assert label_pair(CYCLIC3, inv.apply(0, 3)) == ("3", "5")
 
 
-def test_transpose_identity_detects_duplicate_images():
+def _duplicate_image_forgery():
+    """Shift 1 of cyclic2n n=3 with pair 3 = (0, 3) sent to the image (sigma_0(0), tau_0(0)) of pair 0."""
     s = build_solution(CYCLIC3, 1)
-    check = transpose_identity_check(s)
-    assert check.ok and check.witness is None
     sigma, tau = s.sigma.copy(), s.tau.copy()
-    # pair 3 = (0, 3) takes the image (sigma_0(0), tau_0(0)) of pair 0
     sigma[0, 3], tau[3, 0] = sigma[0, 0], tau[0, 0]
-    broken = dataclasses.replace(s, sigma=sigma, tau=tau)
-    check = transpose_identity_check(broken)
+    return dataclasses.replace(s, sigma=sigma, tau=tau)
+
+
+def test_transpose_identity_detects_duplicate_images():
+    check = transpose_identity_check(build_solution(CYCLIC3, 1))
+    assert check.ok and check.witness is None
+    check = transpose_identity_check(_duplicate_image_forgery())
     assert not check.ok and check.witness == (0, 3)
 
 
@@ -228,8 +237,64 @@ def test_report_inverts_each_solution_table_once(monkeypatch):
     assert len(built) == b.order + 1  # every shift and the identity shift
     for s in built:
         assert [sum(t is table for t in inverted) for table in (s.sigma, s.tau)] == [1, 1], s.z
-    # two more per shift: its inverse solution, built by inverse-composition
-    assert len(inverted) == 2 * len(built) + 2 * b.order
+    # and none for the inverse solutions that inverse-composition builds
+    assert len(inverted) == 2 * len(built)
+
+
+def test_inverse_composition_matches_two_order_oracle():
+    # one composition order decides both, and the inverse's rows need no test of their own
+    om = odd_matrix_brace()
+    cases = [build_solution(b, z) for b in SMALL_BRACES for z in range(b.order)]
+    cases += [build_solution(om, 168), build_solution(om, 106)]
+    b4 = cyclic_unit_brace(4)
+    forged = [
+        swap_sigma_entries(build_solution(CYCLIC3, 1), 1, 0, 2),
+        dataclasses.replace(build_solution(b4, 0), tau=build_solution(b4, 1).tau),
+        _duplicate_image_forgery(),
+    ]
+    for s in cases + forged:
+        assert inverse_composition_check(s) == brute_inverse_composition(s), (s.brace.name, s.z)
+    assert all(inverse_composition_check(s).ok for s in cases)
+    assert not any(inverse_composition_check(s).ok for s in forged)
+
+
+def test_braid_certificates_and_product_identity_read_one_verdict(monkeypatch):
+    s = build_solution(CYCLIC3, 1)
+    vars(s)["product_witness"] = (0, 1)  # a lying verdict: the tables meet the identity
+    sweeps = []
+    first_difference = solutions.first_difference
+
+    def counted(*args):
+        sweeps.append(args)
+        return first_difference(*args)
+
+    monkeypatch.setattr(solutions, "first_difference", counted)
+    # without the product identity no certificate applies, so all three constraints are swept
+    checks = verify_braid_constraints(s)
+    assert [(c.name, c.status) for c in checks] == [("c1", "pass"), ("c2", "pass"), ("c3", "pass")]
+    assert len(sweeps) == 3
+    check = product_identity_check(s)
+    assert check.status == "fail" and check.witness == (0, 1, -1)
+    sweeps.clear()
+    assert all(c.ok for c in verify_braid_constraints(build_solution(CYCLIC3, 1)))
+    assert not sweeps  # the true verdict proves all three
+
+
+def test_pair_map_bijection_is_read_from_one_verdict(monkeypatch):
+    s = build_solution(CYCLIC3, 1)
+    vars(s)["pair_collision"] = (0, 1)  # a lying verdict: the pair map is a bijection
+    check = transpose_identity_check(s)
+    assert check.status == "fail" and check.witness == (0, 1)
+    monkeypatch.setattr(DeformedSolution, "pair_collision", property(lambda self: (0, 1)))
+    with pytest.raises(TableMismatchError, match="pair map is not a bijection"):
+        build_solution(CYCLIC3, 1)
+
+
+def test_involutivity_is_read_from_one_verdict():
+    s = build_solution(CYCLIC3, 1)
+    vars(s)["involutivity_witness"] = None  # a lying verdict on a non-involutive shift
+    with pytest.raises(CriterionMismatchError):
+        is_involutive(s)
 
 
 def _gv_checks(s1):
