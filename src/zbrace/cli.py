@@ -35,10 +35,10 @@ from .reporting import (
     build_report,
     config_int,
     level_setting,
+    report_chunks,
     report_failed,
     sample_points_setting,
     select_shifts,
-    serialize_report,
     tensor_checks,
 )
 from .solutions import InadmissibleZError, build_solution, cross_check_involutive, dedup_solutions, is_involutive
@@ -278,12 +278,12 @@ def cmd_report(args) -> int:
         timings=timings,
         threads=threads,
     )
-    text = serialize_report(report)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(report_chunks(report))
         print(f"wrote report to {args.output}")
     else:
-        print(text, end="")
+        sys.stdout.writelines(report_chunks(report))
     return 1 if report_failed(report) else 0
 
 

@@ -14,12 +14,16 @@ per executed check, run in a fixed documented order:
   5. per-shift matrix-level suite (braid/YBE, commutations, cocycle,
      twisted forms, group-likeness, coassociativity defects)
 
-Each shift is built once: its solution feeds the map-level suite and one
-twist bundle for the matrix-level suite, and is then dropped.  The dedup
-pass builds no solution: it keys each shift by an n-entry vector that
-decides table equality exactly (``solutions.dedup_solutions``).  The
-identity shift, which the sigma-shift criterion and the correspondence
-section compare against, is built once per report.
+Each distinct solution is verified once.  The shifts are first
+partitioned into classes of equal sigma and tau tables
+(``solutions.dedup_solutions``, which builds no solution), and the dedup
+section reports that partition.  Each class's first shift, its
+representative, is built once: its solution feeds the map-level suite and
+one twist bundle for the matrix-level suite, and is then dropped; only
+its report entries are held.  Every other shift of the class restates
+those entries under its own z (``_restated_entry``).  The identity shift,
+which the sigma-shift criterion and the correspondence section compare
+against, is built once per report.
 
 Reports are byte-stable for fixed inputs and seed: timings are recorded
 as 0.0 unless explicitly requested, and no other nondeterministic data
@@ -34,7 +38,7 @@ import json
 import math
 import os
 import time
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .braces import (
 )
 from .solutions import (
     Check,
+    DedupPartition,
     DeformedSolution,
     InadmissibleZError,
     build_solution,
@@ -55,7 +60,9 @@ from .solutions import (
     gv_correspondence_check,
     inverse_composition_check,
     involutivity_check,
+    involutivity_check_at,
     product_identity_check,
+    sigma_shift_check_at,
     sigma_shift_criterion,
     transpose_identity_check,
 )
@@ -103,6 +110,25 @@ def _entry(section: str, check: Check, z: int | None, timings: bool) -> dict:
         "note": check.note,
         "elapsed_ms": entry_ms(check.elapsed_ms, timings),
     }
+
+
+def _restated_entry(entry: dict, b: SkewBrace, z: int, timings: bool) -> dict:
+    """A class representative's report ``entry``, restated for shift ``z`` of its class.
+
+    Equal tables give equal verdicts, so the entry is copied under z and
+    records no work (0.001 ms with timings); so is ``admissible``, as
+    ``dedup_solutions`` checked z's admissibility.  The two checks that
+    also read z run again at z, in at most n steps, from the
+    representative's verdict on the tables.
+    """
+    witness = entry["witness"]
+    if entry["name"] == "involutivity-criterion":
+        check = involutivity_check_at(b, z, witness.get("two_step_witness"))
+    elif entry["name"] == "sigma-shift-criterion":
+        check = sigma_shift_check_at(b, z, witness["sigma_equals_identity_shift"])
+    else:
+        return {**entry, "z": z, "elapsed_ms": entry_ms(0.0, timings)}
+    return _entry(entry["section"], check, z, timings)
 
 
 def entry_ms(elapsed_ms: float, timings: bool) -> float:
@@ -214,14 +240,14 @@ _CYCLIC3_NOTE = (
 )
 
 
-def dedup_section(b: SkewBrace, zs: Iterable[int]) -> dict:
-    """Equality classes of the solutions of ``b`` at the shifts ``zs``.
+def dedup_section(b: SkewBrace, partition: DedupPartition, criterion: Callable[[int, int], bool] | None) -> dict:
+    """The equality classes of the solutions of ``b``, from ``dedup_solutions``.
 
-    The pair criterion and the cyclic2n n=3 discrepancy note are chosen
-    from the tables and labels, never from the brace's name.
+    ``criterion`` is the pair criterion that scored ``partition``, or None;
+    the report chooses it from the tables (``is_odd_matrix_brace``), and
+    the cyclic2n n=3 discrepancy note from the tables and labels, never
+    from the brace's name.
     """
-    criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
-    partition = dedup_solutions(b, zs, pair_criterion=criterion)
     class_labels = [[b.labels[z] for z in cls] for cls in partition.classes]
     notes: list[str] = []
     # The note names labels, so it also needs them: the radical brace mod 8
@@ -346,8 +372,16 @@ def build_report(
     maps = level in ("maps", "all")
     matrices = level in ("matrices", "all")
     identity_shift = build_solution(b, b.identity) if maps else None
+    # Section timings are sums over class representatives (wall time at
+    # one thread); the partition and the dedup and gv sections count
+    # towards the map-level time, restating towards none.
+    start = time.perf_counter()
+    criterion = odd_matrix_pair_criterion if maps and is_odd_matrix_brace(b) else None
+    partition = dedup_solutions(b, zs, pair_criterion=criterion)
+    maps_s = time.perf_counter() - start if maps else 0.0
+    representatives = [cls[0] for cls in partition.classes]
 
-    def run_shift(z: int) -> tuple[list[dict], list[dict], float, float]:
+    def run_class(z: int) -> tuple[list[dict], list[dict], float, float]:
         start = time.perf_counter()
         s = build_solution(b, z)
         maps_out = solution_suite(s, identity_shift, timings) if maps else []
@@ -355,10 +389,6 @@ def build_report(
         tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings) if matrices else []
         return maps_out, tensors_out, mid - start, time.perf_counter() - mid
 
-    # Section timings are sums over shifts (wall time at one thread); the
-    # dedup and gv sections count towards the map-level time.
-    tensor_entries: list[dict] = []
-    maps_s = matrices_s = 0.0
     pool_context = contextlib.nullcontext()
     if threads > 1:
         # imported here, so that a single-threaded run never loads it
@@ -366,17 +396,25 @@ def build_report(
 
         pool_context = ThreadPoolExecutor(max_workers=threads)
     with pool_context as pool:
-        for maps_out, tensors_out, shift_maps_s, shift_matrices_s in (
-            map(run_shift, zs) if pool is None else pool.map(run_shift, zs)
-        ):
-            checks.extend(maps_out)
-            tensor_entries.extend(tensors_out)
-            maps_s += shift_maps_s
-            matrices_s += shift_matrices_s
+        runs = map(run_class, representatives) if pool is None else pool.map(run_class, representatives)
+        verified = dict(zip(representatives, runs))
+    maps_s += sum(run[2] for run in verified.values())
+    matrices_s = sum(run[3] for run in verified.values())
+
+    # entries in shift order: a representative's own, every other shift's restated
+    representative_of = {z: cls[0] for cls in partition.classes for z in cls}
+    tensor_entries: list[dict] = []
+    for z in zs:
+        maps_out, tensors_out, _, _ = verified[representative_of[z]]
+        if z != representative_of[z]:
+            maps_out = [_restated_entry(e, b, z, timings) for e in maps_out]
+            tensors_out = [_restated_entry(e, b, z, timings) for e in tensors_out]
+        checks.extend(maps_out)
+        tensor_entries.extend(tensors_out)
     dedup = None
     if maps:
         start = time.perf_counter()
-        dedup = dedup_section(b, zs)
+        dedup = dedup_section(b, partition, criterion)
         checks.extend(gv_section(identity_shift, timings))
         maps_s += time.perf_counter() - start
     checks.extend(tensor_entries)
@@ -429,6 +467,18 @@ def report_failed(report: dict) -> bool:
     return not report["summary"]["all_passed"]
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def report_chunks(report: dict) -> Iterator[str]:
+    """The canonical byte-stable JSON form of ``report`` in the encoder's chunks, a newline last.
+
+    A writer streams them, so the whole text is never held at once.
+    """
+    yield from _ENCODER.iterencode(report)
+    yield "\n"
+
+
 def serialize_report(report: dict) -> str:
-    """Canonical byte-stable JSON form."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical byte-stable JSON form: the join of ``report_chunks``."""
+    return "".join(report_chunks(report))

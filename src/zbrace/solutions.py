@@ -494,24 +494,29 @@ def cross_check_involutive(b: SkewBrace, z: int, direct: bool) -> bool:
 
 
 def involutivity_check(s: DeformedSolution) -> Check:
-    """Involutivity of ``s`` with the inputs of the socle criterion.
+    """Involutivity of ``s`` with the inputs of the socle criterion (``involutivity_check_at`` at ``s.z``)."""
+    return involutivity_check_at(s.brace, s.z, s.involutivity_witness)
 
-    ``s.involutive`` raises ``CriterionMismatchError`` unless the direct
-    test agrees with the criterion, so the check passes whenever it
-    returns.  The witness of a non-involutive shift adds the two-step
-    witness.
+
+def involutivity_check_at(b: SkewBrace, z: int, two_step_witness: Any) -> Check:
+    """Involutivity at shift z of the map whose direct r o r = id test found ``two_step_witness`` (None: involutive).
+
+    ``cross_check_involutive`` raises ``CriterionMismatchError`` unless the
+    direct verdict agrees with the socle criterion at z, so the check
+    passes whenever it returns.  The witness of a non-involutive shift
+    adds the two-step witness.  A report tests r o r = id once per class
+    of equal solutions and cross-checks the verdict here at every shift.
     """
     start = time.perf_counter()
-    b = s.brace
     payload: dict[str, Any] = {
-        "involutive": s.involutive,
+        "involutive": cross_check_involutive(b, z, two_step_witness is None),
         "left_brace": b.is_left_brace,
-        "socle_member": s.z in b.socle_members,
+        "socle_member": z in b.socle_members,
     }
     if not payload["involutive"]:
-        payload["two_step_witness"] = s.involutivity_witness
+        payload["two_step_witness"] = two_step_witness
     return Check(
-        "involutivity-criterion", "pass", s.order**2, payload,
+        "involutivity-criterion", "pass", b.order**2, payload,
         note="direct double-application test agrees with the socle criterion", elapsed_ms=_ms_since(start),
     )
 
@@ -520,15 +525,23 @@ def sigma_shift_criterion(s: DeformedSolution, identity_shift: DeformedSolution)
     """Evaluate both sides of: sigma^z = sigma^1  iff  a o z = z + a for all a.
 
     ``s`` is the solution at shift z and ``identity_shift`` the one at the
-    identity, both built from the same brace.  The witness holds both
-    sides; the check fails when they disagree.
+    identity, both built from the same brace (``sigma_shift_check_at``).
     """
     start = time.perf_counter()
-    b, z = s.brace, s.z
-    tables_equal = bool(np.array_equal(s.sigma, identity_shift.sigma))
+    return sigma_shift_check_at(s.brace, s.z, bool(np.array_equal(s.sigma, identity_shift.sigma)), start)
+
+
+def sigma_shift_check_at(b: SkewBrace, z: int, tables_equal: bool, start: float | None = None) -> Check:
+    """The sigma-shift criterion at shift z, given whether sigma^z equals the identity shift's table.
+
+    Only the right side reads z: column z of the o table against row z of
+    the + table, n lookups.  The witness holds both sides; the check fails
+    when they disagree.
+    """
+    start = time.perf_counter() if start is None else start
     commutation = bool(np.array_equal(b.mul.table[:, z], b.add.table[z, :]))
     return Check(
-        "sigma-shift-criterion", "pass" if tables_equal == commutation else "fail", s.order**2,
+        "sigma-shift-criterion", "pass" if tables_equal == commutation else "fail", b.order**2,
         {"sigma_equals_identity_shift": tables_equal, "shift_commutation": commutation},
         elapsed_ms=_ms_since(start),
     )

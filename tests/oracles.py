@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zbrace.braces import NotLeftDistributiveError, make_skew_brace, odd_matrix_entries
+from zbrace.braces import (
+    NotLeftDistributiveError,
+    is_odd_matrix_brace,
+    make_skew_brace,
+    odd_matrix_entries,
+    odd_matrix_pair_criterion,
+)
 from zbrace.groups import (
     INDEX_DTYPE,
     MissingInverseError,
@@ -26,10 +32,13 @@ from zbrace.groups import (
     row_blocks,
     validate_group,
 )
+from zbrace.reporting import dedup_section, gv_section, solution_suite, tensor_suite
 from zbrace.solutions import (
     Check,
     DeformedSolution,
     TableMismatchError,
+    build_solution,
+    dedup_solutions,
     sigma_table,
     tau_table_from_sigma,
 )
@@ -37,6 +46,7 @@ from zbrace.tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
     PermMatrix,
+    TwistBundle,
     _decode3,
     _encode,
     _lift12,
@@ -1151,3 +1161,34 @@ def brute_radical_ring_laws(add, mul):
         "associative": next(((a, b, c) for a, b, c in triples if mul[mul[a][b]][c] != mul[a][mul[b][c]]), None),
         "adjoint": adjoint,
     }
+
+
+def per_shift_report(b, report):
+    """The report of the former per-shift loop, for the brace ``b`` and the config of ``report``.
+
+    Every shift in the config is built, and each selected suite runs at
+    every shift: no shift restates another's entries.  Only the checks,
+    the dedup section and the summary depend on how shifts are verified;
+    the other fields, and the brace construction entry, are taken from
+    ``report``.
+    """
+    cfg = report["config"]
+    zs, level, timings = cfg["z"], cfg["level"], cfg["timings"]
+    maps, matrices = level in ("maps", "all"), level in ("matrices", "all")
+    identity_shift = build_solution(b, b.identity) if maps else None
+    checks, tensor_entries = report["checks"][:1], []
+    for z in zs:
+        s = build_solution(b, z)
+        if maps:
+            checks += solution_suite(s, identity_shift, timings)
+        if matrices:
+            bundle = TwistBundle(s)
+            tensor_entries += tensor_suite(bundle, cfg["budget"], cfg["sample_points"], cfg["seed"], timings)
+    dedup = None
+    if maps:
+        criterion = odd_matrix_pair_criterion if is_odd_matrix_brace(b) else None
+        dedup = dedup_section(b, dedup_solutions(b, zs, pair_criterion=criterion), criterion)
+        checks += gv_section(identity_shift, timings)
+    checks += tensor_entries
+    counts = {status: sum(c["status"] == status for c in checks) for status in ("pass", "fail", "sampled")}
+    return {**report, "checks": checks, "dedup": dedup, "summary": {**counts, "all_passed": counts["fail"] == 0}}

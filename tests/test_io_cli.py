@@ -33,13 +33,12 @@ from zbrace.groups import NotClosedError, cyclic_group, symmetric_group, validat
 from zbrace.reporting import (
     build_report,
     config_int,
-    dedup_section,
     entry_ms,
     report_failed,
     select_shifts,
     serialize_report,
 )
-from zbrace.solutions import build_solution
+from zbrace.solutions import build_solution, dedup_solutions
 from zbrace.tensor import TwistBundle
 
 
@@ -437,6 +436,19 @@ def test_report_config_without_settings_uses_library_defaults(tmp_path, capsys):
     assert config["timings"] is False
 
 
+def test_report_streams_the_serialized_bytes_to_the_file_and_to_stdout(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    rep = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 6}}))
+    b = cyclic_unit_brace(6)
+    expected = serialize_report(build_report(b, select_shifts(b, "all", seed=0), family="cyclic2n", params={"n": 6}))
+    assert main(["report", "--config", str(cfg), "-o", str(rep)]) == 0
+    assert capsys.readouterr().out == f"wrote report to {rep}\n"
+    assert rep.read_bytes() == expected.encode("utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_solve_dedup_builds_one_solution_per_distinct_map(tmp_path, capsys, monkeypatch):
     import zbrace.cli
     import zbrace.reporting
@@ -472,42 +484,66 @@ def test_cli_solve_cross_checks_every_member_of_a_class(tmp_path, capsys, monkey
     assert capsys.readouterr().out == "z=0 (label 1): involutive=True\nz=1 (label 3): involutive=False\n"
 
 
-def test_report_builds_each_shift_once_plus_the_identity(monkeypatch):
+def test_report_builds_and_verifies_each_class_once_plus_the_identity(monkeypatch):
     import zbrace.cli
     import zbrace.reporting
     import zbrace.solutions
 
-    calls = []
+    calls = {"build_solution": [], "solution_suite": [], "tensor_suite": []}
 
-    def counted(b, z):
-        calls.append(z)
-        return build_solution(b, z)
+    def counted(name, fn, z_of):
+        def wrapper(*args, **kwargs):
+            calls[name].append(z_of(*args))
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     for module in (zbrace.cli, zbrace.reporting, zbrace.solutions):
-        monkeypatch.setattr(module, "build_solution", counted)
-    b = cyclic_unit_brace(4)
+        monkeypatch.setattr(module, "build_solution", counted("build_solution", build_solution, lambda b, z: z))
+    for name, z_of in (("solution_suite", lambda s, *_: s.z), ("tensor_suite", lambda bundle, *_: bundle.solution.z)):
+        monkeypatch.setattr(zbrace.reporting, name, counted(name, getattr(zbrace.reporting, name), z_of))
+    b = cyclic_unit_brace(6)
     zs = select_shifts(b, "all", seed=0)
+    representatives = [cls[0] for cls in dedup_solutions(b, zs).classes]
+    assert (len(zs), len(representatives)) == (32, 16)
     report = build_report(b, zs, level="all", family="cyclic2n")
     assert not report_failed(report)
-    assert sorted(calls) == sorted(zs + [b.identity])
+    # one suite run per class, not per shift, and every shift still has its entries
+    assert sorted(calls["build_solution"]) == sorted(representatives + [b.identity])
+    assert calls["solution_suite"] == calls["tensor_suite"] == representatives
+    assert sorted({c["z"] for c in report["checks"] if c["z"] is not None}) == zs
 
 
 def test_report_scans_the_socle_once_and_each_shift_involutivity_once(monkeypatch):
+    # r o r = id is tested once per class; every shift cross-checks that
+    # verdict against its own socle criterion once in the map-level suite
     import zbrace.braces
     import zbrace.solutions
 
-    calls = {"socle": 0, "is_involutive": 0}
-    for module, name in ((zbrace.braces, "socle"), (zbrace.solutions, "is_involutive")):
+    calls = {"socle": [], "is_involutive": [], "cross_check_involutive": []}
+    for module, name in (
+        (zbrace.braces, "socle"),
+        (zbrace.solutions, "is_involutive"),
+        (zbrace.solutions, "cross_check_involutive"),
+    ):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    b = cyclic_unit_brace(4)
-    zs = select_shifts(b, "all", seed=0)
-    report = build_report(b, zs, level="all", family="cyclic2n")
-    assert not report_failed(report)
-    assert calls == {"socle": 1, "is_involutive": len(zs)}
+    zs = select_shifts(cyclic_unit_brace(4), "all", seed=0)
+    representatives = [cls[0] for cls in dedup_solutions(cyclic_unit_brace(4), zs).classes]
+    assert len(representatives) < len(zs)
+    for level, tensor_checked in (("maps", []), ("all", representatives)):
+        b = cyclic_unit_brace(4)  # a brace of its own, whose socle is not yet scanned
+        for record in calls.values():
+            record.clear()
+        report = build_report(b, zs, level=level, family="cyclic2n")
+        assert not report_failed(report)
+        assert len(calls["socle"]) == 1
+        # the twisted closed forms read each representative's cached verdict
+        assert sorted(s.z for s, in calls["is_involutive"]) == tensor_checked
+        assert sorted(z for _, z, _ in calls["cross_check_involutive"]) == sorted(zs + tensor_checked)
 
 
 def test_report_tensor_entries_time_their_own_check_only_with_timings():
@@ -578,11 +614,13 @@ def test_report_decides_each_shift_braid_constraints_once(monkeypatch):
     monkeypatch.setattr(zbrace.solutions, "verify_braid_constraints", counted)
     b = cyclic_unit_brace(4)
     zs = select_shifts(b, "all", seed=0)
+    representatives = [cls[0] for cls in dedup_solutions(b, zs).classes]
     for level in ("all", "matrices"):
         calls.clear()
         report = build_report(b, zs, level=level, family="cyclic2n")
         assert not report_failed(report)
-        assert sorted(calls) == zs
+        # once per class: the other shifts of a class restate its verdicts
+        assert sorted(calls) == representatives
 
 
 def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
@@ -595,7 +633,7 @@ def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     assert "class {1,33}" in printed
     assert "pair criterion" not in printed
     b = parse_brace(renamed)
-    assert "criterion_pairs" not in dedup_section(b, select_shifts(b, "all", seed=0))
+    assert "criterion_pairs" not in build_report(b, select_shifts(b, "all", seed=0), level="maps")["dedup"]
 
     genuine = tmp_path / "om.brace"
     assert main(["make", "--family", "oddmatrix", "-o", str(genuine)]) == 0
@@ -1010,3 +1048,33 @@ def test_closed_stdout_pipe_exits_1_without_an_error_line(tmp_path, unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_report_into_a_stdout_pipe_closed_mid_stream_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # the report leaves in chunks, so the reader can go while most of it is still unwritten
+    import zbrace
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 6}}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(zbrace.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zbrace.cli", "report", "--config", str(cfg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b"{\n")
+    assert proc.returncode == 1
+    assert stderr == b""

@@ -22,7 +22,8 @@ CYCLIC4_SOLVE_DEDUP = "c58809211a92eb0e46f449ebdcd2550cddb6dbf3704dc86a44b134c8b
 # `solve --z all --dedup` on the odd-matrix brace: 256 involutive= lines,
 # 16 classes and the pair-criterion line
 ODDMATRIX_SOLVE_DEDUP = "0125976c5e8fe3c7bbef6a792bf78cba2c8faa825b4c260de930dfb983eb0a8a"
-# `solve --z all` on trivial-S3, whose shifts are all one map
+# `solve --z all` on trivial-S3, whose six shifts give six distinct maps,
+# none of them involutive
 TRIVIAL_S3_SOLVE = "ea54752e40b85432446063b9865140e8121be1fba774de55a556ad35fd300af4"
 # budget 256 < 8^3 sends every arity-3 check of cyclic2n n=4 that no braid
 # constraint proves (the coassociativity probes) down the sampled path
