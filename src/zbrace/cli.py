@@ -41,7 +41,7 @@ from .reporting import (
     select_shifts,
     tensor_checks,
 )
-from .solutions import InadmissibleZError, build_solution, cross_check_involutive, dedup_solutions, is_involutive
+from .solutions import InadmissibleZError, build_solution, cross_check_involutive, dedup_solutions
 from .tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
@@ -171,7 +171,7 @@ def cmd_solve(args) -> int:
     for z in zs:
         rep = first[z]
         if rep not in involutive:
-            involutive[rep] = is_involutive(build_solution(b, rep))
+            involutive[rep] = build_solution(b, rep).involutive
         print(f"z={z} (label {b.labels[z]}): involutive={cross_check_involutive(b, z, involutive[rep])}")
     if not args.dedup:
         return 0
@@ -186,7 +186,6 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     config_int(args.seed, "seed", minimum=0)
     config_int(args.budget, "budget", minimum=0)
-    config_int(args.threads, "threads", minimum=1)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
     report = build_report(
@@ -196,7 +195,6 @@ def cmd_verify(args) -> int:
         family=_family_of(b),
         budget=args.budget,
         seed=args.seed,
-        threads=args.threads,
     )
     _print_checks(report["checks"])
     summary = report["summary"]
@@ -244,17 +242,23 @@ def cmd_export(args) -> int:
     return 0
 
 
+# The top-level keys a report config may hold; any other key is an input error.
+_REPORT_CONFIG_KEYS = ("brace", "z", "level", "seed", "budget", "sample_points", "timings")
+
+
 def cmd_report(args) -> int:
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise SchemaError("$", "config must be an object")
+    unknown = ", ".join(repr(key) for key in cfg if key not in _REPORT_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown} (known keys: {', '.join(_REPORT_CONFIG_KEYS)})")
     src_doc = cfg.get("brace")
     if not isinstance(src_doc, dict):
         raise SchemaError("$.brace", "missing brace source")
     seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
     budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
     sample_points = sample_points_setting(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS))
-    threads = config_int(cfg.get("threads", 1), "threads", minimum=1)
     timings = cfg.get("timings", False)
     if not isinstance(timings, bool):
         raise ValueError(f"timings must be true or false, got {timings!r}")
@@ -276,7 +280,6 @@ def cmd_report(args) -> int:
         sample_points=sample_points,
         seed=seed,
         timings=timings,
-        threads=threads,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="all")
     p.add_argument("--level", choices=LEVELS, default="maps")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -32,11 +32,9 @@ is emitted.  Any entry with status "fail" makes the run exit nonzero.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import os
 import time
 from typing import Any, Callable, Collection, Iterator, Sequence
 
@@ -345,12 +343,10 @@ def build_report(
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     seed: int = 0,
     timings: bool = False,
-    threads: int = 1,
 ) -> dict:
     """Run the selected suites in fixed order and assemble the report."""
     level = level_setting(level)
     sample_points = sample_points_setting(sample_points)
-    config_int(threads, "threads", minimum=1)
     t_start = time.perf_counter()
 
     # the brace was built and validated before the report; its entry times
@@ -368,44 +364,40 @@ def build_report(
     checks = [_entry("brace", construction, None, timings)]
 
     zs = [int(z) for z in zs]
-    threads = min(threads, len(zs), os.cpu_count() or 1)
     maps = level in ("maps", "all")
     matrices = level in ("matrices", "all")
     identity_shift = build_solution(b, b.identity) if maps else None
-    # Section timings are sums over class representatives (wall time at
-    # one thread); the partition and the dedup and gv sections count
-    # towards the map-level time, restating towards none.
+    # Section timings are sums over class representatives; the partition
+    # and the dedup and gv sections count towards the map-level time,
+    # restating towards none, and a section that does not run reads 0.0.
     start = time.perf_counter()
     criterion = odd_matrix_pair_criterion if maps and is_odd_matrix_brace(b) else None
     partition = dedup_solutions(b, zs, pair_criterion=criterion)
     maps_s = time.perf_counter() - start if maps else 0.0
-    representatives = [cls[0] for cls in partition.classes]
+    matrices_s = 0.0
 
-    def run_class(z: int) -> tuple[list[dict], list[dict], float, float]:
-        start = time.perf_counter()
-        s = build_solution(b, z)
-        maps_out = solution_suite(s, identity_shift, timings) if maps else []
-        mid = time.perf_counter() if maps else start
-        tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings) if matrices else []
-        return maps_out, tensors_out, mid - start, time.perf_counter() - mid
-
-    pool_context = contextlib.nullcontext()
-    if threads > 1:
-        # imported here, so that a single-threaded run never loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool_context = ThreadPoolExecutor(max_workers=threads)
-    with pool_context as pool:
-        runs = map(run_class, representatives) if pool is None else pool.map(run_class, representatives)
-        verified = dict(zip(representatives, runs))
-    maps_s += sum(run[2] for run in verified.values())
-    matrices_s = sum(run[3] for run in verified.values())
+    verified: dict[int, tuple[list[dict], list[dict]]] = {}  # representative -> its entries
+    for rep in (cls[0] for cls in partition.classes):
+        lap = time.perf_counter()
+        s = build_solution(b, rep)
+        maps_out: list[dict] = []
+        tensors_out: list[dict] = []
+        if maps:
+            maps_out = solution_suite(s, identity_shift, timings)
+            now = time.perf_counter()
+            maps_s += now - lap
+            lap = now
+        if matrices:
+            tensors_out = tensor_suite(TwistBundle(s), budget, sample_points, seed, timings)
+            matrices_s += time.perf_counter() - lap
+        verified[rep] = maps_out, tensors_out
+        del s  # only the solution in flight is held
 
     # entries in shift order: a representative's own, every other shift's restated
     representative_of = {z: cls[0] for cls in partition.classes for z in cls}
     tensor_entries: list[dict] = []
     for z in zs:
-        maps_out, tensors_out, _, _ = verified[representative_of[z]]
+        maps_out, tensors_out = verified[representative_of[z]]
         if z != representative_of[z]:
             maps_out = [_restated_entry(e, b, z, timings) for e in maps_out]
             tensors_out = [_restated_entry(e, b, z, timings) for e in tensors_out]

@@ -196,48 +196,6 @@ def test_report_carries_dedup_discrepancy_note():
     assert any("known-discrepancy" in note for note in report["dedup"]["notes"])
 
 
-def test_report_threads_do_not_change_output():
-    b = cyclic_unit_brace(3)
-    zs = select_shifts(b, "all", seed=0)
-    seq = build_report(b, zs, level="maps", family="cyclic2n", threads=1)
-    par = build_report(b, zs, level="maps", family="cyclic2n", threads=4)
-    assert serialize_report(seq) == serialize_report(par)
-
-
-def test_report_threads_clamped_to_shifts_and_cpus(monkeypatch):
-    import concurrent.futures
-
-    from zbrace import reporting
-
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    # build_report imports the pool class from its module when it first needs one
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(reporting.os, "cpu_count", lambda: 3)
-    b = cyclic_unit_brace(3)
-    zs = select_shifts(b, "all", seed=0)
-    assert len(zs) == 4
-    build_report(b, zs, level="maps", family="cyclic2n", threads=10**6)
-    assert seen == [3]
-    build_report(b, zs[:2], level="maps", family="cyclic2n", threads=10**6)
-    assert seen == [3, 2]
-    build_report(b, zs, level="maps", family="cyclic2n", threads=2)
-    assert seen == [3, 2, 2]
-
-
 def test_select_shifts_modes():
     b = cyclic_unit_brace(3)
     assert select_shifts(b, "all", seed=0) == [0, 1, 2, 3]
@@ -595,6 +553,21 @@ def test_report_counts_dedup_and_gv_in_the_maps_section_time(monkeypatch):
     assert untimed == {"maps": 0.0, "matrices": 0.0, "total": 0.0}
 
 
+def test_report_section_times_add_up_within_the_total():
+    # the sections run one after the other, so their times never exceed
+    # the total (allowing for rounding each to 3 decimals), and a section
+    # that does not run reads 0.0
+    b = cyclic_unit_brace(6)
+    zs = select_shifts(b, "all", seed=0)
+    for level in ("maps", "matrices", "all"):
+        elapsed = build_report(b, zs, level=level, family="cyclic2n", timings=True)["elapsed_ms"]
+        assert elapsed["maps"] + elapsed["matrices"] <= elapsed["total"] + 0.002, (level, elapsed)
+        if level == "maps":
+            assert elapsed["matrices"] == 0.0
+        if level == "matrices":
+            assert elapsed["maps"] == 0.0
+
+
 def test_entry_times_round_up_to_the_microsecond():
     assert entry_ms(0.0, True) == 0.001
     assert entry_ms(0.0004, True) == 0.001
@@ -769,7 +742,6 @@ def test_report_timings_must_be_a_json_boolean(tmp_path, capsys, value):
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": [2]}}, "z.sample"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "budget": True}, "budget"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "sample_points": True}, "sample_points"),
-        ({"brace": {"family": "cyclic2n", "n": 3}, "threads": False}, "threads"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "seed": True}, "seed"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": [3, True]}, "z[1]"),
         ({"brace": {"family": "cyclic2n", "n": 3.7}}, "n"),
@@ -779,13 +751,12 @@ def test_report_timings_must_be_a_json_boolean(tmp_path, capsys, value):
         ({"brace": {"family": "cyclic2n", "n": 3}, "budget": 63.9}, "budget"),
         ({"brace": {"family": "cyclic2n", "n": 3}, "z": ["1"]}, "z[0]"),
         ({"brace": {"family": "cyclic2n", "n": "3"}}, "n"),
-        ({"brace": {"family": "cyclic2n", "n": 3}, "threads": "2"}, "threads"),
     ],
     ids=[
         "brace-n-list", "seed-list", "z-nested-list", "z-sample-list",
-        "budget-bool", "sample-points-bool", "threads-bool", "seed-bool", "z-entry-bool",
+        "budget-bool", "sample-points-bool", "seed-bool", "z-entry-bool",
         "brace-n-float", "brace-n-integral-float", "z-entry-float", "z-sample-float", "budget-float",
-        "z-entry-string", "brace-n-string", "threads-string",
+        "z-entry-string", "brace-n-string",
     ],
 )
 def test_report_non_integer_numeric_field_is_an_input_error(tmp_path, capsys, cfg, field):
@@ -936,33 +907,40 @@ def test_negative_budget_is_rejected_before_any_check(tmp_path, capsys, monkeypa
     assert _assert_one_error_line(capsys) == "error: budget must be >= 0, got -1\n"
 
 
+_KNOWN_KEYS = "(known keys: brace, z, level, seed, budget, sample_points, timings)"
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "setting, message",
     [
-        (["verify", "{brace}", "--threads", "-4"], "threads must be >= 1, got -4"),
-        (["verify", "{brace}", "--threads", "0"], "threads must be >= 1, got 0"),
-        (["report", "--config", "{cfg}"], "threads must be >= 1, got -2"),
-        (["report", "--config", "{points_cfg}"], "sample_points must be >= 1"),
+        ({"sample_points": 0}, "sample_points must be >= 1"),
+        ({"threads": 2}, f"unknown config key 'threads' {_KNOWN_KEYS}"),
+        ({"sample_point": 10}, f"unknown config key 'sample_point' {_KNOWN_KEYS}"),
     ],
-    ids=["verify-negative", "verify-zero", "report-threads", "report-sample-points"],
+    ids=["report-sample-points", "report-threads", "report-misspelt-key"],
 )
-def test_threads_and_sample_points_below_one_are_rejected_before_any_check(
-    tmp_path, capsys, monkeypatch, argv, message
-):
+def test_report_settings_are_rejected_before_any_check(tmp_path, capsys, monkeypatch, setting, message):
     import zbrace.cli
 
-    paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json", "points_cfg": tmp_path / "points.json"}
-    write_brace(cyclic_unit_brace(3), paths["brace"])
-    paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "threads": -2}))
-    paths["points_cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "sample_points": 0}))
+    brace = tmp_path / "c3.brace"
+    write_brace(cyclic_unit_brace(3), brace)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"file": str(brace)}, **setting}))
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the setting was checked")
 
     for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
         monkeypatch.setattr(zbrace.cli, name, no_work)
-    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert main(["report", "--config", str(cfg)]) == 2
     assert _assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_verify_has_no_threads_option(capsys, cyclic3_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(cyclic3_file), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1009,12 +987,6 @@ def test_report_holds_only_python_values():
     report = build_report(odd, [37, 106, 168], level="maps", family="oddmatrix", budget=10, sample_points=5)
     assert report["dedup"]["criterion_pairs"]
     assert _python_values_only(report)
-
-
-def test_report_threads_below_one_is_rejected_by_the_library():
-    b = cyclic_unit_brace(3)
-    with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
-        build_report(b, [3], threads=0)
 
 
 def test_budget_zero_is_accepted(tmp_path, capsys, cyclic3_file):
