@@ -38,6 +38,7 @@ from .reporting import (
     report_chunks,
     report_failed,
     sample_points_setting,
+    seed_setting,
     select_shifts,
     tensor_checks,
 )
@@ -184,7 +185,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config_int(args.seed, "seed", minimum=0)
+    seed_setting(args.seed)
     config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
@@ -212,7 +213,7 @@ def cmd_twist(args) -> int:
     for w in wanted:
         if w not in _TWIST_CHECKS:
             raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
-    config_int(args.seed, "seed", minimum=0)
+    seed_setting(args.seed)
     config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
     zs = select_shifts(b, _parse_z(b, args.z), seed=args.seed)
@@ -242,21 +243,28 @@ def cmd_export(args) -> int:
     return 0
 
 
-# The top-level keys a report config may hold; any other key is an input error.
+# The top-level keys a report config may hold, and those of its brace object;
+# any other key is an input error.
 _REPORT_CONFIG_KEYS = ("brace", "z", "level", "seed", "budget", "sample_points", "timings")
+_BRACE_KEYS = ("file", "family", "n", "modulus", "group", "left", "right")
+
+
+def _unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = ", ".join(repr(key) for key in doc if key not in known)
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown} (known keys: {', '.join(known)})")
 
 
 def cmd_report(args) -> int:
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise SchemaError("$", "config must be an object")
-    unknown = ", ".join(repr(key) for key in cfg if key not in _REPORT_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown} (known keys: {', '.join(_REPORT_CONFIG_KEYS)})")
+    _unknown_keys(cfg, _REPORT_CONFIG_KEYS, "config key")
     src_doc = cfg.get("brace")
     if not isinstance(src_doc, dict):
         raise SchemaError("$.brace", "missing brace source")
-    seed = config_int(cfg.get("seed", 0), "seed", minimum=0)
+    _unknown_keys(src_doc, _BRACE_KEYS, "brace key")
+    seed = seed_setting(cfg.get("seed", 0))
     budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
     sample_points = sample_points_setting(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS))
     timings = cfg.get("timings", False)

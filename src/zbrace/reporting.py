@@ -67,6 +67,7 @@ from .solutions import (
 from .tensor import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
+    SEED_LIMIT,
     TwistBundle,
     braid_matrix_check,
     cocycle_check,
@@ -74,6 +75,7 @@ from .tensor import (
     coproduct_defect,
     lift_commutation_check,
     r_lift_defects,
+    splitmix64,
     twisted_coproduct_check,
     twisted_solution_check,
     ybe_matrix_check,
@@ -274,18 +276,25 @@ def gv_section(identity_shift: DeformedSolution, timings: bool = False) -> list[
     return [_entry("gv", c, None, timings) for c in gv_correspondence_check(identity_shift)]
 
 
-def config_int(value: Any, where: str, minimum: int | None = None) -> int:
+def config_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """A config field that must be an integer (a Python or NumPy integer, not a boolean); else a one-line ValueError.
 
     Floats, even integral ones like 3.0, and numeric strings are rejected,
-    as integer entries of brace tables are.  With ``minimum``, a smaller
-    integer is rejected too.
+    as integer entries of brace tables are.  With ``minimum`` or
+    ``maximum``, an integer outside them is rejected too.
     """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{where} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{where} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def seed_setting(value: Any) -> int:
+    """A ``seed`` setting: the 64-bit start state of the sample stream, 0 <= seed < 2^64; else a one-line ValueError."""
+    return config_int(value, "seed", minimum=0, maximum=SEED_LIMIT - 1)
 
 
 LEVELS = ("maps", "matrices", "all")
@@ -308,19 +317,20 @@ def sample_points_setting(value: Any) -> int:
 def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
     """Resolve a shift selection: "all" (or None), a list of element indices, or {"sample": k}.
 
-    Any other form, a count or index that is not an integer, or a
-    selection of no shift (an empty list, k < 1) raises ValueError.
+    {"sample": k} takes the k admissible shifts whose positions carry the
+    smallest values of the splitmix64 stream of ``seed`` (ties by
+    position).  Any other form, a count or index that is not an integer,
+    or a selection of no shift (an empty list, k < 1) raises ValueError.
     """
     admissible = admissible_z(b).tolist()
     if selection == "all" or selection is None:
         return [int(z) for z in admissible]
     if isinstance(selection, dict) and "sample" in selection:
         k = config_int(selection["sample"], "z.sample", minimum=1)
-        rng = np.random.default_rng(seed)
         if k >= len(admissible):
             return [int(z) for z in admissible]
-        picked = rng.choice(np.asarray(admissible), size=k, replace=False)
-        return sorted(int(z) for z in picked)
+        keys = splitmix64(seed, 0, len(admissible))
+        return sorted(admissible[i] for i in np.argsort(keys, kind="stable")[:k])
     if not isinstance(selection, (list, tuple)):
         raise ValueError(f'shift selection must be "all", a list or {{"sample": k}}, got {selection!r}')
     zs = [config_int(z, f"z[{i}]") for i, z in enumerate(selection)]
@@ -347,6 +357,7 @@ def build_report(
     """Run the selected suites in fixed order and assemble the report."""
     level = level_setting(level)
     sample_points = sample_points_setting(sample_points)
+    seed = seed_setting(seed)
     t_start = time.perf_counter()
 
     # the brace was built and validated before the report; its entry times

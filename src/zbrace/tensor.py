@@ -50,7 +50,8 @@ output legs are compared.  Within the point budget the points are the
 broadcast index grid, one block of rows e at a time in row-major order
 (``groups.first_difference``), so a comparison holds a few arrays of at
 most ``BLOCK_POINTS`` entries; beyond the budget they are a seeded sample
-of decoded points, drawn once per (n, sample_points, seed).
+of decoded points, drawn once per (n, sample_points, seed) from zbrace's
+own splitmix64 stream (``splitmix64``) rather than a NumPy generator.
 
 The coassociativity defect probes are compared with no sweep: whether a
 defect exists, and its row-major first point, are decided exactly in
@@ -79,6 +80,12 @@ DEFAULT_BUDGET = 1 << 22
 BLOCK_POINTS = 1 << 20
 # Sampled points per block of a defect probe's search for its first sampled defect.
 SAMPLE_BLOCK = 1 << 12
+# A seed is the 64-bit start state of the splitmix64 stream: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 1 << 64
+# Stream values per block of a draw.
+DRAW_BLOCK = 1 << 14
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 Triple = tuple[np.ndarray, np.ndarray, np.ndarray]
 # a row-to-column index formula: row legs in, column legs out
@@ -172,6 +179,54 @@ def _grid(lo: int, hi: int, n: int, arity: int = 3) -> tuple[np.ndarray, ...]:
     return tuple(leg.reshape((1,) * k + (-1,) + (1,) * (arity - 1 - k)) for k, leg in enumerate(legs))
 
 
+def splitmix64(seed: int, start: int, size: int) -> np.ndarray:
+    """Values ``start`` to ``start + size - 1`` of the splitmix64 stream of ``seed``, as uint64.
+
+    Value i is mix(seed + (i + 1) * 0x9E3779B97F4A7C15 mod 2^64), where mix
+    is z ^= z >> 30, z *= 0xBF58476D1CE4E5B9, z ^= z >> 27,
+    z *= 0x94D049BB133111EB, z ^= z >> 31, all modulo 2^64: the output of
+    Vigna's reference splitmix64.c started at state ``seed`` (Steele, Lea
+    and Flood, OOPSLA 2014).  It works in place on the result and one
+    scratch array, and depends on no NumPy generator.
+    """
+    z = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    t = np.empty_like(z)
+    for shift, mult in _MIX:
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def seeded_points(total: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` draws below ``total`` from the stream of ``seed``, sorted and distinct, as int64.
+
+    A draw is the top (total - 1).bit_length() bits of a stream value and
+    is rejected unless it is below ``total``, so at least half are kept.
+    Values are made ``DRAW_BLOCK`` at a time.
+    """
+    shift = 64 - (total - 1).bit_length()
+    p = np.empty(count, dtype=np.int64)
+    filled = start = 0
+    while filled < count:
+        v = splitmix64(seed, start, DRAW_BLOCK)
+        start += DRAW_BLOCK
+        # NumPy defines a shift by 64 as 0: the only draw below a total of 1
+        v >>= np.uint64(shift)
+        v = v[v < total][: count - filled]
+        p[filled : filled + v.size] = v
+        filled += v.size
+    # sorted distinct draws (the result of np.unique, without its cost)
+    p.sort()
+    keep = np.ones(p.size, dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=keep[1:])
+    return p[keep]
+
+
 @functools.lru_cache(maxsize=1)
 def _sample(n: int, sample_points: int, seed: int) -> tuple[np.ndarray, Triple]:
     """The seeded sample of distinct flat points in ascending order, with its decoded triples.
@@ -179,14 +234,7 @@ def _sample(n: int, sample_points: int, seed: int) -> tuple[np.ndarray, Triple]:
     Every sampled check of a report draws the same points, so they are
     drawn once and shared as read-only arrays.
     """
-    rng = np.random.default_rng(seed)
-    total = n**3
-    # sorted distinct draws (the result of np.unique, without its cost)
-    p = rng.integers(0, total, size=min(sample_points, total))
-    p.sort()
-    keep = np.ones(p.size, dtype=bool)
-    np.not_equal(p[1:], p[:-1], out=keep[1:])
-    p = p[keep]
+    p = seeded_points(n**3, min(sample_points, n**3), seed)
     pts = _decode3(p, n)
     for a in (p, *pts):
         a.setflags(write=False)

@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ from zbrace.tensor import (
     _lift13,
     _lift23,
     _proved_or_compared,
+    seeded_points,
 )
 
 SPARSE_ENTRY_LIMIT = 4096
@@ -756,11 +758,44 @@ def _chain(fns, pts):
     return pts
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(seed):
+    """The splitmix64 stream started at state ``seed``, one Python integer at a time.
+
+    A line-by-line transcription of Vigna's reference splitmix64.c, with
+    no NumPy: the state advances by the golden gamma and each value is the
+    mixed state, every step modulo 2^64.
+    """
+    x = seed
+    while True:
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def seeded_points_reference(total, count, seed):
+    """The sorted distinct first ``count`` draws below ``total``: top bits of each value, the rest rejected."""
+    shift = 64 - (total - 1).bit_length()
+    draws = (v >> shift for v in splitmix64_reference(seed))
+    return sorted(set(itertools.islice((d for d in draws if d < total), count)))
+
+
+def sample_shifts_reference(admissible, k, seed):
+    """The k shifts whose positions carry the smallest stream values, ties by position, in ascending order."""
+    keys = list(itertools.islice(splitmix64_reference(seed), len(admissible)))
+    return sorted(admissible[i] for i in sorted(range(len(admissible)), key=lambda i: (keys[i], i))[:k])
+
+
 def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1 << 22):
     """The former chain comparison: decode each block of flat indices and run both chains on it.
 
     Exhaustive within the budget, one block of ``block`` points at a time;
-    beyond it, the seeded sample the library still draws.
+    beyond it, the library's seeded sample (``seeded_points``, checked
+    against ``seeded_points_reference``).
     """
     total = n**3
     if total <= budget:
@@ -780,8 +815,7 @@ def brute_compare_chains(name, n, lhs, rhs, budget, sample_points, seed, block=1
                 return Check(name, "fail", int(p[i]) + 1, witness)
         return Check(name, "pass", total)
 
-    rng = np.random.default_rng(seed)
-    p = np.unique(rng.integers(0, total, size=min(sample_points, total)))
+    p = seeded_points(total, min(sample_points, total), seed)
     pts = _decode3(p, n)
     le = _encode(_chain(lhs, pts), n)
     re = _encode(_chain(rhs, pts), n)

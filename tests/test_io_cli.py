@@ -876,6 +876,43 @@ def test_negative_seed_is_rejected_before_any_check(tmp_path, capsys, monkeypatc
         config_int(-1, "seed", minimum=0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{brace}", "--seed", str(2**64), "--level", "all"],
+        ["twist", "{brace}", "--seed", str(2**64)],
+        ["report", "--config", "{cfg}"],
+    ],
+    ids=["verify", "twist", "report"],
+)
+def test_seed_past_64_bits_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
+    import zbrace.cli
+
+    paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
+    write_brace(cyclic_unit_brace(3), paths["brace"])
+    paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "seed": 2**64, "z": {"sample": 2}}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == f"error: seed must be <= {2**64 - 1}, got {2**64}\n"
+    with pytest.raises(ValueError, match=f"^seed must be <= {2**64 - 1}, got {2**64}$"):
+        build_report(cyclic_unit_brace(3), [3], seed=2**64)
+
+
+def test_largest_seed_is_accepted(tmp_path, capsys, cyclic3_file):
+    seed = str(2**64 - 1)
+    assert main(["verify", str(cyclic3_file), "--level", "matrices", "--budget", "0", "--seed", seed]) == 0
+    assert "[sampled]" in capsys.readouterr().out
+    assert main(["twist", str(cyclic3_file), "--z", "3", "--budget", "0", "--seed", seed]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": 2}, "seed": 2**64 - 1}))
+    assert main(["report", "--config", str(cfg)]) == 0
+
+
 def test_solve_still_accepts_a_negative_seed(tmp_path, capsys):
     path = tmp_path / "c3.brace"
     write_brace(cyclic_unit_brace(3), path)
@@ -929,6 +966,34 @@ def test_report_settings_are_rejected_before_any_check(tmp_path, capsys, monkeyp
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the setting was checked")
+
+    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
+        monkeypatch.setattr(zbrace.cli, name, no_work)
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+_BRACE_KEYS = "(known keys: file, family, n, modulus, group, left, right)"
+
+
+@pytest.mark.parametrize(
+    "brace, message",
+    [
+        ({"family": "cyclic2n", "N": 5}, f"unknown brace key 'N' {_BRACE_KEYS}"),
+        ({"file": "c3.brace", "threads": 2, "seed": 1}, f"unknown brace key 'threads', 'seed' {_BRACE_KEYS}"),
+    ],
+    ids=["family-misspelt-n", "file-with-extra-keys"],
+)
+def test_report_unknown_brace_keys_are_rejected_before_the_brace_is_read(
+    tmp_path, capsys, monkeypatch, brace, message
+):
+    import zbrace.cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": brace}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the brace keys were checked")
 
     for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
         monkeypatch.setattr(zbrace.cli, name, no_work)
@@ -1050,3 +1115,30 @@ def test_report_into_a_stdout_pipe_closed_mid_stream_exits_1_without_a_traceback
     assert head.startswith(b"{\n")
     assert proc.returncode == 1
     assert stderr == b""
+
+
+def test_sampled_report_loads_no_numpy_random(tmp_path):
+    # budget 256 < 8^3 sends the coassociativity probes of cyclic2n n=4 down
+    # the sampled path, which draws from zbrace's own splitmix64 stream
+    import zbrace
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 4}, "level": "all", "budget": 256}))
+    out = tmp_path / "report.json"
+    code = (
+        "import sys; from zbrace.cli import main; "
+        f"code = main(['report', '--config', {str(cfg)!r}, '-o', {str(out)!r}]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zbrace.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    assert json.loads(out.read_text())["summary"]["sampled"] > 0
+
+
+def test_source_holds_no_numpy_generator():
+    import zbrace
+
+    for path in sorted(Path(zbrace.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path.name

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -16,6 +17,9 @@ from oracles import (
     brute_r_lift_defects,
     brute_row_map,
     brute_twisted_coproduct,
+    sample_shifts_reference,
+    seeded_points_reference,
+    splitmix64_reference,
     dense_add,
     dense_kron,
     dense_matrix,
@@ -46,7 +50,7 @@ from zbrace.braces import (
     trivial_skew_brace,
 )
 from zbrace.groups import cyclic_group, row_blocks, symmetric_group
-from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
+from zbrace.reporting import TENSOR_FAMILIES, select_shifts, tensor_checks
 from zbrace.solutions import Check, build_solution
 from zbrace.tensor import (
     PermMatrix,
@@ -65,6 +69,8 @@ from zbrace.tensor import (
     export_object,
     lift_commutation_check,
     r_lift_defects,
+    seeded_points,
+    splitmix64,
     twisted_coproduct_check,
     twisted_solution_check,
     ybe_matrix_check,
@@ -617,7 +623,7 @@ def test_oddmatrix_tensor_checks_run_sampled_under_default_budget(monkeypatch):
         "cocycle:Fhat-factorizations",
         "cocycle:Fhat-closed-form",
     }
-    draws = np.unique(np.random.default_rng(1).integers(0, 256**3, size=20_000)).size
+    draws = seeded_points(256**3, 20_000, 1).size
     for c in got:
         if c.name in proved:
             assert (c.status, c.points) == ("pass", 256**3), c
@@ -829,7 +835,7 @@ def test_budget_boundary_between_exhaustive_and_sampled(monkeypatch):
         m.setattr(tensor, "_compare_chains", brute_compare_chains)
         want = [*_twisted_braids(tb, **kw), *brute_r_lift_defects(tb, **kw)]
     assert got == want
-    draws = np.unique(np.random.default_rng(4).integers(0, total, size=200)).size
+    draws = seeded_points(total, 200, 4).size
     assert got[0].status == "sampled" and got[0].points == draws
     assert got[2].status == "fail" and got[2].witness is not None
     # a proved check passes at every point on either side of the boundary
@@ -919,6 +925,51 @@ def test_sample_is_drawn_once_and_shared_read_only(monkeypatch):
     assert not any(a.flags.writeable for a in (p, *pts))
     # every check that ran on the sample ran on this one
     assert sum(c.points == p.size for c in checks) > 1
+
+
+SEEDS = (0, 1, 2**64 - 1)
+
+
+def test_splitmix64_gives_the_published_values():
+    # the first outputs of Vigna's splitmix64.c from state 1234567
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821]
+    assert splitmix64(1234567, 0, 5).tolist() == want
+    assert list(itertools.islice(splitmix64_reference(1234567), 5)) == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix64_matches_the_pure_python_reference(seed):
+    size = tensor.DRAW_BLOCK + 100
+    want = list(itertools.islice(splitmix64_reference(seed), size))
+    got = splitmix64(seed, 0, size)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert splitmix64(seed, tensor.DRAW_BLOCK - 2, 5).tolist() == want[tensor.DRAW_BLOCK - 2 : tensor.DRAW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("total", [2**24, 512, 1000, 1])
+def test_seeded_points_match_the_pure_python_reference(seed, total):
+    # 1000 is no power of two, so draws are rejected; a count past one
+    # block of stream values draws a second block
+    for count in (1, 300, tensor.DRAW_BLOCK + 1000):
+        got = seeded_points(total, count, seed)
+        assert got.dtype == np.int64
+        assert got.tolist() == seeded_points_reference(total, count, seed), (total, count)
+    assert seeded_points(1, 5, seed).tolist() == [0]
+
+
+def test_seeded_samples_of_different_seeds_differ():
+    a, b = (set(seeded_points(2**24, 1000, seed).tolist()) for seed in (0, 1))
+    assert len(a & b) < 10
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampled_shift_selection_matches_the_reference(seed):
+    for b in (cyclic_unit_brace(5), odd_matrix_brace()):
+        adm = admissible_z(b).tolist()
+        for k in (1, 5, len(adm) - 1):
+            assert select_shifts(b, {"sample": k}, seed) == sample_shifts_reference(adm, k, seed), (b.name, k)
+        assert select_shifts(b, {"sample": len(adm)}, seed) == adm
 
 
 def _transposition_table_bundles():
