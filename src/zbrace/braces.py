@@ -318,13 +318,16 @@ def is_odd_matrix_brace(b: SkewBrace) -> bool:
     return bool(np.array_equal(b.add.table, add_table) and np.array_equal(b.mul.table, mul_table))
 
 
-def odd_matrix_pair_criterion(z1: int, z2: int) -> bool:
+def odd_matrix_pair_criterion(z1, z2):
     """Published equality test for two odd-matrix shifts: (D-I)(B-A) = 0 mod 8 for all D.
 
-    Read from the table of every pair's verdict (``_odd_matrix_pair_verdicts``).
-    Reported next to (never merged with) exact table comparison.
+    Read from the table of every pair's verdict (``_odd_matrix_pair_verdicts``):
+    a bool for two shifts, and for two equal-length arrays of shifts the
+    bool array of each pair's verdict, in one indexing.  Reported next to
+    (never merged with) exact table comparison.
     """
-    return bool(_odd_matrix_pair_verdicts()[z1, z2])
+    verdict = _odd_matrix_pair_verdicts()[z1, z2]
+    return verdict if isinstance(verdict, np.ndarray) else bool(verdict)
 
 
 @functools.lru_cache(maxsize=1)

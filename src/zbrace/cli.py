@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
-usage error.  Shift arguments (--z) accept "all", or a comma-separated
+usage error.  The report builder and the tensor layer are imported by the
+commands that run their checks (``verify``, ``twist``, ``export`` and
+``report``), so ``make``, ``validate``, ``socle`` and ``solve`` load
+neither.  Shift arguments (--z) accept "all", or a comma-separated
 list of element labels; a token that matches no label must be ASCII
 digits, a 0-based element index.  So must the N of a ``--group sN|zN``.
 """
@@ -29,26 +32,18 @@ from .braces import (
 )
 from .fileio import SchemaError, parse_brace, write_brace, write_matrix
 from .groups import GroupValidationError, cyclic_group, symmetric_group
-from .reporting import (
+from .settings import (
+    DEFAULT_BUDGET,
+    DEFAULT_SAMPLE_POINTS,
     LEVELS,
-    TENSOR_FAMILIES,
-    build_report,
     config_int,
     level_setting,
-    report_chunks,
-    report_failed,
     sample_points_setting,
     seed_setting,
     select_shifts,
-    tensor_checks,
+    unknown_keys,
 )
 from .solutions import InadmissibleZError, build_solution, cross_check_involutive, dedup_solutions
-from .tensor import (
-    DEFAULT_BUDGET,
-    DEFAULT_SAMPLE_POINTS,
-    TwistBundle,
-    export_object,
-)
 
 _INPUT_ERRORS = (
     SchemaError,
@@ -178,13 +173,16 @@ def cmd_solve(args) -> int:
         return 0
     for cls in partition.classes:
         print("class {" + ",".join(b.labels[z] for z in cls) + "}")
-    if partition.criterion_pairs:
-        agree = all(crit == eq for _, _, crit, eq in partition.criterion_pairs)
+    pairs = partition.criterion_pairs
+    if pairs is not None and pairs.z1.size:
+        agree = bool((pairs.criterion == pairs.tables_equal).all())
         print(f"pair criterion agrees with table equality: {agree}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .reporting import build_report, report_failed
+
     seed_setting(args.seed)
     config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
@@ -203,16 +201,18 @@ def cmd_verify(args) -> int:
     return 1 if report_failed(report) else 0
 
 
-_TWIST_CHECKS = tuple(f for f in TENSOR_FAMILIES if f != "braid")
-
-
 def cmd_twist(args) -> int:
-    wanted = [w.strip() for w in args.check.split(",") if w.strip()]
+    from .reporting import TENSOR_FAMILIES, tensor_checks
+    from .tensor import TwistBundle
+
+    # "braid" (the braid relation and the YBE) runs only in reports
+    choices = tuple(f for f in TENSOR_FAMILIES if f != "braid")
+    wanted = choices if args.check is None else [w.strip() for w in args.check.split(",") if w.strip()]
     if not wanted:
-        raise ValueError(f"no twist check selected (choose from {', '.join(_TWIST_CHECKS)})")
+        raise ValueError(f"no twist check selected (choose from {', '.join(choices)})")
     for w in wanted:
-        if w not in _TWIST_CHECKS:
-            raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(_TWIST_CHECKS)})")
+        if w not in choices:
+            raise ValueError(f"unknown twist check {w!r} (choose from {', '.join(choices)})")
     seed_setting(args.seed)
     config_int(args.budget, "budget", minimum=0)
     b = parse_brace(args.file)
@@ -233,6 +233,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .tensor import TwistBundle, export_object
+
     b = parse_brace(args.file)
     z = _resolve_element(b, args.z)
     zs = select_shifts(b, [z], seed=0)
@@ -249,21 +251,17 @@ _REPORT_CONFIG_KEYS = ("brace", "z", "level", "seed", "budget", "sample_points",
 _BRACE_KEYS = ("file", "family", "n", "modulus", "group", "left", "right")
 
 
-def _unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = ", ".join(repr(key) for key in doc if key not in known)
-    if unknown:
-        raise ValueError(f"unknown {what} {unknown} (known keys: {', '.join(known)})")
-
-
 def cmd_report(args) -> int:
+    from .reporting import build_report, report_chunks, report_failed
+
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise SchemaError("$", "config must be an object")
-    _unknown_keys(cfg, _REPORT_CONFIG_KEYS, "config key")
+    unknown_keys(cfg, _REPORT_CONFIG_KEYS, "config key")
     src_doc = cfg.get("brace")
     if not isinstance(src_doc, dict):
         raise SchemaError("$.brace", "missing brace source")
-    _unknown_keys(src_doc, _BRACE_KEYS, "brace key")
+    unknown_keys(src_doc, _BRACE_KEYS, "brace key")
     seed = seed_setting(cfg.get("seed", 0))
     budget = config_int(cfg.get("budget", DEFAULT_BUDGET), "budget", minimum=0)
     sample_points = sample_points_setting(cfg.get("sample_points", DEFAULT_SAMPLE_POINTS))
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", help="run selected matrix-level twist checks")
     p.add_argument("file")
     p.add_argument("--z", default="all")
-    p.add_argument("--check", default=",".join(_TWIST_CHECKS))
+    p.add_argument("--check", help="comma-separated twist checks (default: every one)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_twist)

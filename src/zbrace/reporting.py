@@ -52,7 +52,6 @@ from .solutions import (
     Check,
     DedupPartition,
     DeformedSolution,
-    InadmissibleZError,
     build_solution,
     dedup_solutions,
     gv_correspondence_check,
@@ -64,10 +63,14 @@ from .solutions import (
     sigma_shift_criterion,
     transpose_identity_check,
 )
-from .tensor import (
+from .settings import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_POINTS,
-    SEED_LIMIT,
+    level_setting,
+    sample_points_setting,
+    seed_setting,
+)
+from .tensor import (
     TwistBundle,
     braid_matrix_check,
     cocycle_check,
@@ -75,7 +78,6 @@ from .tensor import (
     coproduct_defect,
     lift_commutation_check,
     r_lift_defects,
-    splitmix64,
     twisted_coproduct_check,
     twisted_solution_check,
     ybe_matrix_check,
@@ -264,7 +266,7 @@ def dedup_section(b: SkewBrace, partition: DedupPartition, criterion: Callable[[
     if criterion is not None:
         pairs = [
             {"z1": z1, "z2": z2, "criterion": crit, "tables_equal": eq, "agree": crit == eq}
-            for z1, z2, crit, eq in partition.criterion_pairs
+            for z1, z2, crit, eq in zip(*(column.tolist() for column in partition.criterion_pairs))
         ]
         section["criterion_pairs"] = pairs
         section["criterion_agrees_everywhere"] = all(p["agree"] for p in pairs)
@@ -274,73 +276,6 @@ def dedup_section(b: SkewBrace, partition: DedupPartition, criterion: Callable[[
 def gv_section(identity_shift: DeformedSolution, timings: bool = False) -> list[dict]:
     """Correspondence entries; with ``timings`` each records its own comparison's wall time."""
     return [_entry("gv", c, None, timings) for c in gv_correspondence_check(identity_shift)]
-
-
-def config_int(value: Any, where: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    """A config field that must be an integer (a Python or NumPy integer, not a boolean); else a one-line ValueError.
-
-    Floats, even integral ones like 3.0, and numeric strings are rejected,
-    as integer entries of brace tables are.  With ``minimum`` or
-    ``maximum``, an integer outside them is rejected too.
-    """
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{where} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"{where} must be <= {maximum}, got {value}")
-    return int(value)
-
-
-def seed_setting(value: Any) -> int:
-    """A ``seed`` setting: the 64-bit start state of the sample stream, 0 <= seed < 2^64; else a one-line ValueError."""
-    return config_int(value, "seed", minimum=0, maximum=SEED_LIMIT - 1)
-
-
-LEVELS = ("maps", "matrices", "all")
-
-
-def level_setting(value: Any) -> str:
-    """A ``level`` setting: one of ``LEVELS``; else a one-line ValueError."""
-    if value not in LEVELS:
-        raise ValueError(f"unknown level {value!r}")
-    return value
-
-
-def sample_points_setting(value: Any) -> int:
-    """A ``sample_points`` setting: an integer of at least 1; else a one-line ValueError."""
-    if config_int(value, "sample_points") < 1:
-        raise ValueError("sample_points must be >= 1")
-    return int(value)
-
-
-def select_shifts(b: SkewBrace, selection: Any, seed: int) -> list[int]:
-    """Resolve a shift selection: "all" (or None), a list of element indices, or {"sample": k}.
-
-    {"sample": k} takes the k admissible shifts whose positions carry the
-    smallest values of the splitmix64 stream of ``seed`` (ties by
-    position).  Any other form, a count or index that is not an integer,
-    or a selection of no shift (an empty list, k < 1) raises ValueError.
-    """
-    admissible = admissible_z(b).tolist()
-    if selection == "all" or selection is None:
-        return [int(z) for z in admissible]
-    if isinstance(selection, dict) and "sample" in selection:
-        k = config_int(selection["sample"], "z.sample", minimum=1)
-        if k >= len(admissible):
-            return [int(z) for z in admissible]
-        keys = splitmix64(seed, 0, len(admissible))
-        return sorted(admissible[i] for i in np.argsort(keys, kind="stable")[:k])
-    if not isinstance(selection, (list, tuple)):
-        raise ValueError(f'shift selection must be "all", a list or {{"sample": k}}, got {selection!r}')
-    zs = [config_int(z, f"z[{i}]") for i, z in enumerate(selection)]
-    if not zs:
-        raise ValueError("shift selection is empty")
-    allowed = set(admissible)
-    bad = [z for z in zs if z not in allowed]
-    if bad:
-        raise InadmissibleZError(f"requested shifts not admissible: {bad}")
-    return sorted(set(zs))
 
 
 def build_report(

@@ -17,12 +17,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .braces import SkewBrace, right_distributes_at
-from .groups import first_difference, row_blocks
+from .groups import INDEX_DTYPE, first_difference, row_blocks
 
 
 class InadmissibleZError(ValueError):
@@ -73,7 +73,7 @@ class DeformedSolution:
 
     @cached_property
     def combined(self) -> np.ndarray:
-        """The pair map (x, y) -> (sigma_x(y), tau_y(x)) as int64 codes x*n + y, row-major in (x, y)."""
+        """The pair map (x, y) -> (sigma_x(y), tau_y(x)) as int32 codes x*n + y, row-major in (x, y)."""
         return pair_map(self.sigma, self.tau)
 
     @cached_property
@@ -98,10 +98,16 @@ class DeformedSolution:
 
     @cached_property
     def pair_collision(self) -> tuple[int, int] | None:
-        """The first two pair indices mapped to the smallest repeated image, or None: the pair map is a bijection."""
-        counts = np.bincount(self.combined, minlength=self.order**2)
-        if counts.max() == 1:
+        """The first two pair indices mapped to the smallest repeated image, or None: the pair map is a bijection.
+
+        n^2 codes reach all n^2 images exactly when no two collide, so one
+        boolean scatter decides; the images are counted only on a collision.
+        """
+        hit = np.zeros(self.order**2, dtype=bool)
+        hit[self.combined] = True
+        if hit.all():
             return None
+        counts = np.bincount(self.combined, minlength=self.order**2)
         p, q = np.flatnonzero(self.combined == np.argmax(counts > 1))[:2]
         return int(p), int(q)
 
@@ -109,7 +115,7 @@ class DeformedSolution:
     def involutivity_witness(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
         """The row-major first pair moved by the double application, with both steps, or None: r o r = id."""
         n, comb = self.order, self.combined
-        start = _first_pair((comb[comb] != np.arange(n * n)).reshape(n, n))
+        start = _first_pair((comb[comb] != _pair_codes(n)).reshape(n, n))
         if start is None:
             return None
         mid = int(comb[start[0] * n + start[1]])
@@ -168,10 +174,24 @@ def _first_pair(differs: np.ndarray) -> tuple[int, int] | None:
     return int(x), int(y)
 
 
+class CriterionPairs(NamedTuple):
+    """Every pair of shifts z1 < z2 in row-major order, as four arrays.
+
+    ``criterion`` is the published pair criterion's verdict and
+    ``tables_equal`` the exact one, read off the dedup classes.
+    """
+
+    z1: np.ndarray
+    z2: np.ndarray
+    criterion: np.ndarray
+    tables_equal: np.ndarray
+
+
 @dataclass(frozen=True)
 class DedupPartition:
     classes: tuple[tuple[int, ...], ...]
-    criterion_pairs: tuple[tuple[int, int, bool, bool], ...]
+    # None unless a pair criterion was given
+    criterion_pairs: CriterionPairs | None = None
 
 
 def shift_key(b: SkewBrace, z: int) -> np.ndarray:
@@ -192,9 +212,20 @@ def tau_table_from_sigma(b: SkewBrace, sigma: np.ndarray) -> np.ndarray:
 
 
 def pair_map(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The int64 pair codes sigma_x(y)*n + tau_y(x), row-major in (x, y)."""
+    """The int32 pair codes sigma_x(y)*n + tau_y(x), row-major in (x, y).
+
+    n^2 is at most 2^24 at the carrier cap, so the codes fit int32.
+    """
     n = sigma.shape[0]
-    return (sigma.astype(np.int64) * n + tau.T).ravel()
+    codes = sigma.astype(np.int32, order="C")
+    codes *= n
+    codes += tau.T
+    return codes.ravel()
+
+
+def _pair_codes(n: int) -> np.ndarray:
+    """Every pair code 0 .. n^2 - 1 in the dtype of ``pair_map``: the identity map of the pair space."""
+    return np.arange(n * n, dtype=np.int32)
 
 
 def row_inverses(table: np.ndarray, name: str) -> np.ndarray:
@@ -226,7 +257,8 @@ def build_solution(b: SkewBrace, z: int) -> DeformedSolution:
     s = DeformedSolution(brace=b, z=z, sigma=sigma, tau=tau_table_from_sigma(b, sigma))
     s.require_nondegenerate()
     if s.pair_collision is not None:
-        raise TableMismatchError("pair map is not a bijection")
+        p, q = s.pair_collision
+        raise TableMismatchError(f"pair map is not a bijection: pairs {p} and {q} have one image")
     return s
 
 
@@ -258,7 +290,7 @@ def inverse_solution(forward: DeformedSolution) -> DeformedSolution:
     shat = A[neg[u][:, None], M[M, zi]]
     inverse = DeformedSolution(brace=b, z=z, sigma=shat, tau=tau_table_from_sigma(b, shat))
     n = b.order
-    hit = _first_pair((inverse.combined[forward.combined] != np.arange(n * n)).reshape(n, n))
+    hit = _first_pair((inverse.combined[forward.combined] != _pair_codes(n)).reshape(n, n))
     if hit is not None:
         raise InverseCheckFailedError(hit)
     forward.require_nondegenerate()
@@ -550,7 +582,7 @@ def sigma_shift_check_at(b: SkewBrace, z: int, tables_equal: bool, start: float 
 def dedup_solutions(
     b: SkewBrace,
     zs: Iterable[int],
-    pair_criterion: Callable[[int, int], bool] | None = None,
+    pair_criterion: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> DedupPartition:
     """Partition the shifts ``zs`` of ``b`` by exact equality of their sigma tables, building none.
 
@@ -574,7 +606,10 @@ def dedup_solutions(
     When ``pair_criterion`` is given (odd-matrix family), every pair of
     shifts z1 < z2 is also scored by the published criterion and reported
     next to the ground truth, whose table equality is read off the classes
-    (equality is transitive, so this is exact).
+    (equality is transitive, so this is exact).  The criterion is called
+    once, on the arrays z1 and z2 of every pair, and gives each pair's
+    verdict (``braces.odd_matrix_pair_criterion``); the result is
+    ``criterion_pairs``.
     """
     class_index: dict[int, int] = {}
     by_key: dict[bytes, int] = {}
@@ -591,14 +626,16 @@ def dedup_solutions(
         members[cls].append(z)
     classes = sorted(tuple(sorted(cls)) for cls in members)
 
-    pairs: list[tuple[int, int, bool, bool]] = []
-    if pair_criterion is not None:
-        zs_sorted = sorted(class_index)
-        for i, z1 in enumerate(zs_sorted):
-            for z2 in zs_sorted[i + 1 :]:
-                crit = bool(pair_criterion(z1, z2))
-                pairs.append((z1, z2, crit, class_index[z1] == class_index[z2]))
-    return DedupPartition(classes=tuple(classes), criterion_pairs=tuple(pairs))
+    if pair_criterion is None:
+        return DedupPartition(classes=tuple(classes))
+    zs_sorted = sorted(class_index)
+    first, second = np.triu_indices(len(zs_sorted), 1)
+    shifts = np.array(zs_sorted, dtype=INDEX_DTYPE)
+    z1, z2 = shifts[first], shifts[second]
+    cls = np.array([class_index[z] for z in zs_sorted], dtype=INDEX_DTYPE)
+    tables_equal = cls[first] == cls[second]
+    criterion = np.asarray(pair_criterion(z1, z2), dtype=bool)
+    return DedupPartition(tuple(classes), CriterionPairs(z1, z2, criterion, tables_equal))
 
 
 def gv_tables(b: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
@@ -651,7 +688,7 @@ def gv_correspondence_check(s1: DeformedSolution) -> list[Check]:
     # r_gv after r_1 is the identity exactly when r_gv is the inverse of
     # the bijection r_1, so one order decides both
     start = time.perf_counter()
-    not_inverse = pair_map(sgv, tgv)[s1.combined] != np.arange(n * n)
+    not_inverse = pair_map(sgv, tgv)[s1.combined] != _pair_codes(n)
     checks.append(_verdict(
         "gv-inverse-relation", n * n, _first_pair(not_inverse.reshape(n, n)), start,
         note="undeformed map composes with the identity-shift deformation to the identity",

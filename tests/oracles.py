@@ -34,6 +34,7 @@ from zbrace.groups import (
     validate_group,
 )
 from zbrace.reporting import dedup_section, gv_section, solution_suite, tensor_suite
+from zbrace.settings import DEFAULT_BUDGET, DEFAULT_SAMPLE_POINTS, seeded_points
 from zbrace.solutions import (
     Check,
     DeformedSolution,
@@ -44,8 +45,6 @@ from zbrace.solutions import (
     tau_table_from_sigma,
 )
 from zbrace.tensor import (
-    DEFAULT_BUDGET,
-    DEFAULT_SAMPLE_POINTS,
     PermMatrix,
     TwistBundle,
     _decode3,
@@ -54,7 +53,6 @@ from zbrace.tensor import (
     _lift13,
     _lift23,
     _proved_or_compared,
-    seeded_points,
 )
 
 SPARSE_ENTRY_LIMIT = 4096
@@ -343,6 +341,13 @@ def brute_dedup(b, zs, pair_criterion=None):
                 equal = bool(np.array_equal(sigmas[z1], sigmas[z2]))
                 pairs.append((z1, z2, bool(pair_criterion(z1, z2)), equal))
     return tuple(tuple(cls) for cls in classes), tuple(pairs)
+
+
+def criterion_pair_tuples(pairs):
+    """``DedupPartition.criterion_pairs`` as ``brute_dedup`` gives them: tuples (z1, z2, criterion, tables_equal) of Python values, () for None."""
+    if pairs is None:
+        return ()
+    return tuple(zip(*(column.tolist() for column in pairs)))
 
 
 def brute_odd_matrix_pair_criterion(z1, z2):

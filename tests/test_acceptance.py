@@ -26,7 +26,8 @@ from zbrace.braces import (
 )
 from zbrace.groups import cyclic_group, symmetric_group
 from zbrace.lazy import odd_fraction_brace, sampled_verify_lazy
-from zbrace.reporting import build_report, select_shifts
+from zbrace.reporting import build_report
+from zbrace.settings import select_shifts
 from zbrace.solutions import (
     build_solution,
     dedup_solutions,

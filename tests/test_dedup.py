@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import Z6_DIHEDRAL, brute_dedup, brute_odd_matrix_pair_criterion
+from oracles import Z6_DIHEDRAL, brute_dedup, brute_odd_matrix_pair_criterion, criterion_pair_tuples
 from zbrace.braces import (
     admissible_z,
     cyclic_unit_brace,
@@ -14,7 +14,7 @@ from zbrace.braces import (
     radical_even_brace,
     trivial_skew_brace,
 )
-from zbrace.groups import symmetric_group
+from zbrace.groups import INDEX_DTYPE, symmetric_group
 from zbrace.solutions import InadmissibleZError, build_solution, dedup_solutions
 
 S3_TRIVIAL = trivial_skew_brace(symmetric_group(3), name="trivial-S3")
@@ -42,7 +42,7 @@ def _assert_matches_oracle(b, zs, criterion):
     expected = brute_dedup(b, zs, pair_criterion=criterion)
     for order in (list(zs), list(reversed(zs))):
         part = dedup_solutions(b, order, pair_criterion=criterion)
-        assert (part.classes, part.criterion_pairs) == expected
+        assert (part.classes, criterion_pair_tuples(part.criterion_pairs)) == expected
 
 
 def _assert_members_build_their_representative(b, classes):
@@ -77,6 +77,22 @@ def test_dedup_matches_pairwise_oracle_on_sampled_odd_matrix_shifts():
     zs = [int(z) for z in rng.choice(256, size=10, replace=False)]
     zs += [zs[0] ^ 0b10000000, zs[1] ^ 0b00100010]  # same matrix mod 4 as an earlier shift
     _assert_matches_oracle(om, zs, odd_matrix_pair_criterion)
+
+
+@pytest.mark.parametrize("b", [odd_matrix_brace(), cyclic_unit_brace(4)], ids=lambda b: b.name)
+def test_criterion_pairs_are_four_arrays_scored_in_one_call(b):
+    zs = admissible_z(b).tolist()
+    calls = []
+
+    def counted(z1, z2):
+        calls.append(len(z1))
+        return odd_matrix_pair_criterion(z1, z2)
+
+    pairs = dedup_solutions(b, zs, pair_criterion=counted).criterion_pairs
+    assert calls == [len(zs) * (len(zs) - 1) // 2]
+    assert [a.dtype for a in pairs] == [INDEX_DTYPE, INDEX_DTYPE, np.bool_, np.bool_]
+    assert criterion_pair_tuples(pairs) == brute_dedup(b, zs, pair_criterion=odd_matrix_pair_criterion)[1]
+    assert dedup_solutions(b, zs).criterion_pairs is None
 
 
 def test_memoised_pair_criterion_matches_brute_force_on_every_difference():

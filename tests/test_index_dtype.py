@@ -1,4 +1,8 @@
-"""One index dtype: every element-index array is ``INDEX_DTYPE``, and flat codes widen to int64 first."""
+"""One index dtype: every element-index array is ``INDEX_DTYPE``, and flat codes widen first.
+
+Pair codes widen to int32 (n^2 is at most 2^24 at the carrier cap), and
+triple codes to int64 (n^3 is past int32 there).
+"""
 
 import dataclasses
 import tracemalloc
@@ -6,20 +10,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import _pair_formula, brute_braid_constraints, swap_sigma_entries
+from oracles import Z6_DIHEDRAL, _pair_formula, brute_braid_constraints, swap_sigma_entries
 from zbrace.braces import (
     DEFAULT_CARRIER_CAP,
     _odd_matrix_pair_verdicts,
     admissible_z,
     cyclic_unit_brace,
     odd_matrix_brace,
+    product_brace,
+    radical_even_brace,
     socle,
     trivial_skew_brace,
 )
-from zbrace.groups import INDEX_DTYPE, cyclic_group
+from zbrace.groups import INDEX_DTYPE, cyclic_group, symmetric_group
 from zbrace.solutions import (
     build_solution,
     derived_rack_certificate,
+    gv_tables,
     inverse_solution,
     pair_map,
     row_inverses,
@@ -56,9 +63,9 @@ def test_every_element_index_array_of_an_odd_matrix_shift_has_the_index_dtype():
         "F123 row legs": np.stack(bundle.formula("F123")(*legs)),
     }
     assert {name: a.dtype for name, a in indices.items() if a.dtype != INDEX_DTYPE} == {}
+    pair_codes = {"combined": s.combined, "inverse combined": inv.combined}
+    assert {name: a.dtype for name, a in pair_codes.items() if a.dtype != np.int32} == {}
     codes = {
-        "combined": s.combined,
-        "inverse combined": inv.combined,
         "sample points": p,
         "rcheck perm": bundle.matrix("rcheck").perm,
         "F123 perm": bundle.matrix("F123").perm,
@@ -75,7 +82,29 @@ def test_flat_codes_widen_before_the_multiply_at_the_cap():
     # read-only views of one entry: only the n^2 codes themselves are allocated
     table = np.broadcast_to(np.array(n - 1, dtype=INDEX_DTYPE), (n, n))
     codes = pair_map(table, table)
-    assert codes.dtype == np.int64 and codes.size == n * n and int(codes[-1]) == n * n - 1
+    assert codes.dtype == np.int32 and codes.size == n * n and int(codes[-1]) == n * n - 1
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        cyclic_unit_brace(3),
+        odd_matrix_brace(),
+        radical_even_brace(16),
+        trivial_skew_brace(symmetric_group(3)),
+        product_brace(cyclic_unit_brace(2), trivial_skew_brace(symmetric_group(3))),
+        Z6_DIHEDRAL,
+    ],
+    ids=lambda b: b.name,
+)
+def test_pair_codes_are_int32_on_every_family(b):
+    # no n^2 int64 array: the codes, the inverse's and the undeformed map's
+    for z in admissible_z(b).tolist()[:3]:
+        s = build_solution(b, z)
+        assert s.combined.dtype == np.int32
+        assert inverse_solution(s).combined.dtype == np.int32
+    sgv, tgv = gv_tables(b)
+    assert pair_map(sgv, tgv).dtype == np.int32
 
 
 def test_certificates_and_sweeps_read_wide_codes_past_int16():

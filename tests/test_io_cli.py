@@ -30,14 +30,8 @@ from zbrace.fileio import (
     write_matrix,
 )
 from zbrace.groups import NotClosedError, cyclic_group, symmetric_group, validate_group
-from zbrace.reporting import (
-    build_report,
-    config_int,
-    entry_ms,
-    report_failed,
-    select_shifts,
-    serialize_report,
-)
+from zbrace.reporting import build_report, entry_ms, report_failed, serialize_report
+from zbrace.settings import config_int, select_shifts
 from zbrace.solutions import build_solution, dedup_solutions
 from zbrace.tensor import TwistBundle
 
@@ -47,6 +41,19 @@ def cyclic3_file(tmp_path):
     path = tmp_path / "cyclic3.brace"
     write_brace(cyclic_unit_brace(3), path)
     return path
+
+
+def _refuse_work(monkeypatch, message, names=("parse_brace", "_make_brace", "build_report", "build_solution")):
+    """Make each named step fail the test with ``message``: reading or building the brace, the report, a solution."""
+    import zbrace.cli
+    import zbrace.reporting
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        # the commands that build a report import the report builder when they run
+        monkeypatch.setattr(zbrace.reporting if name == "build_report" else zbrace.cli, name, no_work)
 
 
 def test_brace_roundtrip_is_identity(tmp_path, cyclic3_file):
@@ -617,6 +624,17 @@ def test_cli_pair_criterion_follows_table_content_not_name(tmp_path, capsys):
     assert printed.count("class {") == 2
 
 
+def test_cli_solve_prints_a_pair_criterion_that_disagrees(tmp_path, capsys, monkeypatch):
+    import zbrace.cli
+
+    path = tmp_path / "om.brace"
+    assert main(["make", "--family", "oddmatrix", "-o", str(path)]) == 0
+    monkeypatch.setattr(zbrace.cli, "odd_matrix_pair_criterion", lambda z1, z2: z1 < 0)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--z", "0,128", "--dedup"]) == 0  # one class: the criterion says unequal
+    assert capsys.readouterr().out.endswith("class {[[1,0],[0,1]],[[5,0],[0,1]]}\npair criterion agrees with table equality: False\n")
+
+
 def test_cli_empty_group_name_is_an_input_error(tmp_path, capsys):
     assert main(["make", "--family", "trivial", "--group", "", "-o", str(tmp_path / "t.brace")]) == 2
     assert capsys.readouterr().err.startswith("error: unknown group ''")
@@ -687,22 +705,36 @@ def test_make_product_without_factors_is_an_input_error(tmp_path, capsys):
     ids=["report-empty-list", "report-sample-0", "verify-empty-z", "twist-empty-z", "twist-empty-check"],
 )
 def test_empty_selection_is_an_input_error(tmp_path, capsys, monkeypatch, argv, message):
-    import zbrace.cli
-
     paths = {"brace": tmp_path / "c3.brace", "cfg_list": tmp_path / "list.json", "cfg_sample": tmp_path / "sample.json"}
     write_brace(cyclic_unit_brace(3), paths["brace"])
     paths["cfg_list"].write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": []}))
     paths["cfg_sample"].write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 3}, "z": {"sample": 0}}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started on an empty selection")
-
-    monkeypatch.setattr(zbrace.cli, "build_report", no_work)
-    monkeypatch.setattr(zbrace.cli, "build_solution", no_work)
+    _refuse_work(monkeypatch, "work started on an empty selection", ("build_report", "build_solution"))
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "selection, message",
+    [
+        ({"sample": 2, "seed": 5}, "unknown shift selection key 'seed' (known keys: sample)"),
+        ({"sampel": 2, "sample": 3}, "unknown shift selection key 'sampel' (known keys: sample)"),
+    ],
+    ids=["seed-in-z", "misspelt-sample"],
+)
+def test_report_unknown_shift_selection_keys_are_rejected_before_any_check(
+    tmp_path, capsys, monkeypatch, selection, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brace": {"family": "cyclic2n", "n": 4}, "z": selection}))
+    _refuse_work(monkeypatch, "work started before the shift selection was checked", ("build_report", "build_solution"))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {message}\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        select_shifts(cyclic_unit_brace(4), selection, seed=0)
 
 
 def test_report_scalar_shift_selection_is_an_input_error(tmp_path, capsys):
@@ -859,17 +891,11 @@ def test_path_through_a_file_is_an_input_error(tmp_path, capsys, argv):
     ids=["verify", "twist", "report"],
 )
 def test_negative_seed_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
-    import zbrace.cli
-
     paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
     write_brace(cyclic_unit_brace(3), paths["brace"])
     paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "seed": -1, "z": {"sample": 2}}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the seed was checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the seed was checked")
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == "error: seed must be >= 0, got -1\n"
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -886,17 +912,11 @@ def test_negative_seed_is_rejected_before_any_check(tmp_path, capsys, monkeypatc
     ids=["verify", "twist", "report"],
 )
 def test_seed_past_64_bits_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
-    import zbrace.cli
-
     paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
     write_brace(cyclic_unit_brace(3), paths["brace"])
     paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "seed": 2**64, "z": {"sample": 2}}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the seed was checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the seed was checked")
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == f"error: seed must be <= {2**64 - 1}, got {2**64}\n"
     with pytest.raises(ValueError, match=f"^seed must be <= {2**64 - 1}, got {2**64}$"):
@@ -929,17 +949,11 @@ def test_solve_still_accepts_a_negative_seed(tmp_path, capsys):
     ids=["verify", "twist", "report"],
 )
 def test_negative_budget_is_rejected_before_any_check(tmp_path, capsys, monkeypatch, argv):
-    import zbrace.cli
-
     paths = {"brace": tmp_path / "c3.brace", "cfg": tmp_path / "cfg.json"}
     write_brace(cyclic_unit_brace(3), paths["brace"])
     paths["cfg"].write_text(json.dumps({"brace": {"file": str(paths["brace"])}, "budget": -1, "level": "matrices"}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the budget was checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the budget was checked")
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == "error: budget must be >= 0, got -1\n"
 
@@ -957,18 +971,12 @@ _KNOWN_KEYS = "(known keys: brace, z, level, seed, budget, sample_points, timing
     ids=["report-sample-points", "report-threads", "report-misspelt-key"],
 )
 def test_report_settings_are_rejected_before_any_check(tmp_path, capsys, monkeypatch, setting, message):
-    import zbrace.cli
-
     brace = tmp_path / "c3.brace"
     write_brace(cyclic_unit_brace(3), brace)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"brace": {"file": str(brace)}, **setting}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the setting was checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the setting was checked")
     assert main(["report", "--config", str(cfg)]) == 2
     assert _assert_one_error_line(capsys) == f"error: {message}\n"
 
@@ -987,16 +995,10 @@ _BRACE_KEYS = "(known keys: file, family, n, modulus, group, left, right)"
 def test_report_unknown_brace_keys_are_rejected_before_the_brace_is_read(
     tmp_path, capsys, monkeypatch, brace, message
 ):
-    import zbrace.cli
-
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"brace": brace}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the brace keys were checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the brace keys were checked")
     assert main(["report", "--config", str(cfg)]) == 2
     assert _assert_one_error_line(capsys) == f"error: {message}\n"
 
@@ -1020,17 +1022,11 @@ def test_verify_has_no_threads_option(capsys, cyclic3_file):
 def test_report_timings_and_level_are_rejected_before_the_brace_is_read(
     tmp_path, capsys, monkeypatch, setting, message, source
 ):
-    import zbrace.cli
-
     brace = {"file": str(tmp_path / "missing.brace")} if source == "file" else {"family": "oddmatrix"}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"brace": brace, **setting}))
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the setting was checked")
-
-    for name in ("parse_brace", "_make_brace", "build_report", "build_solution"):
-        monkeypatch.setattr(zbrace.cli, name, no_work)
+    _refuse_work(monkeypatch, "work started before the setting was checked")
     assert main(["report", "--config", str(cfg)]) == 2
     assert _assert_one_error_line(capsys) == f"error: {message}\n"
 
@@ -1134,6 +1130,23 @@ def test_sampled_report_loads_no_numpy_random(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
     assert json.loads(out.read_text())["summary"]["sampled"] > 0
+
+
+def test_make_validate_and_solve_load_neither_the_tensor_layer_nor_the_report_builder(tmp_path):
+    import zbrace
+
+    brace = tmp_path / "c4.brace"
+    code = (
+        "import sys; from zbrace.cli import main; "
+        f"codes = [main(['make', '--family', 'cyclic2n', '--n', '4', '-o', {str(brace)!r}]), "
+        f"main(['validate', {str(brace)!r}]), main(['solve', {str(brace)!r}, '--z', 'all', '--dedup'])]; "
+        "print(codes, 'zbrace.tensor' in sys.modules, 'zbrace.reporting' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(zbrace.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "[0, 0, 0] False False", proc.stderr
+    assert "class {1,9}" in lines
 
 
 def test_source_holds_no_numpy_generator():

@@ -12,7 +12,8 @@ from oracles import per_shift_report
 from zbrace import reporting
 from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brace
 from zbrace.groups import symmetric_group
-from zbrace.reporting import build_report, select_shifts, serialize_report
+from zbrace.reporting import build_report, serialize_report
+from zbrace.settings import select_shifts
 from zbrace.solutions import dedup_solutions
 
 RERUN_AT_EACH_SHIFT = {"involutivity-criterion", "sigma-shift-criterion"}

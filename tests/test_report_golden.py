@@ -13,7 +13,8 @@ from zbrace.braces import cyclic_unit_brace, odd_matrix_brace, trivial_skew_brac
 from zbrace.cli import main
 from zbrace.fileio import brace_to_dict, canonical_json, write_brace
 from zbrace.groups import symmetric_group
-from zbrace.reporting import build_report, select_shifts, serialize_report
+from zbrace.reporting import build_report, serialize_report
+from zbrace.settings import select_shifts
 from zbrace.tensor import PermMatrix, TwistBundle
 
 CYCLIC3_REPORT = "7a13681e28f950ca32263ba8be574663c5545c5ca3961b1cfe0aa318247d9607"

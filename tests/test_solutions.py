@@ -191,6 +191,25 @@ def test_transpose_identity_detects_duplicate_images():
     assert not check.ok and check.witness == (0, 3)
 
 
+def test_duplicate_images_are_counted_only_on_a_collision(monkeypatch):
+    # a boolean scatter decides bijectivity; the images are counted only to name the colliding pairs
+    counted = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: counted.append(args) or bincount(*args, **kwargs))
+    assert transpose_identity_check(build_solution(CYCLIC3, 1)).witness is None
+    assert counted == []
+    forged = _duplicate_image_forgery()
+    assert transpose_identity_check(forged).witness == (0, 3)
+    assert len(counted) == 1
+    # build_solution reads the same verdict on the same tables; the forgery's
+    # sigma row 0 repeats a value, which would be refused first
+    monkeypatch.setattr(solutions, "sigma_table", lambda b, z: forged.sigma)
+    monkeypatch.setattr(solutions, "tau_table_from_sigma", lambda b, sigma: forged.tau)
+    monkeypatch.setattr(DeformedSolution, "require_nondegenerate", lambda self: None)
+    with pytest.raises(TableMismatchError, match=r"^pair map is not a bijection: pairs 0 and 3 have one image$"):
+        build_solution(CYCLIC3, 1)
+
+
 def test_transpose_identity_oddmatrix_sampled_shift():
     om = odd_matrix_brace()
     check = transpose_identity_check(build_solution(om, 123))
@@ -347,9 +366,9 @@ def test_dedup_oddmatrix_criterion_agrees_with_table_equality():
     rng = np.random.default_rng(0)
     zs = sorted(int(z) for z in rng.choice(256, size=10, replace=False))
     part = dedup_solutions(om, zs, pair_criterion=odd_matrix_pair_criterion)
-    assert part.criterion_pairs  # evaluated for every pair
-    for z1, z2, crit, equal in part.criterion_pairs:
-        assert crit == equal
+    pairs = part.criterion_pairs
+    assert pairs.z1.size == len(zs) * (len(zs) - 1) // 2  # evaluated for every pair
+    assert np.array_equal(pairs.criterion, pairs.tables_equal)
     # ground truth: shifts are equivalent iff their matrices agree mod 4
     from zbrace.braces import odd_matrix_entries
 

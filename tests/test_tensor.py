@@ -40,7 +40,7 @@ from oracles import (
     swap_sigma_entries,
 )
 from test_certificates import _forged_solutions
-from zbrace import reporting, tensor
+from zbrace import reporting, settings, tensor
 from zbrace.braces import (
     admissible_z,
     cyclic_unit_brace,
@@ -50,7 +50,8 @@ from zbrace.braces import (
     trivial_skew_brace,
 )
 from zbrace.groups import cyclic_group, row_blocks, symmetric_group
-from zbrace.reporting import TENSOR_FAMILIES, select_shifts, tensor_checks
+from zbrace.reporting import TENSOR_FAMILIES, tensor_checks
+from zbrace.settings import seeded_points, select_shifts, splitmix64
 from zbrace.solutions import Check, build_solution
 from zbrace.tensor import (
     PermMatrix,
@@ -69,8 +70,6 @@ from zbrace.tensor import (
     export_object,
     lift_commutation_check,
     r_lift_defects,
-    seeded_points,
-    splitmix64,
     twisted_coproduct_check,
     twisted_solution_check,
     ybe_matrix_check,
@@ -939,11 +938,11 @@ def test_splitmix64_gives_the_published_values():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_splitmix64_matches_the_pure_python_reference(seed):
-    size = tensor.DRAW_BLOCK + 100
+    size = settings.DRAW_BLOCK + 100
     want = list(itertools.islice(splitmix64_reference(seed), size))
     got = splitmix64(seed, 0, size)
     assert got.dtype == np.uint64 and got.tolist() == want
-    assert splitmix64(seed, tensor.DRAW_BLOCK - 2, 5).tolist() == want[tensor.DRAW_BLOCK - 2 : tensor.DRAW_BLOCK + 3]
+    assert splitmix64(seed, settings.DRAW_BLOCK - 2, 5).tolist() == want[settings.DRAW_BLOCK - 2 : settings.DRAW_BLOCK + 3]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -951,7 +950,7 @@ def test_splitmix64_matches_the_pure_python_reference(seed):
 def test_seeded_points_match_the_pure_python_reference(seed, total):
     # 1000 is no power of two, so draws are rejected; a count past one
     # block of stream values draws a second block
-    for count in (1, 300, tensor.DRAW_BLOCK + 1000):
+    for count in (1, 300, settings.DRAW_BLOCK + 1000):
         got = seeded_points(total, count, seed)
         assert got.dtype == np.int64
         assert got.tolist() == seeded_points_reference(total, count, seed), (total, count)
